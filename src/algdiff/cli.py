@@ -12,9 +12,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable, TextIO, get_type_hints
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .analysis import (
     variance_minimal,
 )
 from .estimator import EstimateSeries, SampledSignal, estimate_series
-from .kernel import EstimatorConfig, affine_kernel, discretize, minimal_kernel
+from .kernel import EstimatorConfig, affine_kernel, discretize
 from .stochastic import (
     NoiseModel,
     Poisson,
@@ -37,6 +38,7 @@ from .stochastic import (
     RngSeed,
     WhiteGaussian,
     Wiener,
+    _sample_moments,
     calibrate_snr,
     gen_path,
     mc_noise_samples,
@@ -151,21 +153,6 @@ class RunReport:
     label: str
     series_paths: dict[str, str]
 
-    def to_dict(self) -> dict:
-        return {
-            "total_error": self.total_error,
-            "snr_db": self.snr_db,
-            "delay_s": self.delay_s,
-            "band_low": self.band_low,
-            "band_high": self.band_high,
-            "gamma": self.gamma,
-            "config": _config_dict(self.config),
-            "seed": {"seed": self.seed.seed, "stream": self.seed.stream},
-            "window": list(self.window),
-            "label": self.label,
-            "series_paths": self.series_paths,
-        }
-
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
@@ -208,11 +195,7 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
     calibration log-ratio to the noisy estimate series against its deviation
     from the noiseless run.
     """
-    built = _build_signal(spec)
-    if spec.signal == "csv":
-        clean, deriv = built[0], None
-    else:
-        clean, deriv = built
+    clean, deriv = _build_signal(spec)
     cfg = spec.estimator
     if abs(cfg.T - cfg.m * clean.ts) > 1e-9 * max(cfg.T, 1.0):
         raise ValueError(
@@ -262,8 +245,7 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
         else affine_delay(cfg.n, cfg.kappa, cfg.mu, cfg.T, cfg.xi)
     )
 
-    kernel = minimal_kernel(cfg) if cfg.q == 0 else affine_kernel(cfg)
-    dk = discretize(kernel, cfg)
+    dk = discretize(affine_kernel(cfg), cfg)
     if spec.noise is not None:
         base = discrete_moments(dk, spec.noise, window[0], spec.gamma)
         band_low, band_high = chebyshev_band(
@@ -301,12 +283,6 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
 
 # ---------------------------------------------------------------------------
 # presets: the benchmark parameter pairs (integer exponents vs extended)
-
-
-def _preset_cfg(n, q, mu, kappa, m, ts, xi=0.0, F=0.5) -> EstimatorConfig:
-    return EstimatorConfig(
-        n=n, q=q, mu=mu, kappa=kappa, beta=-1, T=m * ts, xi=xi, F=F, m=m
-    )
 
 
 def _presets() -> dict[str, dict]:
@@ -351,15 +327,19 @@ def _presets() -> dict[str, dict]:
 PRESETS = _presets()
 
 
-def _noise_from_tag(tag: tuple[str, float]) -> NoiseModel:
-    kind, value = tag
-    if kind == "white":
-        return WhiteGaussian(value)
-    if kind == "wiener":
-        return Wiener(value)
-    if kind == "poisson":
-        return Poisson(value)
-    raise ValueError(f"unknown noise kind {kind!r}")
+# noise kind -> model class; each class's one field is its intensity parameter
+_NOISE_KINDS = {"white": WhiteGaussian, "wiener": Wiener, "poisson": Poisson}
+
+
+def _noise_class(kind: str):
+    if kind not in _NOISE_KINDS:
+        raise ValueError(f"unknown noise kind {kind!r}")
+    return _NOISE_KINDS[kind]
+
+
+def _intensity_name(kind: str) -> str:
+    """Name of the model's intensity parameter: sigma2, or nu for poisson."""
+    return fields(_noise_class(kind))[0].name
 
 
 def run_preset_pair(name: str, seed: RngSeed, out_dir: str | None = None, gamma: float = 2.0) -> dict:
@@ -368,13 +348,14 @@ def run_preset_pair(name: str, seed: RngSeed, out_dir: str | None = None, gamma:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     p = PRESETS[name]
+    kind, intensity = p["noise"]
     reports = []
     for label in ("integer", "extended"):
-        cfg = _preset_cfg(ts=p["ts"], **p[label])
+        cfg = EstimatorConfig(beta=-1, T=p[label]["m"] * p["ts"], **p[label])
         spec = ExperimentSpec(
             signal=p["signal"],
             estimator=cfg,
-            noise=_noise_from_tag(p["noise"]),
+            noise=_noise_class(kind)(intensity),
             target_snr_db=p["target_snr_db"],
             window=p["window"],
             seed=seed,
@@ -388,8 +369,8 @@ def run_preset_pair(name: str, seed: RngSeed, out_dir: str | None = None, gamma:
         ratio = reports[0].total_error / reports[1].total_error
     return {
         "preset": name,
-        "seed": {"seed": seed.seed, "stream": seed.stream},
-        "runs": [r.to_dict() for r in reports],
+        "seed": asdict(seed),
+        "runs": [asdict(r) for r in reports],
         "error_ratio": ratio,
     }
 
@@ -422,8 +403,7 @@ def _render_pair_table(pair: dict, out: TextIO) -> None:
 
 def dump_kernel(cfg: EstimatorConfig, out: TextIO) -> None:
     """CSV of the discrete taps: i, abscissa, tap."""
-    kernel = minimal_kernel(cfg) if cfg.q == 0 else affine_kernel(cfg)
-    dk = discretize(kernel, cfg)
+    dk = discretize(affine_kernel(cfg), cfg)
     rows = ((i, i / cfg.m, tap) for i, tap in enumerate(dk.taps))
     _write_csv(out, ["i", "abscissa", "tap"], rows)
 
@@ -463,10 +443,7 @@ def mc_report(
     if trials < 100:
         raise ValueError("trials must be at least 100")
     samples = mc_noise_samples(cfg, model, t0, trials, seed)
-    emp_mean = float(np.mean(samples))
-    emp_var = float(np.var(samples, ddof=1))
-    centered = samples - emp_mean
-    stderr_var = math.sqrt(max(float(np.mean(centered**4)) - emp_var**2, 0.0) / trials)
+    emp_mean, emp_var, stderr_var = _sample_moments(samples)
 
     def fraction_inside(low: float, high: float) -> float:
         return float(np.mean((samples > low) & (samples < high)))
@@ -498,8 +475,7 @@ def mc_report(
             }
     bands["continuous"] = continuous
 
-    kernel = minimal_kernel(cfg) if cfg.q == 0 else affine_kernel(cfg)
-    rep = discrete_moments(discretize(kernel, cfg), model, t0, gamma)
+    rep = discrete_moments(discretize(affine_kernel(cfg), cfg), model, t0, gamma)
     bands["discrete"] = {
         "mean": rep.mean,
         "variance": rep.variance,
@@ -516,37 +492,17 @@ def mc_report(
         "gamma": gamma,
         "t0": t0,
         "bands": bands,
-        "config": _config_dict(cfg),
-        "seed": {"seed": seed.seed, "stream": seed.stream},
+        "config": asdict(cfg),
+        "seed": asdict(seed),
         "model": _model_dict(model),
     }
 
 
-def _config_dict(cfg: EstimatorConfig) -> dict:
-    return {
-        "n": cfg.n,
-        "q": cfg.q,
-        "mu": cfg.mu,
-        "kappa": cfg.kappa,
-        "beta": cfg.beta,
-        "T": cfg.T,
-        "xi": cfg.xi,
-        "F": cfg.F,
-        "m": cfg.m,
-        "endpoint": cfg.endpoint,
-    }
-
-
 def _model_dict(model: NoiseModel) -> dict:
-    if isinstance(model, WhiteGaussian):
-        return {"kind": "white", "sigma2": model.sigma2}
-    if isinstance(model, Wiener):
-        return {"kind": "wiener", "sigma2": model.sigma2}
-    if isinstance(model, Poisson):
-        return {"kind": "poisson", "nu": model.nu}
     if isinstance(model, PolyMean):
         return {"kind": "polymean", "coeffs": list(model.coeffs), "base": _model_dict(model.base)}
-    raise ValueError(f"unknown model {model!r}")
+    kind = next(k for k, cls in _NOISE_KINDS.items() if isinstance(model, cls))
+    return {"kind": kind, **asdict(model)}
 
 
 # ---------------------------------------------------------------------------
@@ -575,14 +531,46 @@ def _parse_spec_file(path: str) -> dict:
     return values
 
 
+def _pick(values: dict, ns: argparse.Namespace, key: str, cast, default=None):
+    """A flag if given, else the spec-file value, else ``default``."""
+    flag = getattr(ns, key, None)
+    if flag is not None:
+        return flag
+    if key in values:
+        return cast(values[key])
+    return default
+
+
+_CONFIG_TYPES = get_type_hints(EstimatorConfig)
+
+
+def _resolve_config(
+    values: dict, ns: argparse.Namespace, ts: float | None = None
+) -> EstimatorConfig:
+    """Estimator from flags over spec-file values over the dataclass defaults.
+
+    With a sampling period ``ts`` the window must be set by m (taps) or T
+    (seconds), and either gives the other; without one, each defaults alone.
+    """
+    given = {}
+    for f in fields(EstimatorConfig):
+        value = _pick(values, ns, f.name, _CONFIG_TYPES[f.name])
+        if value is not None:
+            given[f.name] = value
+    given.setdefault("n", 1)
+    if ts is not None:
+        if "m" not in given and "T" not in given:
+            raise ValueError("set m (taps) or T (window length)")
+        if "m" not in given:
+            given["m"] = round(given["T"] / ts)
+        if "T" not in given:
+            given["T"] = given["m"] * ts
+    return EstimatorConfig(**given)
+
+
 def _spec_from_mapping(values: dict, overrides: argparse.Namespace) -> ExperimentSpec:
     def pick(key: str, cast, default=None):
-        over = getattr(overrides, key, None)
-        if over is not None:
-            return over
-        if key in values:
-            return cast(values[key])
-        return default
+        return _pick(values, overrides, key, cast, default)
 
     signal = pick("signal", str, "expsin")
     if signal == "expsin":
@@ -592,34 +580,10 @@ def _spec_from_mapping(values: dict, overrides: argparse.Namespace) -> Experimen
     else:
         ts = pick("ts", float, 0.01)
 
-    m = pick("m", int)
-    T = pick("T", float)
-    if m is None and T is None:
-        raise ValueError("spec must set m (taps) or T (window length)")
-    if m is None:
-        m = round(T / ts)
-    if T is None:
-        T = m * ts
-
-    cfg = EstimatorConfig(
-        n=pick("n", int, 1),
-        q=pick("q", int, 0),
-        mu=pick("mu", float, 0.0),
-        kappa=pick("kappa", float, 0.0),
-        beta=pick("beta", int, -1),
-        T=T,
-        xi=pick("xi", float, 0.0),
-        F=pick("F", float, 0.5),
-        m=m,
-        endpoint=pick("endpoint", str, "f-rule"),
-    )
-
-    noise_kind = pick("noise", str, "none")
-    noise: NoiseModel | None
-    if noise_kind in (None, "none", ""):
-        noise = None
-    else:
-        noise = _noise_from_tag((noise_kind, pick("sigma2" if noise_kind != "poisson" else "nu", float, 1.0)))
+    kind = pick("noise", str, "none")
+    noise: NoiseModel | None = None
+    if kind not in ("none", ""):
+        noise = _noise_class(kind)(pick(_intensity_name(kind), float, 1.0))
 
     window = None
     lo = pick("window_lo", float)
@@ -632,7 +596,7 @@ def _spec_from_mapping(values: dict, overrides: argparse.Namespace) -> Experimen
 
     return ExperimentSpec(
         signal=signal,
-        estimator=cfg,
+        estimator=_resolve_config(values, overrides, ts),
         coeffs=coeffs,
         csv_path=values.get("csv_path"),
         ts=ts if signal == "polynomial" else None,
@@ -660,74 +624,38 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--endpoint", choices=("f-rule", "suppress"), default=None)
 
 
-def _config_from_flags(ns: argparse.Namespace, ts: float | None = None) -> EstimatorConfig:
-    m, T = ns.m, ns.T
-    if ts is not None:
-        if m is None and T is None:
-            raise ValueError("set --m or --T")
-        if m is None:
-            m = round(T / ts)
-        if T is None:
-            T = m * ts
-    else:
-        if T is None:
-            T = 1.0
-        if m is None:
-            m = 400
-    return EstimatorConfig(
-        n=ns.n if ns.n is not None else 1,
-        q=ns.q if ns.q is not None else 0,
-        mu=ns.mu if ns.mu is not None else 0.0,
-        kappa=ns.kappa if ns.kappa is not None else 0.0,
-        beta=ns.beta if ns.beta is not None else -1,
-        T=T,
-        xi=ns.xi if ns.xi is not None else 0.0,
-        F=ns.F if ns.F is not None else 0.5,
-        m=m,
-        endpoint=ns.endpoint if ns.endpoint is not None else "f-rule",
-    )
-
-
-def _model_from_flags(ns: argparse.Namespace) -> NoiseModel:
-    if ns.model == "white":
-        return WhiteGaussian(ns.sigma2)
-    if ns.model == "wiener":
-        return Wiener(ns.sigma2)
-    if ns.model == "poisson":
-        return Poisson(ns.nu)
-    raise ValueError(f"unknown model {ns.model!r}")
-
-
 def _half_open_grid(lo: float, hi: float, points: int) -> np.ndarray:
     # points cells on (lo, hi]: lo + k*(hi-lo)/points, k = 1..points
     step = (hi - lo) / points
     return lo + step * np.arange(1, points + 1)
 
 
+@contextmanager
 def _open_out(path: str | None):
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
+
+
+def _print_json(document: dict) -> None:
+    sys.stdout.write(json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _cmd_estimate(ns: argparse.Namespace) -> int:
     signal = _csv_signal(ns.input)
-    cfg = _config_from_flags(ns, ts=signal.ts)
-    series = estimate_series(signal, cfg)
-    out, close = _open_out(ns.out)
-    try:
+    series = estimate_series(signal, _resolve_config({}, ns, ts=signal.ts))
+    with _open_out(ns.out) as out:
         _write_csv(out, ["t", "estimate"], zip(series.times, series.estimates))
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def _cmd_experiment(ns: argparse.Namespace) -> int:
-    seed = RngSeed(ns.seed if ns.seed is not None else 42, ns.stream)
     if ns.target in PRESETS:
+        seed = RngSeed(_pick({}, ns, "seed", int, 42), _pick({}, ns, "stream", int, 0))
         pair = run_preset_pair(ns.target, seed, out_dir=ns.out_dir,
-                               gamma=ns.gamma if ns.gamma is not None else 2.0)
+                               gamma=_pick({}, ns, "gamma", float, 2.0))
         _render_pair_table(pair, sys.stderr)
         document = pair
     else:
@@ -736,58 +664,34 @@ def _cmd_experiment(ns: argparse.Namespace) -> int:
                 f"{ns.target!r} is neither a preset ({sorted(PRESETS)}) nor a spec file"
             )
         spec = _spec_from_mapping(_parse_spec_file(ns.target), ns)
-        document = run_experiment(spec).to_dict()
-    json.dump(document, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+        document = asdict(run_experiment(spec))
+    _print_json(document)
     return 0
 
 
 def _cmd_kernel(ns: argparse.Namespace) -> int:
-    cfg = _config_from_flags(ns)
-    out, close = _open_out(ns.out)
-    try:
+    cfg = _resolve_config({}, ns)
+    with _open_out(ns.out) as out:
         dump_kernel(cfg, out)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def _cmd_surface(ns: argparse.Namespace) -> int:
+    if ns.points < 1:
+        raise ValueError(f"--points must be at least 1, got {ns.points}")
     kappa_grid = _half_open_grid(ns.kappa_lo, ns.kappa_hi, ns.points)
     mu_grid = _half_open_grid(ns.mu_lo, ns.mu_hi, ns.points)
-    out, close = _open_out(ns.out)
-    try:
-        dump_surface(
-            ns.quantity,
-            kappa_grid,
-            mu_grid,
-            out,
-            n=ns.n if ns.n is not None else 1,
-            q=ns.q if ns.q is not None else 1,
-            T=ns.T if ns.T is not None else 1.0,
-            eta=ns.eta,
-        )
-    finally:
-        if close:
-            out.close()
+    # unset flags fall back to dump_surface's own defaults (q = 1 here)
+    given = {key: getattr(ns, key) for key in ("n", "q", "T") if getattr(ns, key) is not None}
+    with _open_out(ns.out) as out:
+        dump_surface(ns.quantity, kappa_grid, mu_grid, out, eta=ns.eta, **given)
     return 0
 
 
 def _cmd_mc(ns: argparse.Namespace) -> int:
-    cfg = _config_from_flags(ns)
-    model = _model_from_flags(ns)
-    seed = RngSeed(ns.seed if ns.seed is not None else 42, ns.stream)
-    report = mc_report(
-        cfg,
-        model,
-        ns.t0,
-        ns.trials if ns.trials is not None else 10_000,
-        ns.gamma if ns.gamma is not None else 2.0,
-        seed,
-    )
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    model = _noise_class(ns.model)(getattr(ns, _intensity_name(ns.model)))
+    seed = RngSeed(ns.seed, ns.stream)
+    _print_json(mc_report(_resolve_config({}, ns), model, ns.t0, ns.trials, ns.gamma, seed))
     return 0
 
 
@@ -807,7 +711,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a benchmark preset or a spec file")
     p_exp.add_argument("target", help=f"preset name ({', '.join(sorted(PRESETS))}) or spec-file path")
     p_exp.add_argument("--seed", type=int, default=None)
-    p_exp.add_argument("--stream", type=int, default=0)
+    p_exp.add_argument("--stream", type=int, default=None)
     p_exp.add_argument("--gamma", type=float, default=None)
     p_exp.add_argument("--out-dir", dest="out_dir", default=None, help="directory for series CSVs")
     _add_config_flags(p_exp)
@@ -831,14 +735,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sur.set_defaults(func=_cmd_surface)
 
     p_mc = sub.add_parser("mc", help="Monte-Carlo noise-error report as JSON")
-    p_mc.add_argument("--model", choices=("white", "wiener", "poisson"), default="wiener")
+    p_mc.add_argument("--model", choices=tuple(_NOISE_KINDS), default="wiener")
     p_mc.add_argument("--sigma2", type=float, default=1.0)
     p_mc.add_argument("--nu", type=float, default=1.0)
     p_mc.add_argument("--t0", type=float, default=2.0)
-    p_mc.add_argument("--trials", type=int, default=None)
-    p_mc.add_argument("--seed", type=int, default=None)
+    p_mc.add_argument("--trials", type=int, default=10_000)
+    p_mc.add_argument("--seed", type=int, default=42)
     p_mc.add_argument("--stream", type=int, default=0)
-    p_mc.add_argument("--gamma", type=float, default=None)
+    p_mc.add_argument("--gamma", type=float, default=2.0)
     _add_config_flags(p_mc)
     p_mc.set_defaults(func=_cmd_mc)
 
@@ -850,7 +754,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except (ValueError, IndexError, OSError, TypeError) as exc:
+    except (ValueError, IndexError, OSError, TypeError, ArithmeticError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

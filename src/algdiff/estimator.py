@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import DiscreteKernel, EstimatorConfig, affine_kernel, discretize, minimal_kernel
+from .kernel import DiscreteKernel, EstimatorConfig, affine_kernel, discretize
 
 __all__ = ["SampledSignal", "EstimateSeries", "estimate_at", "estimate_series"]
 
@@ -83,8 +83,7 @@ def estimate_at(signal: SampledSignal, k: DiscreteKernel, t0_index: int) -> floa
 def estimate_series(signal: SampledSignal, cfg: EstimatorConfig) -> EstimateSeries:
     """Estimates at every sample with a full window, via repeated `estimate_at`."""
     _check_alignment(signal, cfg)
-    kernel = minimal_kernel(cfg) if cfg.q == 0 else affine_kernel(cfg)
-    dk = discretize(kernel, cfg)
+    dk = discretize(affine_kernel(cfg), cfg)
     n_samples = len(signal.values)
     if n_samples < cfg.m + 1:
         raise ValueError(

@@ -23,13 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .specfun import (
-    JacobiIndex,
-    _jacobi_coeffs,
-    _moment_rational_sum,
-    beta_fn,
-    jacobi_coefficients,
-)
+from .specfun import _jacobi_coeffs, _moment_rational_sum, beta_fn
 
 __all__ = [
     "WeightedPoly",
@@ -219,6 +213,9 @@ class EstimatorConfig:
     endpoint: str = "f-rule"
 
     def __post_init__(self) -> None:
+        for name in ("mu", "kappa", "T", "xi", "F"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if int(self.q) != self.q or self.q < 0:
@@ -262,58 +259,52 @@ class DiscreteKernel:
 
 
 def minimal_kernel(cfg: EstimatorConfig) -> WeightedPoly:
-    """Single-term estimator kernel: scaled weight times Jacobi polynomial.
+    """Single-term estimator kernel: the q = 0 case of `affine_kernel`.
 
-    The scale is ``n! / (B(kappa+n+1, mu+n+1) * (beta*T)**n)``; its Beta part
-    stays symbolic (see `WeightedPoly.beta_divisor`).
+    That is ``n! / (B(kappa+n+1, mu+n+1) * (beta*T)**n)`` times the weight and
+    the degree-n Jacobi polynomial; the Beta part stays symbolic (see
+    `WeightedPoly.beta_divisor`).
     """
     if cfg.q != 0:
         raise ValueError("minimal_kernel requires q = 0")
-    n = cfg.n
-    mu, kappa = Fraction(cfg.mu), Fraction(cfg.kappa)
-    idx = JacobiIndex(n, cfg.mu, cfg.kappa)
-    scale = Fraction(math.factorial(n)) / (Fraction(cfg.beta) * Fraction(cfg.T)) ** n
-    coeffs = tuple(scale * c for c in jacobi_coefficients(idx))
-    return WeightedPoly(mu, kappa, coeffs, (kappa + n + 1, mu + n + 1))
+    return affine_kernel(cfg)
 
 
 def affine_kernel(cfg: EstimatorConfig) -> WeightedPoly:
     """Truncated-series estimator kernel evaluated at abscissa ``xi``.
 
-    Term ``i`` applies the n-fold derivative to the raised-exponent weight
-    times its degree-i polynomial, weighted by the polynomial's value at
-    ``xi`` over its norm.  The construction keeps one common symbolic Beta
-    divisor and reduces every per-term norm against it exactly, so the q = 0
-    case reproduces `minimal_kernel` bit for bit.
+    Term ``i`` is the n-fold derivative of the raised-exponent weight
+    ``w^{mu+n,kappa+n}`` times its degree-i polynomial, weighted by that
+    polynomial's value at ``xi`` over its norm.  By Rodrigues' formula the
+    derivative is ``(-1)**n (i+n)!/i! * w^{mu,kappa} P_{i+n}^{(mu,kappa)}``,
+    which is built directly.  One common symbolic Beta divisor is kept and
+    every per-term norm is reduced against it exactly; q = 0 gives the
+    minimal kernel ``n!/(beta*T)**n * w P_n``.
     """
     n, q = cfg.n, cfg.q
     mu, kappa = Fraction(cfg.mu), Fraction(cfg.kappa)
     a, b = mu + n, kappa + n  # raised exponents: (1-t)**a * t**b
     xi = _as_fraction(cfg.xi if q > 0 else 0.0)
-    sign = Fraction((-1) ** n)
     window = (Fraction(cfg.beta) * Fraction(cfg.T)) ** n
     divisor = (kappa + n + 1, mu + n + 1)  # B(b+1, a+1), shared by all terms
 
     total = [Fraction(0)] * (n + q + 1)
     for i in range(q + 1):
-        raised_coeffs = _jacobi_coeffs(i, a, b)
-        term = WeightedPoly(a, b, raised_coeffs)
-        for _ in range(n):
-            term = wpoly_derivative(term)
-        # value at xi, exact
+        # value at xi of the raised-exponent polynomial, exact
         p_at_xi = Fraction(0)
         power = Fraction(1)
-        for c in raised_coeffs:
+        for c in _jacobi_coeffs(i, a, b):
             p_at_xi += c * power
             power *= xi
         # 1 / norm_sq = (i! / prod_{l<i}(i+a+b+1+l)) / B(a+i+1, b+i+1);
         # express relative to the shared divisor B(a+1, b+1) exactly.
         norm_rational = Fraction(math.factorial(i)) / _pochhammer(a + b + i + 1, i)
         ratio = _beta_ratio_exact((b + 1, a + 1), (b + i + 1, a + i + 1))
-        weight = p_at_xi * norm_rational * ratio * sign / window
+        weight = p_at_xi * norm_rational * ratio / window
         if weight == 0:
             continue
-        for k, c in enumerate(term.coeffs):
+        weight *= math.factorial(i + n) // math.factorial(i)
+        for k, c in enumerate(_jacobi_coeffs(i + n, mu, kappa)):
             total[k] += weight * c
 
     while len(total) > 1 and total[-1] == 0:

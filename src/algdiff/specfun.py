@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 __all__ = [
     "JacobiIndex",
     "gamma_fn",
@@ -128,7 +130,12 @@ def _binomial(x: Fraction, k: int) -> Fraction:
     return num / math.factorial(k)
 
 
-@lru_cache(maxsize=None)
+# Bounds the memory of the coefficient cache: a design sweep keys it on fresh
+# float exponents, so an unbounded cache grows for the life of the process.
+_JACOBI_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_JACOBI_CACHE_SIZE)
 def _jacobi_coeffs(degree: int, mu: Fraction, kappa: Fraction) -> tuple[Fraction, ...]:
     # P_deg(t) = sum_s C(deg+mu, s) C(deg+kappa, deg-s) (t-1)^(deg-s) t^s,
     # expanded to ascending powers of t.
@@ -236,19 +243,15 @@ def smallest_root(idx: JacobiIndex) -> float:
             acc = acc * t + c
         return acc
 
-    lo = None
-    prev_t, prev_v = 0.0, poly(0.0)
-    for i in range(1, _ROOT_GRID_POINTS + 1):
-        t = i / _ROOT_GRID_POINTS
-        v = poly(t)
-        if prev_v == 0.0:
-            return prev_t
-        if prev_v * v < 0.0:
-            lo, hi, flo = prev_t, t, prev_v
-            break
-        prev_t, prev_v = t, v
-    else:
+    grid = np.arange(_ROOT_GRID_POINTS + 1) / _ROOT_GRID_POINTS
+    values = np.polynomial.polynomial.polyval(grid, coeffs)
+    hits = np.flatnonzero((values[:-1] == 0.0) | (values[:-1] * values[1:] < 0.0))
+    if hits.size == 0:
         raise ValueError(f"no sign change found in (0, 1) for {idx!r}")
+    i = hits[0]
+    if values[i] == 0.0:
+        return float(grid[i])
+    lo, hi, flo = float(grid[i]), float(grid[i + 1]), float(values[i])
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)

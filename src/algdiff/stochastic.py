@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import SampledSignal
-from .kernel import EstimatorConfig, affine_kernel, discretize, minimal_kernel
+from .kernel import EstimatorConfig, affine_kernel, discretize
 
 __all__ = [
     "WhiteGaussian",
@@ -59,8 +59,8 @@ class WhiteGaussian:
     sigma2: float
 
     def __post_init__(self) -> None:
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
+        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
+            raise ValueError(f"sigma2 must be finite and nonnegative, got {self.sigma2!r}")
 
     needs_nonneg_time = False
 
@@ -81,8 +81,8 @@ class Wiener:
     sigma2: float
 
     def __post_init__(self) -> None:
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
+        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
+            raise ValueError(f"sigma2 must be finite and nonnegative, got {self.sigma2!r}")
 
     needs_nonneg_time = True
 
@@ -105,8 +105,8 @@ class Poisson:
     nu: float
 
     def __post_init__(self) -> None:
-        if self.nu < 0:
-            raise ValueError("nu must be nonnegative")
+        if not (math.isfinite(self.nu) and self.nu >= 0):
+            raise ValueError(f"nu must be finite and nonnegative, got {self.nu!r}")
 
     needs_nonneg_time = True
 
@@ -131,6 +131,8 @@ class PolyMean:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        if not all(math.isfinite(c) for c in self.coeffs):
+            raise ValueError(f"coeffs must be finite, got {self.coeffs!r}")
 
     @property
     def needs_nonneg_time(self) -> bool:
@@ -252,8 +254,7 @@ def mc_noise_samples(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    kernel = minimal_kernel(cfg) if cfg.q == 0 else affine_kernel(cfg)
-    taps = discretize(kernel, cfg).taps
+    taps = discretize(affine_kernel(cfg), cfg).taps
     k0, count = _window_indices(cfg, t0)
     step = cfg.T / cfg.m
     idx = k0 + cfg.beta * np.arange(cfg.m + 1)
@@ -274,10 +275,13 @@ def mc_noise_error(
     """
     if trials < 100:
         raise ValueError("trials must be at least 100")
-    e = mc_noise_samples(cfg, model, t0, trials, seed)
+    return _sample_moments(mc_noise_samples(cfg, model, t0, trials, seed))
+
+
+def _sample_moments(e: np.ndarray) -> tuple[float, float, float]:
     mean = float(np.mean(e))
     var = float(np.var(e, ddof=1))
     centered = e - mean
     m4 = float(np.mean(centered**4))
-    stderr_var = math.sqrt(max(m4 - var**2, 0.0) / trials)
+    stderr_var = math.sqrt(max(m4 - var**2, 0.0) / len(e))
     return mean, var, stderr_var

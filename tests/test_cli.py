@@ -9,13 +9,29 @@ import math
 import numpy as np
 import pytest
 
-from algdiff.cli import main
+from algdiff import cli
+from algdiff.cli import SIN2T_TS, main
 from algdiff.kernel import EstimatorConfig, discretize, minimal_kernel
 
 
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def assert_one_line_error(capsys, argv, fragment):
+    """Exit 2, nothing on stdout, and one JSON line naming the problem on stderr."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert fragment in json.loads(lines[0])["error"]
+
+
+def run_json(capsys, argv):
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 class TestKernelCommand:
@@ -274,3 +290,72 @@ class TestErrorHandling:
         rc = main(["surface", "variance_affine", "--points", "2", "--n", "2"])
         assert rc == 2
         assert "error" in json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+    @pytest.mark.parametrize(
+        "argv,fragment",
+        [
+            (["surface", "xi", "--points", "0"], "points"),
+            (["kernel", "--mu", "inf"], "mu"),
+            (["kernel", "--T", "inf"], "T"),
+            (["kernel", "--xi", "nan"], "xi"),
+            (["mc", "--sigma2", "nan", "--trials", "100", "--m", "50"], "sigma2"),
+            (["mc", "--model", "poisson", "--nu", "inf", "--trials", "100", "--m", "50"], "nu"),
+            (["mc", "--gamma", "inf", "--trials", "100", "--m", "50"], "JSON"),
+        ],
+        ids=["points-0", "mu-inf", "T-inf", "xi-nan", "sigma2-nan", "nu-inf", "gamma-inf"],
+    )
+    def test_rejected_input(self, capsys, argv, fragment):
+        assert_one_line_error(capsys, argv, fragment)
+
+    def test_arithmetic_error_exits_2(self, capsys, monkeypatch):
+        def overflow(cfg, out):
+            raise OverflowError("too large")
+
+        monkeypatch.setattr(cli, "dump_kernel", overflow)
+        assert_one_line_error(capsys, ["kernel"], "too large")
+
+
+class TestConfigResolver:
+    """Flags over spec-file values over the EstimatorConfig defaults."""
+
+    def write_spec(self, tmp_path, text, name="run.spec"):
+        spec = tmp_path / name
+        spec.write_text("signal = sin2t\n" + text)
+        return str(spec)
+
+    def test_spec_with_only_T_derives_m(self, tmp_path, capsys):
+        spec = self.write_spec(tmp_path, f"T = {25 * SIN2T_TS!r}\n")
+        config = run_json(capsys, ["experiment", spec])["config"]
+        assert config["m"] == 25
+        assert config["T"] == 25 * SIN2T_TS
+        assert (config["n"], config["q"], config["mu"], config["F"]) == (1, 0, 0.0, 0.5)
+
+    def test_flag_overrides_spec_value(self, tmp_path, capsys):
+        spec = self.write_spec(tmp_path, "m = 25\nmu = 0.5\nkappa = 0.25\n")
+        config = run_json(capsys, ["experiment", spec, "--mu", "-0.25"])["config"]
+        assert (config["mu"], config["kappa"], config["m"]) == (-0.25, 0.25, 25)
+
+    def test_poisson_reads_nu_not_sigma2(self, tmp_path, capsys):
+        base = "m = 25\nnoise = poisson\n"
+        both = run_json(capsys, ["experiment", self.write_spec(tmp_path, base + "nu = 3\nsigma2 = 7\n")])
+        nu = run_json(capsys, ["experiment", self.write_spec(tmp_path, base + "nu = 3\n")])
+        sigma2 = run_json(capsys, ["experiment", self.write_spec(tmp_path, base + "sigma2 = 3\n")])
+        assert both == nu
+        assert sigma2["band_high"] != nu["band_high"]
+
+    def test_spec_stream_applies_without_flag(self, tmp_path, capsys):
+        base = "m = 25\nnoise = white\ntarget_snr_db = 20\n"
+        spec_stream = run_json(capsys, ["experiment", self.write_spec(tmp_path, base + "stream = 5\n")])
+        flag_stream = run_json(capsys, ["experiment", self.write_spec(tmp_path, base), "--stream", "5"])
+        default = run_json(capsys, ["experiment", self.write_spec(tmp_path, base)])
+        assert spec_stream == flag_stream
+        assert spec_stream["total_error"] != default["total_error"]
+
+    def test_spec_without_window_exits_2(self, tmp_path, capsys):
+        spec = self.write_spec(tmp_path, "noise = none\n")
+        assert_one_line_error(capsys, ["experiment", spec], "set m (taps) or T")
+
+    def test_estimate_without_window_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "ramp.csv"
+        src.write_text("t,value\n" + "".join(f"{i * 0.01},{i}\n" for i in range(50)))
+        assert_one_line_error(capsys, ["estimate", "--in", str(src), "--n", "1"], "set m (taps) or T")

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algdiff.kernel import (
     EstimatorConfig,
@@ -21,6 +23,81 @@ from algdiff.kernel import (
 from algdiff.specfun import JacobiIndex, beta_fn, jacobi_coefficients, jacobi_eval
 
 INTERIOR = np.linspace(0.05, 0.95, 19)
+
+
+# -- reference constructions: the two routes `affine_kernel` replaced -------
+
+
+def _rising(x: Fraction, count: int) -> Fraction:
+    out = Fraction(1)
+    for i in range(count):
+        out *= x + i
+    return out
+
+
+def derivative_loop_kernel(cfg: EstimatorConfig) -> WeightedPoly:
+    """Affine kernel as the n-fold `wpoly_derivative` of each raised-weight term.
+
+    Term i is d^n/dt^n [w^{a,b} P_i^{(a,b)}] with (a, b) = (mu+n, kappa+n),
+    scaled by (-1)**n P_i^{(a,b)}(xi) / (beta*T)**n over the norm of P_i
+    relative to the shared divisor B(b+1, a+1):
+    i! (a+b+2)_{2i} / ((a+b+i+1)_i (a+1)_i (b+1)_i).
+    """
+    n, q = cfg.n, cfg.q
+    mu, kappa = Fraction(cfg.mu), Fraction(cfg.kappa)
+    a, b = mu + n, kappa + n
+    xi = Fraction(cfg.xi)
+    window = (Fraction(cfg.beta) * Fraction(cfg.T)) ** n
+    total = [Fraction(0)] * (n + q + 1)
+    for i in range(q + 1):
+        raised = jacobi_coefficients(JacobiIndex(i, a, b))
+        term = WeightedPoly(a, b, raised)
+        for _ in range(n):
+            term = wpoly_derivative(term)
+        at_xi = sum(c * xi**k for k, c in enumerate(raised))
+        inv_norm = (
+            math.factorial(i) * _rising(a + b + 2, 2 * i)
+            / (_rising(a + b + i + 1, i) * _rising(a + 1, i) * _rising(b + 1, i))
+        )
+        weight = (-1) ** n * at_xi * inv_norm / window
+        for k, c in enumerate(term.coeffs):
+            total[k] += weight * c
+    return WeightedPoly.of(mu, kappa, total, (kappa + n + 1, mu + n + 1))
+
+
+def minimal_oracle(cfg: EstimatorConfig) -> WeightedPoly:
+    """n!/(beta*T)**n times the degree-n Jacobi polynomial under the weight."""
+    n = cfg.n
+    mu, kappa = Fraction(cfg.mu), Fraction(cfg.kappa)
+    scale = Fraction(math.factorial(n)) / (Fraction(cfg.beta) * Fraction(cfg.T)) ** n
+    coeffs = [scale * c for c in jacobi_coefficients(JacobiIndex(n, cfg.mu, cfg.kappa))]
+    return WeightedPoly.of(mu, kappa, coeffs, (kappa + n + 1, mu + n + 1))
+
+
+def configs(q=st.integers(0, 4)):
+    exponents = st.floats(min_value=-1.0, max_value=2.0, exclude_min=True, exclude_max=True)
+    return st.builds(
+        EstimatorConfig,
+        n=st.integers(1, 5),
+        q=q,
+        mu=exponents,
+        kappa=exponents,
+        beta=st.sampled_from((-1, 1)),
+        T=st.floats(min_value=1e-3, max_value=1e3),
+        xi=st.floats(min_value=0.0, max_value=1.0),
+    )
+
+
+class TestConstructionOracles:
+    @given(configs())
+    @settings(max_examples=60, deadline=None)
+    def test_affine_equals_derivative_loop(self, cfg):
+        assert affine_kernel(cfg) == derivative_loop_kernel(cfg)
+
+    @given(configs(q=st.just(0)))
+    @settings(max_examples=40, deadline=None)
+    def test_q0_equals_minimal_oracle(self, cfg):
+        assert minimal_kernel(cfg) == affine_kernel(cfg) == minimal_oracle(cfg)
 
 
 class TestWeightedPoly:
@@ -186,7 +263,7 @@ class TestAffineKernel:
     @pytest.mark.parametrize("n,mu,kappa,T,beta", GRID)
     def test_zero_extra_terms_reduces_to_minimal(self, n, mu, kappa, T, beta):
         cfg = EstimatorConfig(n=n, q=0, mu=mu, kappa=kappa, T=T, beta=beta)
-        assert affine_kernel(cfg) == minimal_kernel(cfg)
+        assert affine_kernel(cfg) == minimal_oracle(cfg)
 
     @pytest.mark.parametrize(
         "mu,kappa,xi",
@@ -351,6 +428,11 @@ class TestEstimatorConfig:
             dict(n=1, F=1.1),
             dict(n=2, q=1, m=3),
             dict(n=1, endpoint="clip"),
+            dict(n=1, mu=math.inf),
+            dict(n=1, kappa=math.nan),
+            dict(n=1, T=math.inf),
+            dict(n=1, xi=math.nan),
+            dict(n=1, F=math.nan),
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algdiff.specfun import (
+    _JACOBI_CACHE_SIZE,
     JacobiIndex,
+    _jacobi_coeffs,
     beta_fn,
     gamma_fn,
     jacobi_coefficients,
@@ -241,3 +244,64 @@ class TestSmallestRoot:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             smallest_root(JacobiIndex(0, 0.0, 0.0))
+
+    @given(
+        st.integers(1, 8),
+        st.floats(min_value=-1.0, max_value=3.0, exclude_min=True),
+        st.floats(min_value=-1.0, max_value=3.0, exclude_min=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_scan_bit_for_bit(self, degree, mu, kappa):
+        # exponents near -1 can push the root past the last grid point; then
+        # both must report the same missing bracket
+        def outcome(find_root):
+            try:
+                return find_root(JacobiIndex(degree, mu, kappa))
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(smallest_root) == outcome(scalar_scan_root)
+
+
+def scalar_scan_root(idx: JacobiIndex) -> float:
+    """Reference for `smallest_root`: one Horner evaluation per grid point."""
+    coeffs = [float(c) for c in jacobi_coefficients(idx)]
+
+    def poly(t: float) -> float:
+        acc = 0.0
+        for c in reversed(coeffs):
+            acc = acc * t + c
+        return acc
+
+    prev_t, prev_v = 0.0, poly(0.0)
+    for i in range(1, 1025):
+        t = i / 1024
+        v = poly(t)
+        if prev_v == 0.0:
+            return prev_t
+        if prev_v * v < 0.0:
+            lo, hi, flo = prev_t, t, prev_v
+            break
+        prev_t, prev_v = t, v
+    else:
+        raise ValueError(f"no sign change found in (0, 1) for {idx!r}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        vm = poly(mid)
+        if vm == 0.0:
+            return mid
+        if flo * vm < 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, vm
+        if hi - lo <= 1e-13:
+            break
+    return 0.5 * (lo + hi)
+
+
+def test_coefficient_cache_is_bounded():
+    for k in range(_JACOBI_CACHE_SIZE + 100):
+        _jacobi_coeffs(1, Fraction(k, 10007), Fraction(1, 10009))  # fresh exponent pairs
+    info = _jacobi_coeffs.cache_info()
+    assert info.maxsize == _JACOBI_CACHE_SIZE
+    assert info.currsize <= _JACOBI_CACHE_SIZE

@@ -253,6 +253,14 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             Poisson(-2.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameters(self, value):
+        for model in (WhiteGaussian, Wiener, Poisson):
+            with pytest.raises(ValueError):
+                model(value)
+        with pytest.raises(ValueError):
+            PolyMean((1.0, value), Wiener(1.0))
+
     def test_white_noise_has_no_cov_matrix(self):
         with pytest.raises(TypeError):
             WhiteGaussian(1.0).cov_matrix(np.zeros(2), np.zeros(2))
