@@ -21,6 +21,8 @@ from pathlib import Path
 
 import pytest
 
+from algdiff.cli import main
+
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 REL = 1e-12
 
@@ -51,8 +53,6 @@ COMMANDS = {
 
 
 def run(argv: list[str]) -> tuple[int, str]:
-    from algdiff.cli import main
-
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
