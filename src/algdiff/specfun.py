@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "JacobiIndex",
     "gamma_fn",
-    "lgamma_fn",
     "beta_fn",
     "log_beta_fn",
     "jacobi_eval",
@@ -33,63 +32,20 @@ __all__ = [
     "smallest_root",
 ]
 
-# Lanczos approximation, g = 7, 9 coefficients.  Gives ~1e-13 relative
-# accuracy for positive arguments, which is comfortably inside the 1e-12
-# contract and is cross-checked against math.lgamma in the test suite.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def lgamma_fn(x: float) -> float:
-    """Natural log of the Gamma function for ``x > 0``.
-
-    Uses a fixed-coefficient Lanczos approximation evaluated in log space,
-    with the reflection formula for arguments below 1/2.
-    """
-    if not x > 0:
-        raise ValueError(f"lgamma_fn requires x > 0, got {x!r}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.log(math.pi / math.sin(math.pi * x)) - lgamma_fn(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
-
 
 def gamma_fn(x: float) -> float:
-    """Gamma function; poles at nonpositive integers, OverflowError past ~171.6.
+    """Gamma function (`math.gamma`).
 
-    Negative non-integer arguments go through the linear-space reflection
-    formula (the value may be negative there).
+    Raises ValueError at the poles (nonpositive integers) and OverflowError
+    past about 171.6; negative non-integer arguments give signed values.
     """
-    if x <= 0:
-        if x == math.floor(x):
-            raise ValueError(f"gamma_fn has a pole at {x!r}")
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    log_value = lgamma_fn(x)
-    if log_value > 709.0:  # exp() would overflow a double
-        raise OverflowError(f"gamma_fn({x!r}) exceeds the double range")
-    return math.exp(log_value)
+    return math.gamma(x)
 
 
 def log_beta_fn(a: float, b: float) -> float:
     if not (a > 0 and b > 0):
         raise ValueError(f"beta function requires positive arguments, got {a!r}, {b!r}")
-    return lgamma_fn(a) + lgamma_fn(b) - lgamma_fn(a + b)
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
 def beta_fn(a: float, b: float) -> float:
@@ -176,10 +132,10 @@ def jacobi_norm_sq(idx: JacobiIndex) -> float:
         # a+b+1 <= 0 (possible for exponent pairs summing below -1)
         return beta_fn(b + 1.0, a + 1.0)
     log_value = (
-        lgamma_fn(i + a + 1.0)
-        + lgamma_fn(i + b + 1.0)
-        - lgamma_fn(i + a + b + 1.0)
-        - lgamma_fn(i + 1.0)
+        math.lgamma(i + a + 1.0)
+        + math.lgamma(i + b + 1.0)
+        - math.lgamma(i + a + b + 1.0)
+        - math.lgamma(i + 1.0)
         - math.log(2.0 * i + a + b + 1.0)
     )
     return math.exp(log_value)

@@ -20,7 +20,6 @@ from algdiff.specfun import (
     jacobi_eval,
     jacobi_norm_sq,
     jacobi_weighted_moment,
-    lgamma_fn,
     smallest_root,
 )
 
@@ -29,10 +28,6 @@ EXPONENT_PAIRS = [(0.0, 0.0), (0.5, -0.25), (-0.78, -0.6), (1.0, 2.0)]
 
 
 class TestGamma:
-    def test_against_stdlib_lgamma(self):
-        for x in [1e-3, 0.1, 0.5, 1.0, 1.5, 2.0, 3.7, 10.0, 50.0, 150.5]:
-            assert lgamma_fn(x) == pytest.approx(math.lgamma(x), rel=1e-12)
-
     def test_half_integer(self):
         assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
@@ -47,6 +42,11 @@ class TestGamma:
     def test_overflow_signaled(self):
         with pytest.raises(OverflowError):
             gamma_fn(1e4)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, -4.0])
+    def test_poles_signaled(self, x):
+        with pytest.raises(ValueError):
+            gamma_fn(x)
 
     @given(st.floats(min_value=0.05, max_value=30.0))
     @settings(max_examples=50, deadline=None)
