@@ -30,6 +30,7 @@ from .kernel import (
     WeightedPoly,
     affine_kernel,
     discretize,
+    kernel_taps,
     minimal_kernel,
     wpoly_derivative,
     wpoly_eval,
@@ -79,6 +80,7 @@ __all__ = [
     "minimal_kernel",
     "affine_kernel",
     "discretize",
+    "kernel_taps",
     # estimator
     "SampledSignal",
     "EstimateSeries",

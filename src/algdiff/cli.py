@@ -30,7 +30,7 @@ from .analysis import (
     variance_minimal,
 )
 from .estimator import EstimateSeries, SampledSignal, estimate_series
-from .kernel import EstimatorConfig, affine_kernel, discretize
+from .kernel import EstimatorConfig, kernel_taps
 from .stochastic import (
     NoiseModel,
     Poisson,
@@ -245,7 +245,7 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
         else affine_delay(cfg.n, cfg.kappa, cfg.mu, cfg.T, cfg.xi)
     )
 
-    dk = discretize(affine_kernel(cfg), cfg)
+    dk = kernel_taps(cfg)
     if spec.noise is not None:
         base = discrete_moments(dk, spec.noise, window[0], spec.gamma)
         band_low, band_high = chebyshev_band(
@@ -403,8 +403,7 @@ def _render_pair_table(pair: dict, out: TextIO) -> None:
 
 def dump_kernel(cfg: EstimatorConfig, out: TextIO) -> None:
     """CSV of the discrete taps: i, abscissa, tap."""
-    dk = discretize(affine_kernel(cfg), cfg)
-    rows = ((i, i / cfg.m, tap) for i, tap in enumerate(dk.taps))
+    rows = ((i, i / cfg.m, tap) for i, tap in enumerate(kernel_taps(cfg).taps))
     _write_csv(out, ["i", "abscissa", "tap"], rows)
 
 
@@ -475,7 +474,7 @@ def mc_report(
             }
     bands["continuous"] = continuous
 
-    rep = discrete_moments(discretize(affine_kernel(cfg), cfg), model, t0, gamma)
+    rep = discrete_moments(kernel_taps(cfg), model, t0, gamma)
     bands["discrete"] = {
         "mean": rep.mean,
         "variance": rep.variance,
@@ -754,8 +753,11 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except (ValueError, IndexError, OSError, TypeError, ArithmeticError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+    except (
+        ValueError, IndexError, OSError, TypeError, ArithmeticError, MemoryError
+    ) as exc:
+        # a bare MemoryError has an empty message
+        print(json.dumps({"error": str(exc) or type(exc).__name__}), file=sys.stderr)
         return 2
 
 

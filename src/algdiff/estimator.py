@@ -4,7 +4,8 @@ The estimate at ``t0`` is the tap-weighted sum of the ``m+1`` samples in the
 window ``[t0 - T, t0]`` (causal) or ``[t0, t0 + T]`` (anti-causal): tap ``i``
 multiplies the sample at ``t0 + beta*T*(i/m)``, which is exactly sample index
 ``t0_index + beta*i`` once the kernel step ``T/m`` matches the sampling
-period.
+period.  A whole series is therefore one correlation of the samples with the
+taps (`_apply`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import DiscreteKernel, EstimatorConfig, affine_kernel, discretize
+from .kernel import DiscreteKernel, EstimatorConfig, kernel_taps
 
 __all__ = ["SampledSignal", "EstimateSeries", "estimate_at", "estimate_series"]
 
@@ -32,6 +33,10 @@ class SampledSignal:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a nonempty 1-D sequence")
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(f"values must be finite; sample {bad} is {values[bad]}")
         object.__setattr__(self, "values", values)
 
     @property
@@ -61,11 +66,24 @@ def _check_alignment(signal: SampledSignal, cfg: EstimatorConfig) -> None:
         )
 
 
+def _apply(values: np.ndarray, taps: np.ndarray, beta: int) -> np.ndarray:
+    """Tap-weighted sum over every full window of ``values``, in sample order.
+
+    Output ``j`` is ``sum_i taps[i] * values[t0 + beta*i]`` with ``t0 = j``
+    (beta = +1) or ``t0 = j + m`` (beta = -1).  Both orientations correlate
+    the taps in their own order, so each window is summed from tap 0 up.
+    """
+    if beta == 1:
+        return np.correlate(values, taps, "valid")
+    return np.correlate(values[::-1], taps, "valid")[::-1]
+
+
 def estimate_at(signal: SampledSignal, k: DiscreteKernel, t0_index: int) -> float:
     """Derivative estimate at sample ``t0_index``.
 
     Requires the whole window ``t0_index + beta*i`` (i = 0..m) in range and the
-    kernel step equal to the sampling period.
+    kernel step equal to the sampling period.  This is the one-window case of
+    `estimate_series`, bit for bit.
     """
     cfg = k.config
     _check_alignment(signal, cfg)
@@ -76,27 +94,21 @@ def estimate_at(signal: SampledSignal, k: DiscreteKernel, t0_index: int) -> floa
             f"window [{min(t0_index, far_end)}, {max(t0_index, far_end)}] out of "
             f"range for a signal of {n_samples} samples"
         )
-    window = signal.values[t0_index + cfg.beta * np.arange(cfg.m + 1)]
-    return float(np.dot(k.taps, window))
+    lo = min(t0_index, far_end)
+    return float(_apply(signal.values[lo : lo + cfg.m + 1], k.taps, cfg.beta)[0])
 
 
 def estimate_series(signal: SampledSignal, cfg: EstimatorConfig) -> EstimateSeries:
-    """Estimates at every sample with a full window, via repeated `estimate_at`."""
+    """Estimates at every sample with a full window, as one correlation."""
     _check_alignment(signal, cfg)
-    dk = discretize(affine_kernel(cfg), cfg)
     n_samples = len(signal.values)
     if n_samples < cfg.m + 1:
         raise ValueError(
             f"signal too short: {n_samples} samples < one window of {cfg.m + 1}"
         )
     if cfg.beta == -1:
-        first = cfg.m
         t_first = signal.t_start + cfg.m * signal.ts
     else:
-        first = 0
         t_first = signal.t_start
-    count = n_samples - cfg.m
-    estimates = np.empty(count)
-    for j in range(count):
-        estimates[j] = estimate_at(signal, dk, first + j)
+    estimates = _apply(signal.values, kernel_taps(cfg).taps, cfg.beta)
     return EstimateSeries(t_first, signal.ts, estimates, cfg)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +36,11 @@ __all__ = [
     "minimal_kernel",
     "affine_kernel",
     "discretize",
+    "kernel_taps",
 ]
+
+# configs whose discrete kernels `kernel_taps` keeps; each holds m+1 floats
+_TAPS_CACHE_SIZE = 32
 
 
 def _as_fraction(value) -> Fraction:
@@ -240,6 +245,10 @@ class EstimatorConfig:
             )
         if self.endpoint not in ("f-rule", "suppress"):
             raise ValueError(f"endpoint must be 'f-rule' or 'suppress', got {self.endpoint!r}")
+        # integral floats such as m=10.0 compare and hash equal to the int, so
+        # they must also build the same kernel (`kernel_taps` shares it)
+        for name in ("n", "q", "beta", "m"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -343,3 +352,12 @@ def discretize(p: WeightedPoly, cfg: EstimatorConfig) -> DiscreteKernel:
     weights[0] = weights[-1] = 0.5 / m
     taps = weights * values / p.scale_divisor()
     return DiscreteKernel(taps, cfg)
+
+
+@lru_cache(maxsize=_TAPS_CACHE_SIZE)
+def kernel_taps(cfg: EstimatorConfig) -> DiscreteKernel:
+    """The discrete kernel of ``cfg``, built once and shared while cached.
+
+    Equal configs return the same object; its taps are read-only.
+    """
+    return discretize(affine_kernel(cfg), cfg)

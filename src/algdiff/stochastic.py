@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import SampledSignal
-from .kernel import EstimatorConfig, affine_kernel, discretize
+from .kernel import EstimatorConfig, kernel_taps
 
 __all__ = [
     "WhiteGaussian",
@@ -160,25 +160,31 @@ def gen_path(model: NoiseModel, ts: float, count: int, seed: RngSeed) -> Sampled
         raise ValueError("count must be at least 1")
     if not ts > 0:
         raise ValueError("ts must be positive")
+    return SampledSignal(0.0, ts, _path_values(model, ts, count, seed.generator()))
+
+
+def _path_values(
+    model: NoiseModel, ts: float, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The samples of `gen_path`, drawn from ``rng``, without the signal wrapper."""
     if isinstance(model, PolyMean):
-        base = gen_path(model.base, ts, count, seed)
-        return SampledSignal(0.0, ts, base.values + model.poly_at(base.times))
-    rng = seed.generator()
+        base = _path_values(model.base, ts, count, rng)
+        return base + model.poly_at(ts * np.arange(count))
     if isinstance(model, WhiteGaussian):
-        values = rng.normal(0.0, math.sqrt(model.sigma2), count)
-    elif isinstance(model, Wiener):
+        return rng.normal(0.0, math.sqrt(model.sigma2), count)
+    if isinstance(model, Wiener):
         values = np.zeros(count)
         if count > 1:
             increments = rng.normal(0.0, math.sqrt(model.sigma2 * ts), count - 1)
             values[1:] = np.cumsum(increments)
-    elif isinstance(model, Poisson):
+        return values
+    if isinstance(model, Poisson):
         values = np.zeros(count)
         if count > 1:
             increments = rng.poisson(model.nu * ts, count - 1)
             values[1:] = np.cumsum(increments).astype(float)
-    else:
-        raise TypeError(f"unknown noise model {model!r}")
-    return SampledSignal(0.0, ts, values)
+        return values
+    raise TypeError(f"unknown noise model {model!r}")
 
 
 def _snr_db(x: np.ndarray, scaled_noise: np.ndarray) -> float:
@@ -254,14 +260,14 @@ def mc_noise_samples(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    taps = discretize(affine_kernel(cfg), cfg).taps
+    taps = kernel_taps(cfg).taps
     k0, count = _window_indices(cfg, t0)
     step = cfg.T / cfg.m
     idx = k0 + cfg.beta * np.arange(cfg.m + 1)
     out = np.empty(trials)
     for k in range(trials):
-        path = gen_path(model, step, count, seed.shifted(k))
-        out[k] = np.dot(taps, path.values[idx])
+        values = _path_values(model, step, count, seed.shifted(k).generator())
+        out[k] = np.dot(taps, values[idx])
     return out
 
 

@@ -129,6 +129,14 @@ class TestEstimateCommand:
         err = capsys.readouterr().err.strip().splitlines()[-1]
         assert "error" in json.loads(err)
 
+    def test_nan_sample_exits_2(self, tmp_path, capsys):
+        # one nan in a 60-row ramp used to print nan for every window over it
+        src = tmp_path / "ramp.csv"
+        rows = [f"{i * 0.01!r},{'nan' if i == 30 else repr(i * 0.01)}" for i in range(60)]
+        src.write_text("t,value\n" + "\n".join(rows) + "\n")
+        argv = ["estimate", "--in", str(src), "--n", "1", "--m", "10"]
+        assert_one_line_error(capsys, argv, "sample 30 is nan")
+
 
 class TestExperimentCommand:
     def test_preset_pair_structure(self, tmp_path, capsys):
@@ -313,6 +321,19 @@ class TestErrorHandling:
 
         monkeypatch.setattr(cli, "dump_kernel", overflow)
         assert_one_line_error(capsys, ["kernel"], "too large")
+
+    @pytest.mark.parametrize(
+        "exc,fragment",
+        [(MemoryError("Unable to allocate 80.0 GiB"), "Unable to allocate"),
+         (MemoryError(), "MemoryError")],
+        ids=["message", "bare"],
+    )
+    def test_memory_error_exits_2(self, capsys, monkeypatch, exc, fragment):
+        def exhausted(cfg, out):
+            raise exc
+
+        monkeypatch.setattr(cli, "dump_kernel", exhausted)
+        assert_one_line_error(capsys, ["kernel"], fragment)
 
 
 class TestConfigResolver:

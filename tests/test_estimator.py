@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algdiff.estimator import SampledSignal, estimate_at, estimate_series
 from algdiff.kernel import (
@@ -43,6 +47,11 @@ class TestSampledSignal:
     def test_rejects_matrix(self):
         with pytest.raises(ValueError):
             SampledSignal(0.0, 0.1, [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_sample(self, bad):
+        with pytest.raises(ValueError, match="sample 1 is"):
+            SampledSignal(0.0, 0.1, [1.0, bad, 3.0])
 
 
 class TestWindowOrientation:
@@ -306,3 +315,98 @@ class TestSeriesComposition:
                 + B * estimate_at(sig, first_order(mu + 1, kappa), i0)
             )
             assert rhs == pytest.approx(lhs, rel=1e-6)
+
+
+# -- the vectorized apply step against independent references --------------
+
+EPS = float(np.finfo(float).eps)
+APPLY_ULPS = 16  # |estimate - exact window sum| <= APPLY_ULPS * eps * sum|tap * x|
+
+
+@st.composite
+def apply_cases(draw):
+    """A config with fractional exponents, and a noisy signal a few windows long.
+
+    m stays small enough for cheap kernels but covers both NumPy correlation
+    paths (short kernels, m <= 10, take a different one).  ``offset`` moves
+    the samples by one element within their buffer, so both 8-byte
+    alignments of the data occur.
+    """
+    n = draw(st.integers(1, 3))
+    q = draw(st.integers(0, 2))
+    exponent = st.floats(-1.0, 2.0, exclude_min=True, exclude_max=True)
+    m = draw(st.integers(n + q + 1, 300))
+    ts = 0.01
+    cfg = EstimatorConfig(
+        n=n, q=q, mu=draw(exponent), kappa=draw(exponent), beta=draw(st.sampled_from((-1, 1))),
+        T=m * ts, xi=draw(st.floats(0.0, 1.0)) if q else 0.0, m=m,
+    )
+    count = m + 1 + draw(st.integers(0, 40))
+    offset = draw(st.integers(0, 1))
+    buffer = np.empty(count + 1)
+    values = buffer[offset : offset + count]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values[:] = np.cumsum(rng.normal(size=count))
+    return cfg, SampledSignal(0.0, ts, values)
+
+
+def window_products(k: DiscreteKernel, values: np.ndarray, j: int) -> np.ndarray:
+    """tap_i * x[t0 + beta*i] for output j, with t0 = j (+ m when causal)."""
+    cfg = k.config
+    t0 = j + cfg.m if cfg.beta == -1 else j
+    return k.taps * values[t0 + cfg.beta * np.arange(cfg.m + 1)]
+
+
+class TestApplyProperties:
+    @settings(deadline=None)
+    @given(apply_cases())
+    def test_within_rounding_of_exact_window_sum(self, case):
+        cfg, sig = case
+        est = estimate_series(sig, cfg).estimates
+        assert est.shape == (len(sig.values) - cfg.m,)
+        k = make_kernel(cfg)
+        for j, value in enumerate(est):
+            products = window_products(k, sig.values, j)
+            bound = APPLY_ULPS * EPS * math.fsum(np.abs(products))
+            assert abs(value - math.fsum(products)) <= bound
+
+    @settings(deadline=None)
+    @given(apply_cases())
+    def test_estimate_at_is_the_series_bit_for_bit(self, case):
+        cfg, sig = case
+        ser = estimate_series(sig, cfg)
+        k = make_kernel(cfg)
+        start = cfg.m if cfg.beta == -1 else 0
+        expect = [estimate_at(sig, k, start + j) for j in range(len(ser.estimates))]
+        np.testing.assert_array_equal(ser.estimates, expect)
+
+    @settings(deadline=None)
+    @given(apply_cases(), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+    def test_linearity(self, case, a, b):
+        cfg, sig = case
+        other = np.sin(np.arange(len(sig.values)) * 0.3)
+        mixed = SampledSignal(0.0, sig.ts, a * sig.values + b * other)
+        got = estimate_series(mixed, cfg).estimates
+        expect = (a * estimate_series(sig, cfg).estimates
+                  + b * estimate_series(SampledSignal(0.0, sig.ts, other), cfg).estimates)
+        size = np.abs(a * sig.values) + np.abs(b * other)
+        k = make_kernel(cfg)
+        for j, (g, e) in enumerate(zip(got, expect)):
+            bound = 4 * APPLY_ULPS * EPS * math.fsum(np.abs(window_products(k, size, j)))
+            assert abs(g - e) <= bound
+
+    @settings(deadline=None)
+    @given(apply_cases(), st.data())
+    def test_time_shift_equivariance(self, case, data):
+        cfg, sig = case
+        shift = data.draw(st.integers(0, len(sig.values) - cfg.m - 1))
+        full = estimate_series(sig, cfg)
+        moved = estimate_series(
+            SampledSignal(sig.t_start + shift * sig.ts, sig.ts, sig.values[shift:]), cfg
+        )
+        np.testing.assert_allclose(moved.times, full.times[shift:], rtol=0, atol=1e-12)
+        k = make_kernel(cfg)
+        for j, value in enumerate(moved.estimates):
+            products = window_products(k, sig.values, j + shift)
+            bound = 2 * APPLY_ULPS * EPS * math.fsum(np.abs(products))
+            assert abs(value - full.estimates[j + shift]) <= bound

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import algdiff
 from algdiff.kernel import (
+    _TAPS_CACHE_SIZE,
     EstimatorConfig,
     WeightedPoly,
     affine_kernel,
     discretize,
+    kernel_taps,
     minimal_kernel,
     wpoly_derivative,
     wpoly_eval,
@@ -411,6 +416,45 @@ class TestDiscretize:
         assert k.taps.shape == (58,)
 
 
+class TestKernelTaps:
+    """`kernel_taps` is the one cached route from a config to its taps."""
+
+    def test_equal_configs_share_one_object(self):
+        a = kernel_taps(EstimatorConfig(n=2, q=1, mu=0.25, kappa=-0.5, xi=0.3, m=40))
+        b = kernel_taps(EstimatorConfig(n=2, q=1, mu=0.25, kappa=-0.5, xi=0.3, m=40))
+        assert a is b
+        assert not a.taps.flags.writeable
+
+    def test_cache_is_bounded(self):
+        for k in range(_TAPS_CACHE_SIZE + 10):
+            kernel_taps(EstimatorConfig(n=1, m=3 + k))  # distinct configs
+        info = kernel_taps.cache_info()
+        assert info.maxsize == _TAPS_CACHE_SIZE
+        assert info.currsize <= _TAPS_CACHE_SIZE
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            EstimatorConfig(n=1, m=10),
+            EstimatorConfig(n=1, kappa=-0.79, F=0.1, m=30),
+            EstimatorConfig(n=2, q=1, mu=-0.4, kappa=0.35, beta=1, xi=0.3, m=400),
+            EstimatorConfig(n=1, mu=-0.6, kappa=-0.7, endpoint="suppress", m=25),
+        ],
+    )
+    def test_matches_discretize_exactly(self, cfg):
+        k = kernel_taps(cfg)
+        assert k.config == cfg
+        np.testing.assert_array_equal(k.taps, discretize(affine_kernel(cfg), cfg).taps)
+
+    def test_only_construction_site_in_src(self):
+        route = "discretize(affine_kernel(cfg), cfg)"
+        src = Path(algdiff.__file__).parent
+        hits = [p.name for p in sorted(src.glob("*.py")) for line in p.read_text().splitlines()
+                if route in line]
+        assert hits == ["kernel.py"]
+        assert route in inspect.getsource(kernel_taps.__wrapped__)
+
+
 class TestEstimatorConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -445,6 +489,16 @@ class TestEstimatorConfig:
 
     def test_minimal_viable_tap_count(self):
         assert EstimatorConfig(n=2, q=1, m=4, xi=0.5).m == 4
+
+    def test_integral_floats_stored_as_ints(self):
+        # equal configs share one cached kernel, so they must build alike
+        cfg = EstimatorConfig(n=1.0, q=1.0, beta=1.0, xi=0.5, m=10.0)
+        assert [type(v) for v in (cfg.n, cfg.q, cfg.beta, cfg.m)] == [int] * 4
+        assert cfg == EstimatorConfig(n=1, q=1, beta=1, xi=0.5, m=10)
+        np.testing.assert_array_equal(
+            discretize(affine_kernel(cfg), cfg).taps,
+            kernel_taps(EstimatorConfig(n=1, q=1, beta=1, xi=0.5, m=10)).taps,
+        )
 
     def test_frozen(self):
         cfg = EstimatorConfig(n=1)

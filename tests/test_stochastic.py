@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from algdiff.estimator import SampledSignal
-from algdiff.kernel import EstimatorConfig, discretize, minimal_kernel
+from algdiff.kernel import EstimatorConfig, affine_kernel, discretize, minimal_kernel
 from algdiff.stochastic import (
     Poisson,
     PolyMean,
@@ -192,6 +192,25 @@ class TestMcNoiseSamples:
         b = mc_noise_samples(self.CFG, Wiener(1.0), 2.0, trials, RngSeed(5, 10**6))
         corr = float(np.corrcoef(a, b)[0, 1])
         assert abs(corr) <= 4.0 / math.sqrt(trials)
+
+    @pytest.mark.parametrize("beta", [-1, 1])
+    @pytest.mark.parametrize(
+        "model",
+        [Wiener(1.0), WhiteGaussian(2.0), Poisson(20.0), PolyMean((1.0, -2.0), Poisson(3.0))],
+        ids=["wiener", "white", "poisson", "polymean"],
+    )
+    def test_trial_k_applies_taps_to_gen_path_k(self, model, beta):
+        # the trial loop skips the SampledSignal wrapper but draws the same path
+        cfg = EstimatorConfig(n=1, q=1, xi=0.3, beta=beta, T=0.5, m=50)
+        seed = RngSeed(9, 3)
+        got = mc_noise_samples(cfg, model, 1.0, 20, seed)
+        taps = discretize(affine_kernel(cfg), cfg).taps
+        k0 = 100
+        idx = k0 + beta * np.arange(cfg.m + 1)
+        count = k0 + 1 if beta == -1 else k0 + cfg.m + 1
+        expect = [np.dot(taps, gen_path(model, cfg.T / cfg.m, count, seed.shifted(k)).values[idx])
+                  for k in range(20)]
+        np.testing.assert_array_equal(got, expect)
 
     def test_off_grid_anchor_rejected(self):
         with pytest.raises(ValueError):
