@@ -16,12 +16,10 @@ from .analysis import (
     chebyshev_band,
     discrete_covariance,
     discrete_moments,
-    i_integral,
     poisson_mean,
     sweep_surface,
     theoretical_delay,
-    variance_affine_n1,
-    variance_minimal,
+    variance_continuous,
 )
 from .estimator import EstimateSeries, SampledSignal, estimate_at, estimate_series
 from .kernel import (
@@ -92,9 +90,7 @@ __all__ = [
     "theoretical_delay",
     "affine_delay",
     "bias_bounds",
-    "i_integral",
-    "variance_minimal",
-    "variance_affine_n1",
+    "variance_continuous",
     "poisson_mean",
     "discrete_moments",
     "discrete_covariance",

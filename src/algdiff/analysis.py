@@ -14,8 +14,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .kernel import DiscreteKernel
-from .specfun import JacobiIndex, _jacobi_coeffs, _moment_rational_sum, beta_fn, smallest_root
+from .kernel import (
+    DiscreteKernel,
+    EstimatorConfig,
+    WeightedPoly,
+    _series_derivative,
+    wpoly_moment,
+)
+from .specfun import JacobiIndex, smallest_root
 from .stochastic import NoiseModel
 
 __all__ = [
@@ -24,9 +30,7 @@ __all__ = [
     "theoretical_delay",
     "affine_delay",
     "bias_bounds",
-    "i_integral",
-    "variance_minimal",
-    "variance_affine_n1",
+    "variance_continuous",
     "poisson_mean",
     "discrete_moments",
     "discrete_covariance",
@@ -94,112 +98,27 @@ def bias_bounds(
     return BiasBounds(lo, hi, c)
 
 
-def _i_integral_expansion(mu: float, kappa: float, n: int) -> float:
-    # integral of (1-t)^(2mu+1) t^(2kappa+2) P_n^{mu,kappa} P_{n-1}^{mu+1,kappa+1};
-    # exact polynomial product, then termwise Beta expansion with the rational
-    # part carried exactly.
-    mu_f, kappa_f = Fraction(mu), Fraction(kappa)
-    p1 = _jacobi_coeffs(n, mu_f, kappa_f)
-    p2 = _jacobi_coeffs(n - 1, mu_f + 1, kappa_f + 1)
-    product = [Fraction(0)] * (2 * n)
-    for i, a in enumerate(p1):
-        for j, b in enumerate(p2):
-            product[i + j] += a * b
-    base_first = 2 * kappa_f + 3
-    base_second = 2 * mu_f + 2
-    rational = _moment_rational_sum(tuple(product), base_first, base_second)
-    return float(rational) * beta_fn(float(base_first), float(base_second))
-
-
-def _i_integral_closed(mu: float, kappa: float, n: int) -> float:
-    if n == 1:
-        return (mu + 1) * beta_fn(2 * mu + 2, 2 * kappa + 3) / (2 * mu + 2 * kappa + 5)
-    if n == 2:
-        k, m = kappa, mu
-        total = (
-            -((k + 2) ** 2) * (k + 1) * beta_fn(2 * m + 5, 2 * k + 3)
-            + (k + 2) * (m + 2) * (3 * k + 5) * beta_fn(2 * m + 4, 2 * k + 4)
-            - (k + 2) * (m + 2) * (3 * m + 5) * beta_fn(2 * m + 3, 2 * k + 5)
-            + (m + 2) ** 2 * (m + 1) * beta_fn(2 * m + 2, 2 * k + 6)
-        )
-        return 0.5 * total
-    raise ValueError(f"no closed form for n = {n}; use the expansion route")
-
-
-def i_integral(mu: float, kappa: float, n: int, method: str = "auto") -> float:
-    """Variance kernel integral: weight (1-t)^(2mu+1) t^(2kappa+2) against the
-    product of the order-n and raised order-(n-1) polynomials.
-
-    ``method`` selects the closed form (n <= 2), the exact termwise Beta
-    expansion (any n), or "auto" (closed where available).
-    """
-    _check_order(n)
-    _check_exponents(kappa, mu)
-    if method == "auto":
-        method = "closed" if n <= 2 else "expansion"
-    if method == "closed":
-        return _i_integral_closed(mu, kappa, n)
-    if method == "expansion":
-        return _i_integral_expansion(mu, kappa, n)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def variance_minimal(n: int, kappa: float, mu: float, T: float, eta: float) -> float:
-    """Noise-error variance of the single-term estimator.
+def variance_continuous(cfg: EstimatorConfig, eta: float) -> float:
+    """Continuous-limit noise-error variance under a Wiener or Poisson process.
 
     ``eta`` is the process intensity: sigma^2 for a Wiener process, nu for a
-    Poisson process.  Scales as 1/T^(2n-1).
+    Poisson process.  One integration by parts moves the kernel onto the
+    process increments, so the variance is ``eta * T * integral of G**2``
+    over [0, 1], with G the (n-1)-th derivative of the raised-weight series
+    (it vanishes at both ends).  G**2 is an exact polynomial under the weight
+    ``w^{2mu+2, 2kappa+2}``, integrated by one exact Beta expansion.  Any n
+    and q; scales as 1/T^(2n-1).
     """
-    _check_order(n)
-    _check_exponents(kappa, mu)
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T!r}")
-    if eta < 0:
+    if not eta >= 0:
         raise ValueError(f"eta must be nonnegative, got {eta!r}")
-    norm = beta_fn(kappa + n + 1, mu + n + 1)
-    scale = 2.0 * eta * math.factorial(n) * math.factorial(n - 1) / (T ** (2 * n - 1) * norm**2)
-    return scale * i_integral(mu, kappa, n)
-
-
-def variance_affine_n1(kappa: float, mu: float, xi: float, T: float, eta: float) -> float:
-    """Noise-error variance of the two-term first-derivative estimator at xi.
-
-    Expands the kernel as lambda1 * (mu+1-kernel) + lambda0 * (kappa+1-kernel)
-    with lambda1 = (kappa+3) - (mu+kappa+5)*xi and lambda0 = 1 - lambda1; the
-    three quadratic-form terms each reduce to Beta-function ratios.
-    """
-    _check_exponents(kappa, mu)
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T!r}")
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta!r}")
-    lam1 = (kappa + 3) - (mu + kappa + 5) * xi
-    lam0 = 1.0 - lam1
-    common = 2.0 * eta / T
-    term1 = (
-        lam1**2
-        * common
-        * (mu + 2)
-        / (2 * mu + 2 * kappa + 7)
-        * beta_fn(2 * mu + 4, 2 * kappa + 3)
-        / beta_fn(kappa + 2, mu + 3) ** 2
-    )
-    term0 = (
-        lam0**2
-        * common
-        * (mu + 1)
-        / (2 * mu + 2 * kappa + 7)
-        * beta_fn(2 * mu + 2, 2 * kappa + 5)
-        / beta_fn(kappa + 3, mu + 2) ** 2
-    )
-    cross = (
-        lam0
-        * lam1
-        * common
-        * beta_fn(2 * mu + 4, 2 * kappa + 4)
-        / (beta_fn(kappa + 2, mu + 3) * beta_fn(kappa + 3, mu + 2))
-    )
-    return term1 + term0 + cross
+    g = _series_derivative(cfg, cfg.n - 1)
+    square = [Fraction(0)] * (2 * len(g.coeffs) - 1)
+    for i, a in enumerate(g.coeffs):
+        square[2 * i] += a * a
+        for j in range(i + 1, len(g.coeffs)):
+            square[i + j] += 2 * a * g.coeffs[j]
+    g2 = WeightedPoly(2 * g.mu_exp, 2 * g.kappa_exp, tuple(square))
+    return eta * cfg.T * wpoly_moment(g2, 0) / g.scale_divisor() ** 2
 
 
 def poisson_mean(n: int, nu: float) -> float:
@@ -279,17 +198,15 @@ def discrete_covariance(
     _check_process_times(noise, times2)
     white = noise.white_part()
     if white is not None:
-        # only coincident sample times contribute
+        # only coincident sample times contribute: tap i of k1 meets tap i - r of k2
         shift = (t02 - t01) / (cfg1.beta * step1)
         r = round(shift)
         if abs(shift - r) > 1e-9:
             return 0.0
-        total = 0.0
-        for i in range(cfg1.m + 1):
-            j = i - r
-            if 0 <= j <= cfg2.m:
-                total += k1.taps[i] * k2.taps[j]
-        return white * total
+        lo, hi = max(0, r), min(cfg1.m, cfg2.m + r) + 1
+        if lo >= hi:
+            return 0.0
+        return white * float(np.dot(k1.taps[lo:hi], k2.taps[lo - r : hi - r]))
     cross = noise.cov_matrix(times1, times2)
     return float(k1.taps @ cross @ k2.taps)
 
@@ -317,14 +234,13 @@ def sweep_surface(
     """Grid of a design quantity over exponent pairs; rows follow kappa_grid.
 
     quantity: "delay" (single-term delay factor times T), "xi" (smallest root
-    of the degree-(q+1) raised-exponent polynomial), "variance_minimal", or
-    "variance_affine" (n = 1, q = 1 only; xi recomputed per cell).
+    of the degree-(q+1) raised-exponent polynomial), "variance_minimal" (the
+    continuous variance at q = 0), or "variance_affine" (the continuous
+    variance with q terms, evaluated at that root, recomputed per cell).
     """
     kappa_grid = np.asarray(kappa_grid, dtype=float)
     mu_grid = np.asarray(mu_grid, dtype=float)
     out = np.empty((len(kappa_grid), len(mu_grid)))
-    if quantity == "variance_affine" and (n != 1 or q != 1):
-        raise ValueError("variance_affine surface requires n = 1, q = 1")
     for i, kappa in enumerate(kappa_grid):
         for j, mu in enumerate(mu_grid):
             if quantity == "delay":
@@ -332,10 +248,12 @@ def sweep_surface(
             elif quantity == "xi":
                 out[i, j] = smallest_root(JacobiIndex(q + 1, mu + n, kappa + n))
             elif quantity == "variance_minimal":
-                out[i, j] = variance_minimal(n, kappa, mu, T, eta)
+                cfg = EstimatorConfig(n=n, mu=mu, kappa=kappa, T=T)
+                out[i, j] = variance_continuous(cfg, eta)
             elif quantity == "variance_affine":
-                xi = smallest_root(JacobiIndex(2, mu + 1, kappa + 1))
-                out[i, j] = variance_affine_n1(kappa, mu, xi, T, eta)
+                xi = smallest_root(JacobiIndex(q + 1, mu + n, kappa + n))
+                cfg = EstimatorConfig(n=n, q=q, mu=mu, kappa=kappa, T=T, xi=xi)
+                out[i, j] = variance_continuous(cfg, eta)
             else:
                 raise ValueError(f"unknown quantity {quantity!r}")
     return out

@@ -26,8 +26,7 @@ from .analysis import (
     poisson_mean,
     sweep_surface,
     theoretical_delay,
-    variance_affine_n1,
-    variance_minimal,
+    variance_continuous,
 )
 from .estimator import EstimateSeries, SampledSignal, estimate_series
 from .kernel import EstimatorConfig, kernel_taps
@@ -436,8 +435,7 @@ def mc_report(
     """Empirical noise-error moments with closed-form and discrete bands.
 
     Each band carries the fraction of trials it contains; the closed-form
-    (continuous-limit) band exists for Wiener and Poisson processes with the
-    variance formulas available (any n for q=0, n=1 for q=1).
+    (continuous-limit) band exists for every Wiener or Poisson process.
     """
     if trials < 100:
         raise ValueError("trials must be at least 100")
@@ -449,29 +447,20 @@ def mc_report(
 
     bands: dict[str, dict | None] = {}
     continuous = None
-    eta = None
-    mean_c = 0.0
-    if isinstance(model, Wiener):
-        eta = model.sigma2
-    elif isinstance(model, Poisson):
-        eta = model.nu
-        mean_c = poisson_mean(cfg.n, model.nu)
-    if eta is not None:
-        if cfg.q == 0:
-            var_c = variance_minimal(cfg.n, cfg.kappa, cfg.mu, cfg.T, eta)
-        elif cfg.n == 1 and cfg.q == 1:
-            var_c = variance_affine_n1(cfg.kappa, cfg.mu, cfg.xi, cfg.T, eta)
+    if isinstance(model, (Wiener, Poisson)):
+        if isinstance(model, Wiener):
+            mean_c, eta = 0.0, model.sigma2
         else:
-            var_c = None
-        if var_c is not None:
-            low, high = chebyshev_band(mean_c, var_c, gamma)
-            continuous = {
-                "mean": mean_c,
-                "variance": var_c,
-                "band_low": low,
-                "band_high": high,
-                "fraction_inside": fraction_inside(low, high),
-            }
+            mean_c, eta = poisson_mean(cfg.n, model.nu), model.nu
+        var_c = variance_continuous(cfg, eta)
+        low, high = chebyshev_band(mean_c, var_c, gamma)
+        continuous = {
+            "mean": mean_c,
+            "variance": var_c,
+            "band_low": low,
+            "band_high": high,
+            "fraction_inside": fraction_inside(low, high),
+        }
     bands["continuous"] = continuous
 
     rep = discrete_moments(kernel_taps(cfg), model, t0, gamma)

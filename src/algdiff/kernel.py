@@ -279,25 +279,25 @@ def minimal_kernel(cfg: EstimatorConfig) -> WeightedPoly:
     return affine_kernel(cfg)
 
 
-def affine_kernel(cfg: EstimatorConfig) -> WeightedPoly:
-    """Truncated-series estimator kernel evaluated at abscissa ``xi``.
+def _series_derivative(cfg: EstimatorConfig, k: int) -> WeightedPoly:
+    """k-th derivative, times (-1)**k, of the raised-weight series of ``cfg``.
 
-    Term ``i`` is the n-fold derivative of the raised-exponent weight
-    ``w^{mu+n,kappa+n}`` times its degree-i polynomial, weighted by that
-    polynomial's value at ``xi`` over its norm.  By Rodrigues' formula the
-    derivative is ``(-1)**n (i+n)!/i! * w^{mu,kappa} P_{i+n}^{(mu,kappa)}``,
-    which is built directly.  One common symbolic Beta divisor is kept and
-    every per-term norm is reduced against it exactly; q = 0 gives the
-    minimal kernel ``n!/(beta*T)**n * w P_n``.
+    Term ``i`` of the series is the raised-exponent weight ``w^{a,b}``, with
+    ``(a, b) = (mu+n, kappa+n)``, times its degree-i polynomial, weighted by
+    that polynomial's value at ``xi`` over its norm and by ``1/(beta*T)**n``.
+    By Rodrigues' formula the k-th derivative of the term is
+    ``(-1)**k (i+k)!/i! * w^{a-k,b-k} P_{i+k}^{(a-k,b-k)}``, which is built
+    directly.  One common symbolic Beta divisor ``B(b+1, a+1)`` is kept and
+    every per-term norm is reduced against it exactly.
     """
     n, q = cfg.n, cfg.q
     mu, kappa = Fraction(cfg.mu), Fraction(cfg.kappa)
     a, b = mu + n, kappa + n  # raised exponents: (1-t)**a * t**b
-    xi = _as_fraction(cfg.xi if q > 0 else 0.0)
+    xi = _as_fraction(cfg.xi)  # 0 when q = 0, where it is unused
     window = (Fraction(cfg.beta) * Fraction(cfg.T)) ** n
-    divisor = (kappa + n + 1, mu + n + 1)  # B(b+1, a+1), shared by all terms
+    divisor = (b + 1, a + 1)  # B(kappa+n+1, mu+n+1), shared by all terms
 
-    total = [Fraction(0)] * (n + q + 1)
+    total = [Fraction(0)] * (k + q + 1)
     for i in range(q + 1):
         # value at xi of the raised-exponent polynomial, exact
         p_at_xi = Fraction(0)
@@ -312,13 +312,25 @@ def affine_kernel(cfg: EstimatorConfig) -> WeightedPoly:
         weight = p_at_xi * norm_rational * ratio / window
         if weight == 0:
             continue
-        weight *= math.factorial(i + n) // math.factorial(i)
-        for k, c in enumerate(_jacobi_coeffs(i + n, mu, kappa)):
-            total[k] += weight * c
+        weight *= math.factorial(i + k) // math.factorial(i)
+        for j, c in enumerate(_jacobi_coeffs(i + k, a - k, b - k)):
+            total[j] += weight * c
 
     while len(total) > 1 and total[-1] == 0:
         total.pop()
-    return WeightedPoly(mu, kappa, tuple(total), divisor)
+    return WeightedPoly(a - k, b - k, tuple(total), divisor)
+
+
+def affine_kernel(cfg: EstimatorConfig) -> WeightedPoly:
+    """Truncated-series estimator kernel evaluated at abscissa ``xi``.
+
+    The kernel is the n-fold derivative of the raised-weight series (see
+    `_series_derivative`), ``sum_i (i+n)!/i! * weight_i * w^{mu,kappa}
+    P_{i+n}^{(mu,kappa)}`` over the symbolic divisor
+    ``B(kappa+n+1, mu+n+1)``; q = 0 gives the minimal kernel
+    ``n!/(beta*T)**n * w P_n``.
+    """
+    return _series_derivative(cfg, cfg.n)
 
 
 def discretize(p: WeightedPoly, cfg: EstimatorConfig) -> DiscreteKernel:

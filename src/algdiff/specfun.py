@@ -78,14 +78,6 @@ class JacobiIndex:
             raise ValueError(f"kappa must exceed -1, got {self.kappa!r}")
 
 
-def _binomial(x: Fraction, k: int) -> Fraction:
-    """Generalized binomial coefficient C(x, k) with real (rational) x."""
-    num = Fraction(1)
-    for i in range(k):
-        num *= x - i
-    return num / math.factorial(k)
-
-
 # Bounds the memory of the coefficient cache: a design sweep keys it on fresh
 # float exponents, so an unbounded cache grows for the life of the process.
 _JACOBI_CACHE_SIZE = 1024
@@ -93,16 +85,17 @@ _JACOBI_CACHE_SIZE = 1024
 
 @lru_cache(maxsize=_JACOBI_CACHE_SIZE)
 def _jacobi_coeffs(degree: int, mu: Fraction, kappa: Fraction) -> tuple[Fraction, ...]:
-    # P_deg(t) = sum_s C(deg+mu, s) C(deg+kappa, deg-s) (t-1)^(deg-s) t^s,
-    # expanded to ascending powers of t.
-    coeffs = [Fraction(0)] * (degree + 1)
-    for s in range(degree + 1):
-        factor = _binomial(mu + degree, s) * _binomial(kappa + degree, degree - s)
-        if factor == 0:
-            continue
-        r = degree - s
-        for j in range(r + 1):
-            coeffs[s + j] += factor * math.comb(r, j) * (-1) ** (r - j)
+    # ascending powers of t: c_0 = (-1)^deg C(deg+kappa, deg), and consecutive
+    # coefficients have the ratio
+    # c_{k+1}/c_k = (k-deg)(deg+mu+kappa+1+k) / ((kappa+1+k)(k+1)),
+    # which never vanishes below k = deg for mu, kappa > -1
+    c = Fraction((-1) ** degree)
+    for i in range(1, degree + 1):
+        c *= (kappa + i) / i
+    coeffs = [c]
+    for k in range(degree):
+        c *= (k - degree) * (degree + mu + kappa + 1 + k) / ((kappa + 1 + k) * (k + 1))
+        coeffs.append(c)
     return tuple(coeffs)
 
 

@@ -18,8 +18,7 @@ from algdiff.analysis import (
     discrete_moments,
     sweep_surface,
     theoretical_delay,
-    variance_affine_n1,
-    variance_minimal,
+    variance_continuous,
 )
 from algdiff.cli import run_preset_pair
 from algdiff.estimator import SampledSignal, estimate_at
@@ -160,19 +159,19 @@ def test_05_closed_form_variance_vs_monte_carlo():
         (
             "order-1",
             EstimatorConfig(n=1, mu=0.0, kappa=0.0, beta=-1, T=1.0, m=400),
-            variance_minimal(1, 0.0, 0.0, 1.0, 1.0),
+            variance_continuous(EstimatorConfig(n=1), 1.0),
             RngSeed(11),
         ),
         (
             "affine",
             EstimatorConfig(n=1, q=1, mu=0.0, kappa=0.0, beta=-1, T=1.0, xi=0.276, m=400),
-            variance_affine_n1(0.0, 0.0, 0.276, 1.0, 1.0),
+            variance_continuous(EstimatorConfig(n=1, q=1, xi=0.276), 1.0),
             RngSeed(21),
         ),
         (
             "order-2",
             EstimatorConfig(n=2, mu=0.0, kappa=0.0, beta=-1, T=1.0, m=400),
-            variance_minimal(2, 0.0, 0.0, 1.0, 1.0),
+            variance_continuous(EstimatorConfig(n=2), 1.0),
             RngSeed(22),
         ),
     ]
@@ -218,7 +217,7 @@ def test_07_probabilistic_band_coverage():
     cfg = EstimatorConfig(n=1, mu=0.0, kappa=0.0, beta=-1, T=1.0, m=400)
     samples = mc_noise_samples(cfg, Wiener(1.0), t0, trials, RngSeed(11))
 
-    lo_c, hi_c = chebyshev_band(0.0, variance_minimal(1, 0.0, 0.0, 1.0, 1.0), gamma)
+    lo_c, hi_c = chebyshev_band(0.0, variance_continuous(cfg, 1.0), gamma)
     frac_c = float(np.mean((samples > lo_c) & (samples < hi_c)))
     assert frac_c >= 0.75, frac_c
 
@@ -360,13 +359,11 @@ def test_12_design_surfaces():
         mins[quantity] = (round(float(grid[i]), 3), round(float(grid[j]), 3))
         # strict decrease along the diagonal toward negative exponents
         diag = [(1.0, 1.0), (0.0, 0.0), (-0.5, -0.5)]
-        if quantity == "variance_minimal":
-            vals = [variance_minimal(1, k, u, 1.0, 1.0) for k, u in diag]
-        else:
-            vals = [
-                variance_affine_n1(k, u, smallest_root(JacobiIndex(2, u + 1, k + 1)), 1.0, 1.0)
-                for k, u in diag
-            ]
+        q = 0 if quantity == "variance_minimal" else 1  # q = 0 ignores xi
+        vals = []
+        for k, u in diag:
+            xi = smallest_root(JacobiIndex(2, u + 1, k + 1))
+            vals.append(variance_continuous(EstimatorConfig(n=1, q=q, mu=u, kappa=k, xi=xi), 1.0))
         assert vals[0] > vals[1] > vals[2] > 0
     print(
         "PASS 12 design surfaces: delay monotone; variance minima at "

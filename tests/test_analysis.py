@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algdiff.analysis import (
     affine_delay,
@@ -14,20 +17,26 @@ from algdiff.analysis import (
     chebyshev_band,
     discrete_covariance,
     discrete_moments,
-    i_integral,
     poisson_mean,
     sweep_surface,
     theoretical_delay,
-    variance_affine_n1,
-    variance_minimal,
+    variance_continuous,
 )
 from algdiff.kernel import (
     EstimatorConfig,
     WeightedPoly,
+    _series_derivative,
     affine_kernel,
     discretize,
     minimal_kernel,
     wpoly_derivative,
+)
+from algdiff.specfun import (
+    JacobiIndex,
+    _jacobi_coeffs,
+    _moment_rational_sum,
+    beta_fn,
+    smallest_root,
 )
 from algdiff.stochastic import Poisson, PolyMean, WhiteGaussian, Wiener
 
@@ -35,6 +44,93 @@ from algdiff.stochastic import Poisson, PolyMean, WhiteGaussian, Wiener
 def make_kernel(cfg: EstimatorConfig):
     p = affine_kernel(cfg) if cfg.q else minimal_kernel(cfg)
     return discretize(p, cfg)
+
+
+def vec_eval(p: WeightedPoly, t: np.ndarray) -> np.ndarray:
+    """The weighted polynomial on a grid, without its divisor."""
+    poly = np.polynomial.polynomial.polyval(t, [float(c) for c in p.coeffs])
+    return (1.0 - t) ** float(p.mu_exp) * t ** float(p.kappa_exp) * poly
+
+
+# the removed public signatures, kept as test shorthands over the one route
+def variance_minimal(n, kappa, mu, T, eta):
+    return variance_continuous(EstimatorConfig(n=n, mu=mu, kappa=kappa, T=T), eta)
+
+
+def variance_affine_n1(kappa, mu, xi, T, eta):
+    return variance_continuous(EstimatorConfig(n=1, q=1, mu=mu, kappa=kappa, T=T, xi=xi), eta)
+
+
+# -- reference routes: the closed forms `variance_continuous` replaced --------
+
+
+def i_integral_expansion(mu: float, kappa: float, n: int) -> float:
+    """Integral of (1-t)^(2mu+1) t^(2kappa+2) P_n^{mu,kappa} P_{n-1}^{mu+1,kappa+1}.
+
+    Exact polynomial product, then termwise Beta expansion with the rational
+    part carried exactly.
+    """
+    mu_f, kappa_f = Fraction(mu), Fraction(kappa)
+    p1 = _jacobi_coeffs(n, mu_f, kappa_f)
+    p2 = _jacobi_coeffs(n - 1, mu_f + 1, kappa_f + 1)
+    product = [Fraction(0)] * (2 * n)
+    for i, a in enumerate(p1):
+        for j, b in enumerate(p2):
+            product[i + j] += a * b
+    base_first = 2 * kappa_f + 3
+    base_second = 2 * mu_f + 2
+    rational = _moment_rational_sum(tuple(product), base_first, base_second)
+    return float(rational) * beta_fn(float(base_first), float(base_second))
+
+
+def i_integral_closed(mu: float, kappa: float, n: int) -> float:
+    """The same integral, hand-expanded into Beta values for n <= 2."""
+    if n == 1:
+        return (mu + 1) * beta_fn(2 * mu + 2, 2 * kappa + 3) / (2 * mu + 2 * kappa + 5)
+    k, m = kappa, mu
+    total = (
+        -((k + 2) ** 2) * (k + 1) * beta_fn(2 * m + 5, 2 * k + 3)
+        + (k + 2) * (m + 2) * (3 * k + 5) * beta_fn(2 * m + 4, 2 * k + 4)
+        - (k + 2) * (m + 2) * (3 * m + 5) * beta_fn(2 * m + 3, 2 * k + 5)
+        + (m + 2) ** 2 * (m + 1) * beta_fn(2 * m + 2, 2 * k + 6)
+    )
+    return 0.5 * total
+
+
+def i_scale(n: int, kappa: float, mu: float, T: float, eta: float) -> float:
+    """Single-term variance over the integral: 2 eta n! (n-1)! / (T^(2n-1) B^2)."""
+    norm = beta_fn(kappa + n + 1, mu + n + 1)
+    return 2.0 * eta * math.factorial(n) * math.factorial(n - 1) / (T ** (2 * n - 1) * norm**2)
+
+
+def i_integral(mu: float, kappa: float, n: int) -> float:
+    """The integral read back from `variance_continuous` at q = 0."""
+    return variance_minimal(n, kappa, mu, 1.0, 1.0) / i_scale(n, kappa, mu, 1.0, 1.0)
+
+
+def variance_affine_n1_oracle(kappa: float, mu: float, xi: float, T: float, eta: float) -> float:
+    """Two-term first-derivative variance at xi, expanded by hand.
+
+    The kernel is lambda1 * (mu+1-kernel) + lambda0 * (kappa+1-kernel) with
+    lambda1 = (kappa+3) - (mu+kappa+5)*xi and lambda0 = 1 - lambda1; the three
+    quadratic-form terms each reduce to Beta-function ratios.
+    """
+    lam1 = (kappa + 3) - (mu + kappa + 5) * xi
+    lam0 = 1.0 - lam1
+    common = 2.0 * eta / T
+    term1 = (
+        lam1**2 * common * (mu + 2) / (2 * mu + 2 * kappa + 7)
+        * beta_fn(2 * mu + 4, 2 * kappa + 3) / beta_fn(kappa + 2, mu + 3) ** 2
+    )
+    term0 = (
+        lam0**2 * common * (mu + 1) / (2 * mu + 2 * kappa + 7)
+        * beta_fn(2 * mu + 2, 2 * kappa + 5) / beta_fn(kappa + 3, mu + 2) ** 2
+    )
+    cross = (
+        lam0 * lam1 * common * beta_fn(2 * mu + 4, 2 * kappa + 4)
+        / (beta_fn(kappa + 2, mu + 3) * beta_fn(kappa + 3, mu + 2))
+    )
+    return term1 + term0 + cross
 
 
 class TestTheoreticalDelay:
@@ -126,17 +222,20 @@ class TestBiasBounds:
 
 
 class TestIIntegral:
+    """The single-term variance integral, read back from `variance_continuous`
+    and checked against the closed forms and the Beta expansion."""
+
     def test_flat_weight_first_order(self):
         assert i_integral(0.0, 0.0, 1) == pytest.approx(1 / 60, rel=1e-12)
+        assert i_integral_closed(0.0, 0.0, 1) == pytest.approx(1 / 60, rel=1e-12)
 
     def test_flat_weight_second_order(self):
-        from algdiff.specfun import beta_fn
-
         expect = 0.5 * (
             -4.0 * beta_fn(5, 3) + 20.0 * beta_fn(4, 4) - 20.0 * beta_fn(3, 5) + 4.0 * beta_fn(2, 6)
         )
         assert expect == pytest.approx(1 / 210, rel=1e-12)
         assert i_integral(0.0, 0.0, 2) == pytest.approx(expect, rel=1e-12)
+        assert i_integral_closed(0.0, 0.0, 2) == pytest.approx(expect, rel=1e-12)
 
     def test_fractional_first_order(self):
         assert i_integral(0.5, -0.25, 1) == pytest.approx(16 / 1155, rel=1e-12)
@@ -146,17 +245,14 @@ class TestIIntegral:
 
     def test_negative_exponent_second_order(self):
         assert i_integral(-0.6, -0.78, 2) == pytest.approx(0.03292487550636328, rel=1e-10)
+        assert i_integral_closed(-0.6, -0.78, 2) == pytest.approx(0.03292487550636328, rel=1e-10)
 
     @pytest.mark.parametrize("mu,kappa", [(0.0, 0.0), (0.5, -0.25), (-0.6, -0.78), (1.0, 2.0)])
     @pytest.mark.parametrize("n", [1, 2])
     def test_expansion_agrees_with_closed_form(self, mu, kappa, n):
-        closed = i_integral(mu, kappa, n, method="closed")
-        expansion = i_integral(mu, kappa, n, method="expansion")
-        assert expansion == pytest.approx(closed, rel=1e-12)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            i_integral(0.0, 0.0, 1, method="quadrature")
+        closed = i_integral_closed(mu, kappa, n)
+        assert i_integral_expansion(mu, kappa, n) == pytest.approx(closed, rel=1e-12)
+        assert i_integral(mu, kappa, n) == pytest.approx(closed, rel=1e-12)
 
     @pytest.mark.parametrize("mu,kappa", [(0.0, 0.0), (0.5, -0.25)])
     @pytest.mark.parametrize("n", [1, 2])
@@ -168,10 +264,6 @@ class TestIIntegral:
         for _ in range(n - 1):
             lower = wpoly_derivative(lower)
         full = wpoly_derivative(lower)
-
-        def vec_eval(p, t):
-            poly = np.polynomial.polynomial.polyval(t, [float(c) for c in p.coeffs])
-            return (1.0 - t) ** float(p.mu_exp) * t ** float(p.kappa_exp) * poly
 
         trap = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
         grid = np.linspace(0.0, 1.0, 100_001)
@@ -232,6 +324,89 @@ class TestVarianceMinimal:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             variance_minimal(**kwargs)
+
+
+class TestVarianceContinuous:
+    """`variance_continuous` against the reference routes it replaced."""
+
+    exponents = st.floats(min_value=-1.0, max_value=2.0, exclude_min=True, exclude_max=True)
+
+    @given(st.integers(1, 4), exponents, exponents, st.floats(0.3, 3.0), st.floats(0.1, 3.0))
+    @settings(max_examples=150, deadline=None)
+    def test_single_term_matches_closed_forms_and_expansion(self, n, mu, kappa, T, eta):
+        got = variance_minimal(n, kappa, mu, T, eta)
+        scale = i_scale(n, kappa, mu, T, eta)
+        assert got == pytest.approx(scale * i_integral_expansion(mu, kappa, n), rel=2e-13)
+        if n <= 2:
+            # the n = 2 closed form loses digits to cancellation
+            bound = 2e-13 if n == 1 else 5e-12
+            assert got == pytest.approx(scale * i_integral_closed(mu, kappa, n), rel=bound)
+
+    @given(exponents, exponents, st.floats(0.0, 1.0), st.floats(0.3, 3.0), st.floats(0.1, 3.0))
+    @settings(max_examples=150, deadline=None)
+    def test_first_order_two_terms_matches_hand_expansion(self, mu, kappa, xi, T, eta):
+        want = variance_affine_n1_oracle(kappa, mu, xi, T, eta)
+        assert variance_affine_n1(kappa, mu, xi, T, eta) == pytest.approx(want, rel=2e-13)
+
+    @given(
+        st.builds(
+            EstimatorConfig,
+            n=st.integers(1, 4),
+            q=st.integers(0, 3),
+            mu=exponents,
+            kappa=exponents,
+            beta=st.sampled_from((-1, 1)),
+            T=st.floats(0.3, 3.0),
+            xi=st.floats(0.0, 1.0),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_quadrature_of_the_kernel_antiderivative(self, cfg):
+        # G is exactly minus an antiderivative of the kernel that vanishes at
+        # both ends; the variance is then eta * T * integral of G^2
+        g = _series_derivative(cfg, cfg.n - 1)
+        k = affine_kernel(cfg)
+        dg = wpoly_derivative(g)
+        assert (dg.mu_exp, dg.kappa_exp, dg.beta_divisor) == (k.mu_exp, k.kappa_exp, k.beta_divisor)
+        assert dg.coeffs == tuple(-c for c in k.coeffs)
+
+        # t = (1 - cos(pi s))/2 flattens the t^(2kappa+2), (1-t)^(2mu+2) ends
+        s = np.linspace(0.0, 1.0, 20_001)
+        t = 0.5 * (1.0 - np.cos(np.pi * s))
+        values = (vec_eval(g, t) / g.scale_divisor()) ** 2 * 0.5 * np.pi * np.sin(np.pi * s)
+        trap = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
+        want = 1.7 * cfg.T * trap(values, s)
+        assert variance_continuous(cfg, 1.7) == pytest.approx(want, rel=1e-6)
+
+    def test_second_order_two_terms_reference(self):
+        # 2168/35 at xi = 3/10; the binary value of 0.3 moves it by ~1e-15
+        cfg = EstimatorConfig(n=2, q=1, xi=0.3)
+        assert variance_continuous(cfg, 1.0) == pytest.approx(2168 / 35, rel=1e-13)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            variance_continuous(EstimatorConfig(n=1), -0.5)
+        with pytest.raises(ValueError):
+            variance_continuous(EstimatorConfig(n=1), math.nan)
+
+    @given(
+        st.integers(1, 3),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_discrete_wiener_variance_converges_as_inverse_m_squared(self, n, q, mu, kappa, xi):
+        # integer exponents leave no endpoint singularity, so the relative
+        # error stays below K/m^2; the largest m^2 * error measured over
+        # n <= 3, q <= 2, mu, kappa in {0, 1, 2} and 21 abscissas was 74
+        base = EstimatorConfig(n=n, q=q, mu=mu, kappa=kappa, xi=xi, m=100)
+        want = variance_continuous(base, 1.0)
+        for m in (100, 1000):
+            k = discretize(affine_kernel(base), replace(base, m=m))
+            error = abs(discrete_moments(k, Wiener(1.0), 2.0).variance - want) / want
+            assert m**2 * error <= 150.0
 
 
 class TestVarianceAffine:
@@ -380,13 +555,21 @@ class TestDiscreteCovariance:
         assert discrete_covariance(k, k, WhiteGaussian(1.0), (2.0, 2.0 + shift)) == 0.0
 
     def test_white_overlapping_windows_manual_sum(self):
-        cfg = EstimatorConfig(n=1, beta=-1, T=1.0, m=40)
-        k = make_kernel(cfg)
-        r = 10  # second window anchored r samples later
         sigma2 = 0.8
-        expect = sigma2 * float(np.sum(k.taps[: 40 + 1 - r] * k.taps[r:]))
-        got = discrete_covariance(k, k, WhiteGaussian(sigma2), (2.0, 2.0 - r / 40))
-        assert got == pytest.approx(expect, rel=1e-12)
+        short = make_kernel(EstimatorConfig(n=1, beta=-1, T=1.0, m=40))
+        # same per-tap step 1/40 over a window twice as long
+        long = make_kernel(EstimatorConfig(n=2, q=1, kappa=0.5, beta=-1, T=2.0, xi=0.3, m=80))
+        for k1, k2 in ((short, short), (short, long), (long, short)):
+            m1, m2 = k1.config.m, k2.config.m
+            # the second window anchored r samples later in time (r > 0), or earlier
+            for r in (-95, -80, -33, -1, 0, 1, 10, 40, 41, 120):
+                expect = 0.0
+                for i in range(m1 + 1):
+                    j = i - r  # k1 tap i and k2 tap j sample the same instant
+                    if 0 <= j <= m2:
+                        expect += k1.taps[i] * k2.taps[j]
+                got = discrete_covariance(k1, k2, WhiteGaussian(sigma2), (2.0, 2.0 - r / 40))
+                assert got == pytest.approx(sigma2 * expect, rel=1e-12), (m1, m2, r)
 
     def test_wiener_two_anchors_match_explicit_double_sum(self):
         cfg = EstimatorConfig(n=1, beta=-1, T=1.0, m=10)
@@ -474,9 +657,15 @@ class TestSweepSurface:
         assert self.KGRID[ik] < 0
         assert self.MGRID[im] < 0
 
-    def test_variance_affine_requires_first_order_two_terms(self):
-        with pytest.raises(ValueError):
-            sweep_surface("variance_affine", np.array([0.0]), np.array([0.0]), n=2)
+    @pytest.mark.parametrize("n,q", [(2, 1), (1, 2), (3, 3)])
+    def test_variance_affine_any_order_evaluates_at_each_cell_root(self, n, q):
+        kappas, mus = np.array([-0.5, 0.25]), np.array([0.0, 1.5])
+        out = sweep_surface("variance_affine", kappas, mus, n=n, q=q, T=2.0, eta=0.5)
+        for i, kappa in enumerate(kappas):
+            for j, mu in enumerate(mus):
+                xi = smallest_root(JacobiIndex(q + 1, mu + n, kappa + n))
+                cfg = EstimatorConfig(n=n, q=q, mu=mu, kappa=kappa, T=2.0, xi=xi)
+                assert out[i, j] == variance_continuous(cfg, 0.5)
 
     def test_unknown_quantity(self):
         with pytest.raises(ValueError):

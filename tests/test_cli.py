@@ -11,7 +11,9 @@ import pytest
 
 from algdiff import cli
 from algdiff.cli import SIN2T_TS, main
+from algdiff.analysis import variance_continuous
 from algdiff.kernel import EstimatorConfig, discretize, minimal_kernel
+from algdiff.specfun import JacobiIndex, smallest_root
 
 
 def read_csv(path):
@@ -101,6 +103,18 @@ class TestSurfaceCommand:
     def test_variance_grid_center(self, tmp_path):
         rows = self.run_surface(tmp_path, "variance_minimal")
         assert float(rows[2][2]) == pytest.approx(1.2, rel=1e-9)
+
+    def test_variance_affine_any_order(self, capsys):
+        rc = main(["surface", "variance_affine", "--points", "2", "--n", "2", "--q", "1"])
+        assert rc == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        mus = [float(v) for v in rows[0][1:]]
+        for row in rows[1:]:
+            kappa = float(row[0])
+            for mu, cell in zip(mus, row[1:]):
+                xi = smallest_root(JacobiIndex(2, mu + 2, kappa + 2))
+                cfg = EstimatorConfig(n=2, q=1, mu=mu, kappa=kappa, xi=xi)
+                assert float(cell) == variance_continuous(cfg, 1.0)
 
 
 class TestEstimateCommand:
@@ -263,6 +277,21 @@ class TestMcCommand:
         assert report["bands"]["continuous"] is None
         assert report["bands"]["discrete"]["fraction_inside"] >= 0.75
 
+    @pytest.mark.parametrize(
+        "model,flag,eta", [("wiener", "--sigma2", 0.5), ("poisson", "--nu", 2.0)]
+    )
+    def test_second_order_two_terms_has_continuous_band(self, capsys, model, flag, eta):
+        report = run_json(
+            capsys,
+            ["mc", "--model", model, flag, str(eta), "--trials", "400", "--seed", "5",
+             "--n", "2", "--q", "1", "--xi", "0.3", "--T", "1.0", "--m", "200"],
+        )
+        band = report["bands"]["continuous"]
+        assert band["mean"] == 0.0  # the counting-process mean vanishes for n >= 2
+        # 2168/35 per unit intensity at T = 1, up to the binary value of 0.3
+        assert band["variance"] == pytest.approx(eta * 2168 / 35, rel=1e-13)
+        assert band["band_low"] < 0 < band["band_high"]
+
     def test_counting_report_mean(self, capsys):
         rc = main(
             ["mc", "--model", "poisson", "--nu", "1.5", "--trials", "2000",
@@ -293,11 +322,6 @@ class TestErrorHandling:
         assert rc == 2
         msg = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
         assert "n" in msg
-
-    def test_surface_rejects_unsupported_order(self, capsys):
-        rc = main(["surface", "variance_affine", "--points", "2", "--n", "2"])
-        assert rc == 2
-        assert "error" in json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
     @pytest.mark.parametrize(
         "argv,fragment",

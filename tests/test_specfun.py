@@ -92,6 +92,44 @@ class TestJacobiIndex:
             JacobiIndex(1, 0.0, -1.5)
 
 
+def _binomial(x: Fraction, k: int) -> Fraction:
+    """Generalized binomial coefficient C(x, k) with rational x."""
+    num = Fraction(1)
+    for i in range(k):
+        num *= x - i
+    return num / math.factorial(k)
+
+
+def binomial_expansion_coeffs(degree: int, mu: Fraction, kappa: Fraction) -> tuple:
+    """P_deg(t) = sum_s C(deg+mu, s) C(deg+kappa, deg-s) (t-1)^(deg-s) t^s,
+    expanded to ascending powers of t: the O(degree^2) reference route."""
+    coeffs = [Fraction(0)] * (degree + 1)
+    for s in range(degree + 1):
+        factor = _binomial(mu + degree, s) * _binomial(kappa + degree, degree - s)
+        r = degree - s
+        for j in range(r + 1):
+            coeffs[s + j] += factor * math.comb(r, j) * (-1) ** (r - j)
+    return tuple(coeffs)
+
+
+class TestCoefficientRecurrence:
+    @given(
+        st.integers(0, 10),
+        st.floats(min_value=-1.0, max_value=3.0, exclude_min=True, exclude_max=True),
+        st.floats(min_value=-1.0, max_value=3.0, exclude_min=True, exclude_max=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_binomial_expansion_exactly(self, degree, mu, kappa):
+        mu_f, kappa_f = Fraction(mu), Fraction(kappa)
+        got = _jacobi_coeffs.__wrapped__(degree, mu_f, kappa_f)
+        assert got == binomial_expansion_coeffs(degree, mu_f, kappa_f)
+
+    @pytest.mark.parametrize("degree", [0, 1, 4, 9])
+    def test_rational_exponents_exactly(self, degree):
+        mu, kappa = Fraction(-2, 3), Fraction(5, 7)
+        assert _jacobi_coeffs(degree, mu, kappa) == binomial_expansion_coeffs(degree, mu, kappa)
+
+
 class TestJacobiEval:
     def test_degree_zero_is_one(self):
         for mu, kappa in EXPONENT_PAIRS:
