@@ -30,17 +30,12 @@ from .kernel import (
     discretize,
     kernel_taps,
     minimal_kernel,
-    wpoly_derivative,
     wpoly_eval,
     wpoly_moment,
 )
 from .specfun import (
     JacobiIndex,
     beta_fn,
-    gamma_fn,
-    jacobi_eval,
-    jacobi_norm_sq,
-    jacobi_weighted_moment,
     smallest_root,
 )
 from .stochastic import (
@@ -62,18 +57,13 @@ __all__ = [
     "__version__",
     # specfun
     "JacobiIndex",
-    "gamma_fn",
     "beta_fn",
-    "jacobi_eval",
-    "jacobi_norm_sq",
-    "jacobi_weighted_moment",
     "smallest_root",
     # kernel
     "WeightedPoly",
     "EstimatorConfig",
     "DiscreteKernel",
     "wpoly_eval",
-    "wpoly_derivative",
     "wpoly_moment",
     "minimal_kernel",
     "affine_kernel",

@@ -160,19 +160,11 @@ def discrete_moments(
     """Exact sampled-case mean and variance of the noise error at ``t0``.
 
     The mean is the tap sum against the model's mean function; the variance is
-    the tap quadratic form against its covariance (for white noise, the
-    diagonal sum sigma^2 * sum taps_i^2).
+    the kernel's `discrete_covariance` with itself, which also checks that the
+    window lies where the process is defined.
     """
-    times = _tap_times(k, t0)
-    _check_process_times(noise, times)
-    taps = k.taps
-    mean = float(np.dot(taps, noise.mean_at(times)))
-    white = noise.white_part()
-    if white is not None:
-        variance = white * float(np.dot(taps, taps))
-    else:
-        variance = float(taps @ noise.cov_matrix(times, times) @ taps)
-    variance = max(variance, 0.0)
+    mean = float(np.dot(k.taps, noise.mean_at(_tap_times(k, t0))))
+    variance = max(discrete_covariance(k, k, noise, t0), 0.0)
     low, high = chebyshev_band(mean, variance, gamma)
     return NoiseMomentReport(mean, variance, low, high, gamma, "discrete")
 

@@ -28,7 +28,7 @@ from .analysis import (
     theoretical_delay,
     variance_continuous,
 )
-from .estimator import EstimateSeries, SampledSignal, estimate_series
+from .estimator import SampledSignal, estimate_series
 from .kernel import EstimatorConfig, kernel_taps
 from .stochastic import (
     NoiseModel,
@@ -60,31 +60,25 @@ __all__ = [
 # benchmark signals
 
 EXPSIN_TS = 1.0 / 200.0
-EXPSIN_COUNT = 1001
 SIN2T_TS = math.pi / 100.0
-SIN2T_COUNT = 446
+
+# name -> (s, sign, ts, count) of the signal x(t) = sign * Im exp(s t)
+_NAMED_SIGNALS = {
+    # exp(-t/1.2) sin(6t + pi)
+    "expsin": (complex(-1.0 / 1.2, 6.0), -1.0, EXPSIN_TS, 1001),
+    # sin(2t)
+    "sin2t": (complex(0.0, 2.0), 1.0, SIN2T_TS, 446),
+}
 
 
-def _expsin_signal() -> tuple[SampledSignal, Callable[[np.ndarray, int], np.ndarray]]:
-    # x(t) = exp(-t/1.2) sin(6t + pi) = -Im exp(st), s = -1/1.2 + 6i
-    s = complex(-1.0 / 1.2, 6.0)
-
+def _exp_signal(
+    s: complex, sign: float, ts: float, count: int
+) -> tuple[SampledSignal, Callable[[np.ndarray, int], np.ndarray]]:
     def deriv(t: np.ndarray, n: int) -> np.ndarray:
-        return -np.imag(s**n * np.exp(s * t))
+        return sign * np.imag(s**n * np.exp(s * t))
 
-    t = np.arange(EXPSIN_COUNT) * EXPSIN_TS
-    return SampledSignal(0.0, EXPSIN_TS, deriv(t, 0)), deriv
-
-
-def _sin2t_signal() -> tuple[SampledSignal, Callable[[np.ndarray, int], np.ndarray]]:
-    # x(t) = sin(2t) = Im exp(2it)
-    s = complex(0.0, 2.0)
-
-    def deriv(t: np.ndarray, n: int) -> np.ndarray:
-        return np.imag(s**n * np.exp(s * t))
-
-    t = np.arange(SIN2T_COUNT) * SIN2T_TS
-    return SampledSignal(0.0, SIN2T_TS, deriv(t, 0)), deriv
+    t = np.arange(count) * ts
+    return SampledSignal(0.0, ts, deriv(t, 0)), deriv
 
 
 def _polynomial_signal(
@@ -163,16 +157,9 @@ def _write_csv(out: TextIO, header: list[str], rows) -> None:
         out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_series(path: Path, series_t: np.ndarray, series_v: np.ndarray) -> None:
-    with path.open("w") as fh:
-        _write_csv(fh, ["t", "estimate"], zip(series_t, series_v))
-
-
 def _build_signal(spec: ExperimentSpec):
-    if spec.signal == "expsin":
-        return _expsin_signal()
-    if spec.signal == "sin2t":
-        return _sin2t_signal()
+    if spec.signal in _NAMED_SIGNALS:
+        return _exp_signal(*_NAMED_SIGNALS[spec.signal])
     if spec.signal == "polynomial":
         if not spec.coeffs:
             raise ValueError("polynomial signal requires coefficients")
@@ -196,11 +183,6 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
     """
     clean, deriv = _build_signal(spec)
     cfg = spec.estimator
-    if abs(cfg.T - cfg.m * clean.ts) > 1e-9 * max(cfg.T, 1.0):
-        raise ValueError(
-            f"estimator window T = {cfg.T} is not m = {cfg.m} sampling periods "
-            f"(ts = {clean.ts})"
-        )
 
     scale = 0.0
     noisy = clean
@@ -262,7 +244,8 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
             named["truth"] = truth
         for name, values in named.items():
             path = out_dir / f"{spec.label}_{name}.csv"
-            _write_series(path, times, values)
+            with path.open("w") as fh:
+                _write_csv(fh, ["t", "estimate"], zip(times, values))
             series_paths[name] = str(path)
 
     return RunReport(
@@ -442,35 +425,23 @@ def mc_report(
     samples = mc_noise_samples(cfg, model, t0, trials, seed)
     emp_mean, emp_var, stderr_var = _sample_moments(samples)
 
-    def fraction_inside(low: float, high: float) -> float:
-        return float(np.mean((samples > low) & (samples < high)))
-
-    bands: dict[str, dict | None] = {}
-    continuous = None
-    if isinstance(model, (Wiener, Poisson)):
-        if isinstance(model, Wiener):
-            mean_c, eta = 0.0, model.sigma2
-        else:
-            mean_c, eta = poisson_mean(cfg.n, model.nu), model.nu
-        var_c = variance_continuous(cfg, eta)
-        low, high = chebyshev_band(mean_c, var_c, gamma)
-        continuous = {
-            "mean": mean_c,
-            "variance": var_c,
+    def band(mean: float, variance: float) -> dict:
+        low, high = chebyshev_band(mean, variance, gamma)
+        return {
+            "mean": mean,
+            "variance": variance,
             "band_low": low,
             "band_high": high,
-            "fraction_inside": fraction_inside(low, high),
+            "fraction_inside": float(np.mean((samples > low) & (samples < high))),
         }
-    bands["continuous"] = continuous
 
+    continuous = None
+    if isinstance(model, Wiener):
+        continuous = band(0.0, variance_continuous(cfg, model.sigma2))
+    elif isinstance(model, Poisson):
+        continuous = band(poisson_mean(cfg.n, model.nu), variance_continuous(cfg, model.nu))
     rep = discrete_moments(kernel_taps(cfg), model, t0, gamma)
-    bands["discrete"] = {
-        "mean": rep.mean,
-        "variance": rep.variance,
-        "band_low": rep.cheb_low,
-        "band_high": rep.cheb_high,
-        "fraction_inside": fraction_inside(rep.cheb_low, rep.cheb_high),
-    }
+    bands = {"continuous": continuous, "discrete": band(rep.mean, rep.variance)}
 
     return {
         "emp_mean": emp_mean,
@@ -561,12 +532,7 @@ def _spec_from_mapping(values: dict, overrides: argparse.Namespace) -> Experimen
         return _pick(values, overrides, key, cast, default)
 
     signal = pick("signal", str, "expsin")
-    if signal == "expsin":
-        ts = EXPSIN_TS
-    elif signal == "sin2t":
-        ts = SIN2T_TS
-    else:
-        ts = pick("ts", float, 0.01)
+    ts = _NAMED_SIGNALS[signal][2] if signal in _NAMED_SIGNALS else pick("ts", float, 0.01)
 
     kind = pick("noise", str, "none")
     noise: NoiseModel | None = None

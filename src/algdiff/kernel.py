@@ -3,9 +3,8 @@
 A derivative-estimation kernel is always of the form
 ``w(t) * Q(t) = (1-t)**mu_exp * t**kappa_exp * Q(t)`` with polynomial ``Q``.
 `WeightedPoly` keeps exponents and coefficients as exact rationals so that
-construction, repeated differentiation, and moment computation cancel
-exactly where the mathematics says they must; floats appear only at
-evaluation time.
+construction and moment computation cancel exactly where the mathematics
+says they must; floats appear only at evaluation time.
 
 Kernels additionally carry an optional *symbolic* Beta-function divisor: the
 normalization ``n! / B(kappa+n+1, mu+n+1)`` divides by an irrational number,
@@ -31,7 +30,6 @@ __all__ = [
     "EstimatorConfig",
     "DiscreteKernel",
     "wpoly_eval",
-    "wpoly_derivative",
     "wpoly_moment",
     "minimal_kernel",
     "affine_kernel",
@@ -111,25 +109,6 @@ def wpoly_eval(p: WeightedPoly, t: float) -> float:
         raise ValueError("singular at t=1 for a negative (1-t)-exponent; use the endpoint rule")
     value = (1.0 - t) ** float(p.mu_exp) * t ** float(p.kappa_exp) * p.poly_at(t)
     return value / p.scale_divisor()
-
-
-def wpoly_derivative(p: WeightedPoly) -> WeightedPoly:
-    """Exact derivative, staying in weight-times-polynomial form.
-
-    d/dt [w^{a,b} Q] = w^{a-1,b-1} [(b(1-t) - a t) Q + t(1-t) Q'], so both
-    exponents drop by one and the polynomial degree rises by one.
-    """
-    a, b = p.mu_exp, p.kappa_exp
-    out = [Fraction(0)] * (len(p.coeffs) + 1)
-    for k, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        # (b(1-t) - a t) * c t^k  +  t(1-t) * (k c t^{k-1})
-        out[k] += (b + k) * c
-        out[k + 1] -= (a + b + k) * c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return WeightedPoly(a - 1, b - 1, tuple(out), p.beta_divisor)
 
 
 def _pochhammer(x: Fraction, count: int) -> Fraction:

@@ -22,30 +22,10 @@ import numpy as np
 
 __all__ = [
     "JacobiIndex",
-    "gamma_fn",
     "beta_fn",
-    "log_beta_fn",
-    "jacobi_eval",
     "jacobi_coefficients",
-    "jacobi_norm_sq",
-    "jacobi_weighted_moment",
     "smallest_root",
 ]
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function (`math.gamma`).
-
-    Raises ValueError at the poles (nonpositive integers) and OverflowError
-    past about 171.6; negative non-integer arguments give signed values.
-    """
-    return math.gamma(x)
-
-
-def log_beta_fn(a: float, b: float) -> float:
-    if not (a > 0 and b > 0):
-        raise ValueError(f"beta function requires positive arguments, got {a!r}, {b!r}")
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
 def beta_fn(a: float, b: float) -> float:
@@ -54,7 +34,9 @@ def beta_fn(a: float, b: float) -> float:
     Computed in log space so that large arguments underflow gracefully
     instead of overflowing intermediate Gamma values.
     """
-    return math.exp(log_beta_fn(a, b))
+    if not (a > 0 and b > 0):
+        raise ValueError(f"beta function requires positive arguments, got {a!r}, {b!r}")
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 @dataclass(frozen=True)
@@ -104,36 +86,6 @@ def jacobi_coefficients(idx: JacobiIndex) -> tuple[Fraction, ...]:
     return _jacobi_coeffs(idx.degree, Fraction(idx.mu), Fraction(idx.kappa))
 
 
-def jacobi_eval(idx: JacobiIndex, t: float) -> float:
-    """Value of the shifted Jacobi polynomial at ``t`` in [0, 1]."""
-    acc = 0.0
-    for c in reversed(jacobi_coefficients(idx)):
-        acc = acc * t + float(c)
-    return acc
-
-
-def jacobi_norm_sq(idx: JacobiIndex) -> float:
-    """Weighted L2 norm squared of the polynomial under its own weight.
-
-    Closed form: ``Gamma(i+mu+1) Gamma(i+kappa+1) /
-    ((2i+mu+kappa+1) Gamma(i+mu+kappa+1) i!)`` for degree ``i``; degree 0
-    reduces to B(kappa+1, mu+1).
-    """
-    i, a, b = idx.degree, idx.mu, idx.kappa
-    if i == 0:
-        # (a+b+1) Gamma(a+b+1) = Gamma(a+b+2), which stays positive even when
-        # a+b+1 <= 0 (possible for exponent pairs summing below -1)
-        return beta_fn(b + 1.0, a + 1.0)
-    log_value = (
-        math.lgamma(i + a + 1.0)
-        + math.lgamma(i + b + 1.0)
-        - math.lgamma(i + a + b + 1.0)
-        - math.lgamma(i + 1.0)
-        - math.log(2.0 * i + a + b + 1.0)
-    )
-    return math.exp(log_value)
-
-
 def _moment_rational_sum(
     coeffs: tuple[Fraction, ...], base_first: Fraction, base_second: Fraction
 ) -> Fraction:
@@ -152,23 +104,6 @@ def _moment_rational_sum(
             ratio *= (base_first + (k - 1)) / (denom_base + (k - 1))
         total += c * ratio
     return total
-
-
-def jacobi_weighted_moment(idx: JacobiIndex, j: int) -> float:
-    """Exact weighted moment ``integral of w(t) P(t) t**j over [0, 1]``.
-
-    Evaluated by termwise Beta expansion with the rational part carried in
-    exact arithmetic, so orthogonality zeros (``j < degree``) come out as
-    exactly 0.0.
-    """
-    if j < 0 or int(j) != j:
-        raise ValueError(f"moment order must be a nonnegative integer, got {j!r}")
-    mu, kappa = Fraction(idx.mu), Fraction(idx.kappa)
-    coeffs = jacobi_coefficients(idx)
-    rational = _moment_rational_sum(coeffs, kappa + j + 1, mu + 1)
-    if rational == 0:
-        return 0.0
-    return float(rational) * beta_fn(float(kappa) + j + 1.0, float(mu) + 1.0)
 
 
 _ROOT_GRID_POINTS = 1024

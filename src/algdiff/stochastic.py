@@ -195,9 +195,11 @@ def _snr_db(x: np.ndarray, scaled_noise: np.ndarray) -> float:
 def calibrate_snr(x: SampledSignal, noise_path: SampledSignal, target_db: float) -> float:
     """Scale C such that 10*log10(sum|x + C*w|^2 / sum|C*w|^2) = target_db.
 
-    The ratio is solved by bisection; note the numerator uses the *noisy*
-    signal, so arbitrarily low targets can be infeasible — that is reported
-    rather than clamped.
+    C is the smallest positive root of (r-1)|w|^2 C^2 - 2(x.w) C - |x|^2 = 0
+    with r = 10**(target_db/10), in closed form.  The numerator uses the
+    *noisy* signal, so the SNR has a floor that low targets may lie below,
+    and a target at or under 0 dB is out of reach when x.w >= 0; such
+    targets are reported rather than clamped.
     """
     if len(x.values) != len(noise_path.values):
         raise ValueError("signal and noise path must have the same length")
@@ -206,32 +208,26 @@ def calibrate_snr(x: SampledSignal, noise_path: SampledSignal, target_db: float)
     w = noise_path.values
     if not np.any(w != 0.0):
         raise ValueError("noise path is identically zero")
+    # 10**(dB/10) overflows a float past about 3 082 dB
+    if not abs(target_db) <= 3000.0:
+        raise ValueError(f"target must be finite and within 3000 dB of 0, got {target_db!r}")
     xv = x.values
-
-    def f(c: float) -> float:
-        return _snr_db(xv, c * w) - target_db
-
-    lo = 1e-18
-    if f(lo) < 0.0:
+    xx, ww, xw = float(xv @ xv), float(w @ w), float(xv @ w)
+    if xx == 0.0:
         raise ValueError(f"target {target_db} dB infeasible: SNR below target even at C -> 0")
-    hi = 1.0
-    for _ in range(200):
-        if f(hi) <= 0.0:
-            break
-        hi *= 2.0
+    r1 = 10.0 ** (target_db / 10.0) - 1.0
+    disc = xw * xw + r1 * ww * xx
+    # the root is xx / (sqrt(disc) - xw) = (sqrt(disc) + xw) / (r1 * ww); each
+    # branch takes the form whose denominator does not cancel
+    if xw > 0.0 and r1 > 0.0:
+        c = (math.sqrt(disc) + xw) / (r1 * ww)
+    elif xw <= 0.0 and disc >= 0.0 and math.sqrt(disc) > xw:
+        c = xx / (math.sqrt(disc) - xw)
     else:
         raise ValueError(f"target {target_db} dB infeasible: SNR stays above target")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    c = 0.5 * (lo + hi)
-    if abs(f(c)) > 1e-6:
-        raise ValueError(f"target {target_db} dB not attained to 1e-6 dB (got offset {f(c)})")
+    offset = _snr_db(xv, c * w) - target_db if 0.0 < c < math.inf else math.nan
+    if not abs(offset) <= 1e-6:
+        raise ValueError(f"target {target_db} dB not attained to 1e-6 dB (got offset {offset})")
     return c
 
 

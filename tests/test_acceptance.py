@@ -28,11 +28,10 @@ from algdiff.kernel import (
     affine_kernel,
     discretize,
     minimal_kernel,
-    wpoly_derivative,
     wpoly_eval,
     wpoly_moment,
 )
-from algdiff.specfun import JacobiIndex, jacobi_eval, smallest_root
+from algdiff.specfun import JacobiIndex, smallest_root
 from algdiff.stochastic import (
     Poisson,
     RngSeed,
@@ -41,6 +40,7 @@ from algdiff.stochastic import (
     mc_noise_error,
     mc_noise_samples,
 )
+from oracles import jacobi_eval, wpoly_derivative
 
 
 def make_kernel(cfg: EstimatorConfig):

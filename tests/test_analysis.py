@@ -29,7 +29,6 @@ from algdiff.kernel import (
     affine_kernel,
     discretize,
     minimal_kernel,
-    wpoly_derivative,
 )
 from algdiff.specfun import (
     JacobiIndex,
@@ -39,6 +38,7 @@ from algdiff.specfun import (
     smallest_root,
 )
 from algdiff.stochastic import Poisson, PolyMean, WhiteGaussian, Wiener
+from oracles import wpoly_derivative
 
 
 def make_kernel(cfg: EstimatorConfig):
@@ -534,13 +534,48 @@ class TestDiscreteMoments:
         assert 0.4 <= values[400] / values[200] <= 0.6
 
 
+def noise_models():
+    base = st.one_of(
+        st.builds(WhiteGaussian, st.floats(0.0, 5.0)),
+        st.builds(Wiener, st.floats(0.0, 5.0)),
+        st.builds(Poisson, st.floats(0.0, 5.0)),
+    )
+    coeffs = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3)
+    return st.one_of(base, st.builds(PolyMean, coeffs.map(tuple), base))
+
+
 class TestDiscreteCovariance:
-    def test_self_covariance_is_variance(self):
-        cfg = EstimatorConfig(n=1, beta=-1, T=1.0, m=80)
+    exponents = st.floats(min_value=-1.0, max_value=2.0, exclude_min=True, exclude_max=True)
+
+    @given(
+        st.builds(
+            EstimatorConfig,
+            n=st.integers(1, 3),
+            q=st.integers(0, 2),
+            mu=exponents,
+            kappa=exponents,
+            beta=st.sampled_from((-1, 1)),
+            T=st.floats(0.1, 3.0),
+            xi=st.floats(0.0, 1.0),
+            m=st.integers(6, 200),
+        ),
+        noise_models(),
+        st.floats(0.0, 2.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_self_covariance_is_variance(self, cfg, model, start):
+        # the variance is the quadratic form of the taps against the
+        # covariance matrix, or sigma^2 * sum taps^2 for white noise
         k = make_kernel(cfg)
-        for model in (Wiener(1.3), WhiteGaussian(0.9)):
-            var = discrete_moments(k, model, 2.0).variance
-            assert discrete_covariance(k, k, model, 2.0) == pytest.approx(var, rel=1e-12)
+        t0 = start + (cfg.T if cfg.beta == -1 else 0.0)
+        times = t0 + cfg.beta * cfg.T * np.arange(cfg.m + 1) / cfg.m
+        white = model.white_part()
+        if white is not None:
+            want = white * float(np.dot(k.taps, k.taps))
+        else:
+            want = float(k.taps @ model.cov_matrix(times, times) @ k.taps)
+        assert discrete_moments(k, model, t0).variance == max(want, 0.0)
+        assert discrete_covariance(k, k, model, t0) == want
 
     def test_white_disjoint_windows_uncorrelated(self):
         cfg = EstimatorConfig(n=1, beta=-1, T=1.0, m=40)

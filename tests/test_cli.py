@@ -396,6 +396,10 @@ class TestConfigResolver:
         assert spec_stream == flag_stream
         assert spec_stream["total_error"] != default["total_error"]
 
+    def test_spec_window_off_the_sample_grid_exits_2(self, tmp_path, capsys):
+        spec = self.write_spec(tmp_path, "m = 25\nT = 1.0\nnoise = white\ntarget_snr_db = 20\n")
+        assert_one_line_error(capsys, ["experiment", spec], "does not match the sampling period")
+
     def test_spec_without_window_exits_2(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path, "noise = none\n")
         assert_one_line_error(capsys, ["experiment", spec], "set m (taps) or T")

@@ -21,11 +21,11 @@ from algdiff.kernel import (
     discretize,
     kernel_taps,
     minimal_kernel,
-    wpoly_derivative,
     wpoly_eval,
     wpoly_moment,
 )
-from algdiff.specfun import JacobiIndex, beta_fn, jacobi_coefficients, jacobi_eval
+from algdiff.specfun import JacobiIndex, beta_fn, jacobi_coefficients
+from oracles import jacobi_eval, wpoly_derivative
 
 INTERIOR = np.linspace(0.05, 0.95, 19)
 

@@ -1,4 +1,4 @@
-"""Special functions: gamma/beta, shifted Jacobi polynomials, roots."""
+"""Special functions: Beta, shifted Jacobi polynomials, roots."""
 
 from __future__ import annotations
 
@@ -10,48 +10,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algdiff.kernel import WeightedPoly, wpoly_moment
 from algdiff.specfun import (
     _JACOBI_CACHE_SIZE,
     JacobiIndex,
     _jacobi_coeffs,
     beta_fn,
-    gamma_fn,
     jacobi_coefficients,
-    jacobi_eval,
-    jacobi_norm_sq,
-    jacobi_weighted_moment,
     smallest_root,
 )
+from oracles import jacobi_eval, jacobi_norm_sq
 
 GRID = np.linspace(0.0, 1.0, 21)
 EXPONENT_PAIRS = [(0.0, 0.0), (0.5, -0.25), (-0.78, -0.6), (1.0, 2.0)]
 
 
-class TestGamma:
-    def test_half_integer(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-
-    def test_reflection_negative_argument(self):
-        # Gamma(-0.5) = -2*sqrt(pi)
-        assert gamma_fn(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-12)
-
-    def test_integers(self):
-        for k in range(1, 12):
-            assert gamma_fn(k) == pytest.approx(math.factorial(k - 1), rel=1e-13)
-
-    def test_overflow_signaled(self):
-        with pytest.raises(OverflowError):
-            gamma_fn(1e4)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -4.0])
-    def test_poles_signaled(self, x):
-        with pytest.raises(ValueError):
-            gamma_fn(x)
-
-    @given(st.floats(min_value=0.05, max_value=30.0))
-    @settings(max_examples=50, deadline=None)
-    def test_recurrence(self, x):
-        assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-11)
+def jacobi_weighted_moment(idx: JacobiIndex, j: int) -> float:
+    """``integral of w(t) P(t) t**j over [0, 1]``: a one-term weighted polynomial."""
+    return wpoly_moment(WeightedPoly.of(idx.mu, idx.kappa, jacobi_coefficients(idx)), j)
 
 
 class TestBeta:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from algdiff.estimator import SampledSignal
 from algdiff.kernel import EstimatorConfig, affine_kernel, discretize, minimal_kernel
@@ -20,11 +22,28 @@ from algdiff.stochastic import (
     mc_noise_error,
     mc_noise_samples,
 )
+from oracles import bisection_calibrate_snr, snr_db
 
 
-def snr_db(x: np.ndarray, scaled_noise: np.ndarray) -> float:
-    noisy = x + scaled_noise
-    return 10.0 * math.log10(float(noisy @ noisy) / float(scaled_noise @ scaled_noise))
+def snr_slope(x: np.ndarray, w: np.ndarray, c: float) -> float:
+    """d(SNR in dB)/d(ln C) at C = c: how sharply the target pins C down."""
+    a, b = 2.0 * float(x @ w) / (float(w @ w) * c), float(x @ x) / (float(w @ w) * c * c)
+    return 10.0 / math.log(10.0) * (-a - 2.0 * b) / (1.0 + a + b)
+
+
+def calibrate_or_none(calibrate, x: SampledSignal, w: SampledSignal, target: float):
+    try:
+        return calibrate(x, w, target)
+    except ValueError:
+        return None
+
+
+def signal_pairs(max_len: int = 12):
+    """Signal and noise path of one common length."""
+    value = st.floats(-10.0, 10.0, allow_subnormal=False)
+    return st.integers(1, max_len).flatmap(
+        lambda n: st.tuples(*[st.lists(value, min_size=n, max_size=n)] * 2)
+    )
 
 
 class TestRngSeed:
@@ -176,6 +195,48 @@ class TestCalibrateSnr:
         wrong_ts = SampledSignal(0.0, x.ts * 2, np.ones(1001))
         with pytest.raises(ValueError):
             calibrate_snr(x, wrong_ts, 10.0)
+
+    def test_dip_below_one_is_found(self):
+        # the SNR dips to -12.3 dB at C = 0.25 and is back above -3 dB by
+        # C = 1; the bisection's bracket only doubles from C = 1, so it
+        # reported -3 dB as infeasible
+        x = SampledSignal(0.0, 1.0, np.array([1.0, 0.0]))
+        w = SampledSignal(0.0, 1.0, np.array([-4.0, 1.0]))
+        with pytest.raises(ValueError, match="stays above target"):
+            bisection_calibrate_snr(x, w, -3.0)
+        c = calibrate_snr(x, w, -3.0)
+        assert c == pytest.approx(0.148317445339862, rel=1e-12)
+        assert snr_db(x.values, c * w.values) == pytest.approx(-3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, 4000.0])
+    def test_rejects_target_out_of_range(self, target):
+        x = self.reference_signal()
+        noise = gen_path(Wiener(1.0), x.ts, 1001, RngSeed(77))
+        with pytest.raises(ValueError):
+            calibrate_snr(x, noise, target)
+
+    def test_zero_signal_is_below_every_target(self):
+        zero = SampledSignal(0.0, 1.0, np.zeros(3))
+        noise = SampledSignal(0.0, 1.0, np.array([1.0, -2.0, 0.5]))
+        with pytest.raises(ValueError, match="below target even at C -> 0"):
+            calibrate_snr(zero, noise, -10.0)
+
+    @given(signal_pairs(), st.floats(-15.0, 60.0))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_bisection_oracle(self, pair, target):
+        x, w = (SampledSignal(0.0, 1.0, np.array(v)) for v in pair)
+        assume(float(x.values @ x.values) > 1e-6 and float(w.values @ w.values) > 1e-6)
+        got = calibrate_or_none(calibrate_snr, x, w, target)
+        want = calibrate_or_none(bisection_calibrate_snr, x, w, target)
+        if got is not None:
+            assert abs(snr_db(x.values, got * w.values) - target) <= 1e-9
+        if want is None:
+            return
+        # a root where the SNR barely moves with C (at 0 dB with x.w > 0, or
+        # where the target grazes the SNR floor) is fixed only to the dB
+        # rounding over that slope, in either route
+        if abs(snr_slope(x.values, w.values, want)) >= 0.1:
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestMcNoiseSamples:
