@@ -30,7 +30,6 @@ from .kernel import (
     discretize,
     kernel_taps,
     minimal_kernel,
-    wpoly_eval,
     wpoly_moment,
 )
 from .specfun import (
@@ -63,7 +62,6 @@ __all__ = [
     "WeightedPoly",
     "EstimatorConfig",
     "DiscreteKernel",
-    "wpoly_eval",
     "wpoly_moment",
     "minimal_kernel",
     "affine_kernel",

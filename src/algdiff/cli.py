@@ -115,14 +115,15 @@ def _csv_signal(path: str) -> SampledSignal:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One benchmark run: signal, optional calibrated noise, estimator, window."""
+    """One benchmark run: signal, optional calibrated noise, estimator, window.
 
-    signal: str  # expsin | sin2t | polynomial | csv
+    ``derivative(t, k)`` is the signal's exact k-th derivative, None when it
+    is unknown (a CSV signal).
+    """
+
+    signal: SampledSignal
+    derivative: Callable[[np.ndarray, int], np.ndarray] | None
     estimator: EstimatorConfig
-    coeffs: tuple[float, ...] = ()
-    csv_path: str | None = None
-    ts: float | None = None  # polynomial signals only
-    count: int | None = None
     noise: NoiseModel | None = None
     target_snr_db: float | None = None
     window: tuple[float, float] | None = None
@@ -157,22 +158,6 @@ def _write_csv(out: TextIO, header: list[str], rows) -> None:
         out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _build_signal(spec: ExperimentSpec):
-    if spec.signal in _NAMED_SIGNALS:
-        return _exp_signal(*_NAMED_SIGNALS[spec.signal])
-    if spec.signal == "polynomial":
-        if not spec.coeffs:
-            raise ValueError("polynomial signal requires coefficients")
-        ts = spec.ts if spec.ts is not None else 0.01
-        count = spec.count if spec.count is not None else 1001
-        return _polynomial_signal(spec.coeffs, ts, count)
-    if spec.signal == "csv":
-        if spec.csv_path is None:
-            raise ValueError("csv signal requires a path")
-        return _csv_signal(spec.csv_path), None
-    raise ValueError(f"unknown signal kind {spec.signal!r}")
-
-
 def run_experiment(spec: ExperimentSpec) -> RunReport:
     """Generate signal and noise, estimate, and score on the metrics window.
 
@@ -181,7 +166,7 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
     calibration log-ratio to the noisy estimate series against its deviation
     from the noiseless run.
     """
-    clean, deriv = _build_signal(spec)
+    clean, deriv = spec.signal, spec.derivative
     cfg = spec.estimator
 
     scale = 0.0
@@ -267,46 +252,30 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
 # presets: the benchmark parameter pairs (integer exponents vs extended)
 
 
-def _presets() -> dict[str, dict]:
-    t1 = dict(
-        signal="expsin",
-        noise=("wiener", 1.0),
-        target_snr_db=16.0,
-        window=(50 * EXPSIN_TS, 5.0),
-        ts=EXPSIN_TS,
-    )
-    t2 = dict(
-        signal="sin2t",
-        noise=("white", 1.0),
-        target_snr_db=20.0,
-        window=(38 * SIN2T_TS, 14.0),
-        ts=SIN2T_TS,
-    )
-    return {
-        "table1-a": {
-            **t1,
-            "integer": dict(n=1, q=0, mu=0.0, kappa=0.0, m=18, F=0.1),
-            "extended": dict(n=1, q=0, mu=0.0, kappa=-0.79, m=30, F=0.1),
-        },
-        "table1-b": {
-            **t1,
-            "integer": dict(n=1, q=1, mu=0.0, kappa=0.0, m=30, xi=0.276, F=0.1),
-            "extended": dict(n=1, q=1, mu=-0.6, kappa=-0.78, m=46, xi=0.218, F=0.1),
-        },
-        "table2-a": {
-            **t2,
-            "integer": dict(n=1, q=0, mu=0.0, kappa=0.0, m=25, F=0.5),
-            "extended": dict(n=1, q=0, mu=0.0, kappa=-0.75, m=25, F=0.5),
-        },
-        "table2-b": {
-            **t2,
-            "integer": dict(n=1, q=1, mu=0.0, kappa=0.0, m=38, xi=0.276, F=0.5),
-            "extended": dict(n=1, q=1, mu=-0.66, kappa=-0.7, m=32, xi=0.234, F=0.5),
-        },
-    }
+_TABLE1 = dict(signal="expsin", noise="wiener", sigma2=1.0, target_snr_db=16.0,
+               window_lo=50 * EXPSIN_TS, window_hi=5.0, n=1, F=0.1)
+_TABLE2 = dict(signal="sin2t", noise="white", sigma2=1.0, target_snr_db=20.0,
+               window_lo=38 * SIN2T_TS, window_hi=14.0, n=1, F=0.5)
 
-
-PRESETS = _presets()
+# preset -> its "integer" and "extended" runs, each a built-in spec file
+PRESETS = {
+    "table1-a": {
+        "integer": dict(_TABLE1, q=0, mu=0.0, kappa=0.0, m=18),
+        "extended": dict(_TABLE1, q=0, mu=0.0, kappa=-0.79, m=30),
+    },
+    "table1-b": {
+        "integer": dict(_TABLE1, q=1, mu=0.0, kappa=0.0, m=30, xi=0.276),
+        "extended": dict(_TABLE1, q=1, mu=-0.6, kappa=-0.78, m=46, xi=0.218),
+    },
+    "table2-a": {
+        "integer": dict(_TABLE2, q=0, mu=0.0, kappa=0.0, m=25),
+        "extended": dict(_TABLE2, q=0, mu=0.0, kappa=-0.75, m=25),
+    },
+    "table2-b": {
+        "integer": dict(_TABLE2, q=1, mu=0.0, kappa=0.0, m=38, xi=0.276),
+        "extended": dict(_TABLE2, q=1, mu=-0.66, kappa=-0.7, m=32, xi=0.234),
+    },
+}
 
 
 # noise kind -> model class; each class's one field is its intensity parameter
@@ -327,31 +296,24 @@ def _intensity_name(kind: str) -> str:
 def run_preset_pair(name: str, seed: RngSeed, out_dir: str | None = None, gamma: float = 2.0) -> dict:
     """Run a preset's integer-exponent and extended-exponent configs on the
     same noise realization and return the paired report."""
+    overrides = argparse.Namespace(seed=seed.seed, stream=seed.stream, gamma=gamma, out_dir=out_dir)
+    return _preset_pair(name, overrides)
+
+
+def _preset_pair(name: str, overrides: argparse.Namespace) -> dict:
+    """`run_preset_pair` with flags over both runs' spec values."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    p = PRESETS[name]
-    kind, intensity = p["noise"]
-    reports = []
-    for label in ("integer", "extended"):
-        cfg = EstimatorConfig(beta=-1, T=p[label]["m"] * p["ts"], **p[label])
-        spec = ExperimentSpec(
-            signal=p["signal"],
-            estimator=cfg,
-            noise=_noise_class(kind)(intensity),
-            target_snr_db=p["target_snr_db"],
-            window=p["window"],
-            seed=seed,
-            gamma=gamma,
-            label=f"{name}_{label}",
-            out_dir=out_dir,
-        )
-        reports.append(run_experiment(spec))
+    reports = [
+        run_experiment(_spec_from_mapping(dict(values, label=f"{name}_{label}"), overrides))
+        for label, values in PRESETS[name].items()
+    ]
     ratio = None
     if reports[0].total_error and reports[1].total_error:
         ratio = reports[0].total_error / reports[1].total_error
     return {
         "preset": name,
-        "seed": asdict(seed),
+        "seed": asdict(reports[0].seed),
         "runs": [asdict(r) for r in reports],
         "error_ratio": ratio,
     }
@@ -531,8 +493,22 @@ def _spec_from_mapping(values: dict, overrides: argparse.Namespace) -> Experimen
     def pick(key: str, cast, default=None):
         return _pick(values, overrides, key, cast, default)
 
-    signal = pick("signal", str, "expsin")
-    ts = _NAMED_SIGNALS[signal][2] if signal in _NAMED_SIGNALS else pick("ts", float, 0.01)
+    # the signal is built here once; the config's sampling period comes from it
+    kind = pick("signal", str, "expsin")
+    if kind in _NAMED_SIGNALS:
+        signal, derivative = _exp_signal(*_NAMED_SIGNALS[kind])
+    elif kind == "polynomial":
+        coeffs = tuple(float(c) for c in values.get("coeffs", "").split(",") if c.strip())
+        if not coeffs:
+            raise ValueError("polynomial signal requires coefficients")
+        ts, count = pick("ts", float, 0.01), pick("count", int, 1001)
+        signal, derivative = _polynomial_signal(coeffs, ts, count)
+    elif kind == "csv":
+        if "csv_path" not in values:
+            raise ValueError("csv signal requires a path")
+        signal, derivative = _csv_signal(values["csv_path"]), None
+    else:
+        raise ValueError(f"unknown signal kind {kind!r}")
 
     kind = pick("noise", str, "none")
     noise: NoiseModel | None = None
@@ -545,16 +521,10 @@ def _spec_from_mapping(values: dict, overrides: argparse.Namespace) -> Experimen
     if lo is not None or hi is not None:
         window = (lo if lo is not None else -math.inf, hi if hi is not None else math.inf)
 
-    coeffs_text = values.get("coeffs", "")
-    coeffs = tuple(float(c) for c in coeffs_text.split(",") if c.strip()) if coeffs_text else ()
-
     return ExperimentSpec(
         signal=signal,
-        estimator=_resolve_config(values, overrides, ts),
-        coeffs=coeffs,
-        csv_path=values.get("csv_path"),
-        ts=ts if signal == "polynomial" else None,
-        count=pick("count", int),
+        derivative=derivative,
+        estimator=_resolve_config(values, overrides, signal.ts),
         noise=noise,
         target_snr_db=pick("target_snr_db", float),
         window=window,
@@ -607,11 +577,8 @@ def _cmd_estimate(ns: argparse.Namespace) -> int:
 
 def _cmd_experiment(ns: argparse.Namespace) -> int:
     if ns.target in PRESETS:
-        seed = RngSeed(_pick({}, ns, "seed", int, 42), _pick({}, ns, "stream", int, 0))
-        pair = run_preset_pair(ns.target, seed, out_dir=ns.out_dir,
-                               gamma=_pick({}, ns, "gamma", float, 2.0))
-        _render_pair_table(pair, sys.stderr)
-        document = pair
+        document = _preset_pair(ns.target, ns)
+        _render_pair_table(document, sys.stderr)
     else:
         if not Path(ns.target).exists():
             raise ValueError(

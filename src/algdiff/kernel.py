@@ -29,7 +29,6 @@ __all__ = [
     "WeightedPoly",
     "EstimatorConfig",
     "DiscreteKernel",
-    "wpoly_eval",
     "wpoly_moment",
     "minimal_kernel",
     "affine_kernel",
@@ -81,34 +80,11 @@ class WeightedPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def poly_at(self, t: float) -> float:
-        """Just the polynomial factor Q(t), without weight or divisor."""
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + float(c)
-        return acc
-
     def scale_divisor(self) -> float:
         """Float value of the symbolic divisor (1.0 when absent)."""
         if self.beta_divisor is None:
             return 1.0
         return beta_fn(float(self.beta_divisor[0]), float(self.beta_divisor[1]))
-
-
-def wpoly_eval(p: WeightedPoly, t: float) -> float:
-    """Evaluate the weighted polynomial at ``t`` in [0, 1].
-
-    Endpoints with a negative exponent are genuine singularities and are
-    rejected; discretization handles them through the endpoint rule instead.
-    """
-    if t < 0.0 or t > 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    if t == 0.0 and p.kappa_exp < 0:
-        raise ValueError("singular at t=0 for a negative t-exponent; use the endpoint rule")
-    if t == 1.0 and p.mu_exp < 0:
-        raise ValueError("singular at t=1 for a negative (1-t)-exponent; use the endpoint rule")
-    value = (1.0 - t) ** float(p.mu_exp) * t ** float(p.kappa_exp) * p.poly_at(t)
-    return value / p.scale_divisor()
 
 
 def _pochhammer(x: Fraction, count: int) -> Fraction:
@@ -239,11 +215,6 @@ class DiscreteKernel:
 
     def __post_init__(self) -> None:
         self.taps.setflags(write=False)
-
-    @property
-    def abscissas(self) -> np.ndarray:
-        m = self.config.m
-        return np.arange(m + 1) / m
 
 
 def minimal_kernel(cfg: EstimatorConfig) -> WeightedPoly:

@@ -4,6 +4,11 @@ Every random draw is produced by a counter-based generator keyed on
 ``(seed, stream)``, so paths are bit-identical across runs and distinct
 streams are independent by construction — trials simply use consecutive
 stream indices.
+
+A noise model states its second-order structure as one intensity eta:
+``white_part()`` for iid samples (Cov = eta at equal times, else 0), or
+``increment_part()`` for a process with independent increments from t = 0
+(Cov = eta*min(s, t)); the other one returns None.
 """
 
 from __future__ import annotations
@@ -30,6 +35,11 @@ __all__ = [
 ]
 
 _U64 = 1 << 64
+
+
+def _check_intensity(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,19 +69,16 @@ class WhiteGaussian:
     sigma2: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
-            raise ValueError(f"sigma2 must be finite and nonnegative, got {self.sigma2!r}")
-
-    needs_nonneg_time = False
+        _check_intensity("sigma2", self.sigma2)
 
     def mean_at(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
-    def cov_matrix(self, s, t) -> np.ndarray:
-        raise TypeError("white noise has no pointwise covariance function; use white_part")
-
     def white_part(self) -> float:
         return self.sigma2
+
+    def increment_part(self) -> None:
+        return None
 
 
 @dataclass(frozen=True)
@@ -81,21 +88,16 @@ class Wiener:
     sigma2: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0):
-            raise ValueError(f"sigma2 must be finite and nonnegative, got {self.sigma2!r}")
-
-    needs_nonneg_time = True
+        _check_intensity("sigma2", self.sigma2)
 
     def mean_at(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
-    def cov_matrix(self, s, t) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return self.sigma2 * np.minimum.outer(s, t)
-
     def white_part(self) -> None:
         return None
+
+    def increment_part(self) -> float:
+        return self.sigma2
 
 
 @dataclass(frozen=True)
@@ -105,21 +107,16 @@ class Poisson:
     nu: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.nu) and self.nu >= 0):
-            raise ValueError(f"nu must be finite and nonnegative, got {self.nu!r}")
-
-    needs_nonneg_time = True
+        _check_intensity("nu", self.nu)
 
     def mean_at(self, t):
         return self.nu * np.asarray(t, dtype=float)
 
-    def cov_matrix(self, s, t) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return self.nu * np.minimum.outer(s, t)
-
     def white_part(self) -> None:
         return None
+
+    def increment_part(self) -> float:
+        return self.nu
 
 
 @dataclass(frozen=True)
@@ -134,21 +131,17 @@ class PolyMean:
         if not all(math.isfinite(c) for c in self.coeffs):
             raise ValueError(f"coeffs must be finite, got {self.coeffs!r}")
 
-    @property
-    def needs_nonneg_time(self) -> bool:
-        return self.base.needs_nonneg_time
-
     def poly_at(self, t):
         return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), self.coeffs)
 
     def mean_at(self, t):
         return self.base.mean_at(t) + self.poly_at(t)
 
-    def cov_matrix(self, s, t) -> np.ndarray:
-        return self.base.cov_matrix(s, t)
-
     def white_part(self) -> float | None:
         return self.base.white_part()
+
+    def increment_part(self) -> float | None:
+        return self.base.increment_part()
 
 
 NoiseModel = WhiteGaussian | Wiener | Poisson | PolyMean
@@ -187,11 +180,6 @@ def _path_values(
     raise TypeError(f"unknown noise model {model!r}")
 
 
-def _snr_db(x: np.ndarray, scaled_noise: np.ndarray) -> float:
-    noisy = x + scaled_noise
-    return 10.0 * math.log10(float(noisy @ noisy) / float(scaled_noise @ scaled_noise))
-
-
 def calibrate_snr(x: SampledSignal, noise_path: SampledSignal, target_db: float) -> float:
     """Scale C such that 10*log10(sum|x + C*w|^2 / sum|C*w|^2) = target_db.
 
@@ -225,7 +213,11 @@ def calibrate_snr(x: SampledSignal, noise_path: SampledSignal, target_db: float)
         c = xx / (math.sqrt(disc) - xw)
     else:
         raise ValueError(f"target {target_db} dB infeasible: SNR stays above target")
-    offset = _snr_db(xv, c * w) - target_db if 0.0 < c < math.inf else math.nan
+    offset = math.nan
+    if 0.0 < c < math.inf:
+        # |x + C w|^2 / |C w|^2 with C divided out, so a huge C cannot overflow
+        noisy = xv / c + w
+        offset = 10.0 * math.log10(float(noisy @ noisy) / ww) - target_db
     if not abs(offset) <= 1e-6:
         raise ValueError(f"target {target_db} dB not attained to 1e-6 dB (got offset {offset})")
     return c

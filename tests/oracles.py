@@ -65,6 +65,37 @@ def wpoly_derivative(p: WeightedPoly) -> WeightedPoly:
     return WeightedPoly(a - 1, b - 1, tuple(out), p.beta_divisor)
 
 
+def poly_at(p: WeightedPoly, t: float) -> float:
+    """Just the polynomial factor Q(t), by Horner, without weight or divisor."""
+    acc = 0.0
+    for c in reversed(p.coeffs):
+        acc = acc * t + float(c)
+    return acc
+
+
+def wpoly_eval(p: WeightedPoly, t: float) -> float:
+    """The weighted polynomial at one ``t`` in [0, 1]: the scalar `discretize`.
+
+    Endpoints with a negative exponent are genuine singularities and are
+    rejected; discretization handles them through the endpoint rule instead.
+    """
+    if t < 0.0 or t > 1.0:
+        raise ValueError(f"t must lie in [0, 1], got {t!r}")
+    if t == 0.0 and p.kappa_exp < 0:
+        raise ValueError("singular at t=0 for a negative t-exponent; use the endpoint rule")
+    if t == 1.0 and p.mu_exp < 0:
+        raise ValueError("singular at t=1 for a negative (1-t)-exponent; use the endpoint rule")
+    value = (1.0 - t) ** float(p.mu_exp) * t ** float(p.kappa_exp) * poly_at(p, t)
+    return value / p.scale_divisor()
+
+
+def dense_increment_covariance(
+    eta: float, taps1: np.ndarray, times1: np.ndarray, taps2: np.ndarray, times2: np.ndarray
+) -> float:
+    """``eta * a @ min(s, t) @ b`` through the full (m1+1) x (m2+1) matrix."""
+    return eta * float(taps1 @ np.minimum.outer(times1, times2) @ taps2)
+
+
 def snr_db(x: np.ndarray, scaled_noise: np.ndarray) -> float:
     noisy = x + scaled_noise
     return 10.0 * math.log10(float(noisy @ noisy) / float(scaled_noise @ scaled_noise))

@@ -28,7 +28,6 @@ from algdiff.kernel import (
     affine_kernel,
     discretize,
     minimal_kernel,
-    wpoly_eval,
     wpoly_moment,
 )
 from algdiff.specfun import JacobiIndex, smallest_root
@@ -40,7 +39,7 @@ from algdiff.stochastic import (
     mc_noise_error,
     mc_noise_samples,
 )
-from oracles import jacobi_eval, wpoly_derivative
+from oracles import jacobi_eval, wpoly_derivative, wpoly_eval
 
 
 def make_kernel(cfg: EstimatorConfig):

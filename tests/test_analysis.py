@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from algdiff.analysis import (
@@ -28,6 +28,7 @@ from algdiff.kernel import (
     _series_derivative,
     affine_kernel,
     discretize,
+    kernel_taps,
     minimal_kernel,
 )
 from algdiff.specfun import (
@@ -38,7 +39,9 @@ from algdiff.specfun import (
     smallest_root,
 )
 from algdiff.stochastic import Poisson, PolyMean, WhiteGaussian, Wiener
-from oracles import wpoly_derivative
+from oracles import dense_increment_covariance, wpoly_derivative
+
+EPS = np.finfo(float).eps
 
 
 def make_kernel(cfg: EstimatorConfig):
@@ -544,6 +547,21 @@ def noise_models():
     return st.one_of(base, st.builds(PolyMean, coeffs.map(tuple), base))
 
 
+def assert_matches_dense(got: float, eta: float, kernel1, kernel2) -> None:
+    """``got`` against eta * a @ min(s, t) @ b, each kernel given with its anchor.
+
+    Both routes add m1 + m2 + 2 rounded terms in different orders, so they
+    may differ by that many eps of the same form on |a| and |b|; 4 is headroom.
+    """
+    (k1, t01), (k2, t02) = kernel1, kernel2
+    cfg1, cfg2 = k1.config, k2.config
+    s = t01 + cfg1.beta * cfg1.T * np.arange(cfg1.m + 1) / cfg1.m
+    t = t02 + cfg2.beta * cfg2.T * np.arange(cfg2.m + 1) / cfg2.m
+    want = dense_increment_covariance(eta, k1.taps, s, k2.taps, t)
+    scale = dense_increment_covariance(eta, np.abs(k1.taps), s, np.abs(k2.taps), t)
+    assert abs(got - want) <= 4 * (cfg1.m + cfg2.m + 2) * EPS * scale, (got, want)
+
+
 class TestDiscreteCovariance:
     exponents = st.floats(min_value=-1.0, max_value=2.0, exclude_min=True, exclude_max=True)
 
@@ -564,18 +582,55 @@ class TestDiscreteCovariance:
     )
     @settings(max_examples=100, deadline=None)
     def test_self_covariance_is_variance(self, cfg, model, start):
-        # the variance is the quadratic form of the taps against the
-        # covariance matrix, or sigma^2 * sum taps^2 for white noise
+        # the variance is sigma^2 * sum taps^2 for white noise, exactly, or
+        # the quadratic form of the taps against eta * min(s, t), to within
+        # the summation-order bound of `assert_matches_dense`
         k = make_kernel(cfg)
         t0 = start + (cfg.T if cfg.beta == -1 else 0.0)
-        times = t0 + cfg.beta * cfg.T * np.arange(cfg.m + 1) / cfg.m
+        got = discrete_covariance(k, k, model, t0)
+        assert discrete_moments(k, model, t0).variance == max(got, 0.0)
         white = model.white_part()
         if white is not None:
-            want = white * float(np.dot(k.taps, k.taps))
+            assert got == white * float(np.dot(k.taps, k.taps))
         else:
-            want = float(k.taps @ model.cov_matrix(times, times) @ k.taps)
-        assert discrete_moments(k, model, t0).variance == max(want, 0.0)
-        assert discrete_covariance(k, k, model, t0) == want
+            assert_matches_dense(got, model.increment_part(), (k, t0), (k, t0))
+
+    @given(
+        st.tuples(st.integers(1, 3), st.integers(0, 2), exponents, exponents, st.integers(6, 120)),
+        st.tuples(st.integers(1, 3), st.integers(0, 2), exponents, exponents, st.integers(6, 120)),
+        st.sampled_from((-1, 1)),
+        st.floats(0.005, 0.05),
+        st.one_of(
+            st.builds(Wiener, st.floats(0.0, 5.0)),
+            st.builds(Poisson, st.floats(0.0, 5.0)),
+            st.builds(PolyMean, st.just((1.0, -2.0)), st.builds(Wiener, st.floats(0.0, 5.0))),
+        ),
+        st.floats(0.0, 2.0),
+        st.integers(0, 150),
+        st.one_of(st.just(0.0), st.floats(0.01, 0.99)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_cross_covariance_matches_dense_form(
+        self, shape1, shape2, beta, step, model, start, shift, off_grid
+    ):
+        # two different kernels on one tap step; the second anchor lies
+        # `shift` taps later, on the grid or a fraction `off_grid` of a step off
+        cfg1, cfg2 = (
+            EstimatorConfig(n=n, q=q, mu=mu, kappa=kappa, beta=beta, T=m * step, xi=0.3, m=m)
+            for n, q, mu, kappa, m in (shape1, shape2)
+        )
+        assume(cfg1 != cfg2)
+        t01 = start + (max(cfg1.T, cfg2.T) if beta == -1 else 0.0)
+        t02 = t01 + (shift + off_grid) * step
+        k1, k2 = make_kernel(cfg1), make_kernel(cfg2)
+        got = discrete_covariance(k1, k2, model, (t01, t02))
+        assert_matches_dense(got, model.increment_part(), (k1, t01), (k2, t02))
+
+    def test_memory_is_linear_in_taps(self):
+        # the dense form would build a 100 001 x 100 001 matrix, 80 GB
+        cfg = EstimatorConfig(n=1, m=100_000, T=1.0)
+        variance = discrete_moments(kernel_taps(cfg), Wiener(1.0), 2.0).variance
+        assert variance == pytest.approx(variance_continuous(cfg, 1.0), rel=1e-6)
 
     def test_white_disjoint_windows_uncorrelated(self):
         cfg = EstimatorConfig(n=1, beta=-1, T=1.0, m=40)

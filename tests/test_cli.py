@@ -188,6 +188,13 @@ class TestExperimentCommand:
         b = json.loads(capsys.readouterr().out)
         assert a["runs"][0]["total_error"] != b["runs"][0]["total_error"]
 
+    def test_config_flags_override_both_preset_runs(self, capsys):
+        # the flags used to be dropped for presets without a word
+        pair = run_json(capsys, ["experiment", "table1-a", "--seed", "3", "--m", "50"])
+        for run in pair["runs"]:
+            assert (run["config"]["m"], run["config"]["T"]) == (50, 50 * cli.EXPSIN_TS)
+        assert run["config"]["kappa"] == -0.79  # the spec values the flags leave alone
+
     def test_unknown_preset(self, capsys):
         rc = main(["experiment", "table9-z"])
         assert rc == 2
@@ -223,6 +230,17 @@ class TestExperimentCommand:
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["total_error"] <= 1e-10
+
+    def test_csv_spec_takes_sampling_period_from_file(self, tmp_path, capsys):
+        # with no ts line, T used to follow from a default ts = 0.01, so a
+        # file sampled every 0.005 s exited 2 with a period mismatch
+        src = tmp_path / "ramp.csv"
+        src.write_text("t,value\n" + "".join(f"{i * 0.005!r},{i * 0.01!r}\n" for i in range(100)))
+        spec = tmp_path / "csv.spec"
+        spec.write_text(f"signal = csv\ncsv_path = {src}\nm = 20\n")
+        report = run_json(capsys, ["experiment", str(spec)])
+        assert (report["config"]["m"], report["config"]["T"]) == (20, 20 * 0.005)
+        assert report["total_error"] is None  # a csv signal has no known derivative
 
     def test_series_csvs_written(self, tmp_path, capsys):
         spec = tmp_path / "sine.spec"

@@ -21,11 +21,10 @@ from algdiff.kernel import (
     discretize,
     kernel_taps,
     minimal_kernel,
-    wpoly_eval,
     wpoly_moment,
 )
 from algdiff.specfun import JacobiIndex, beta_fn, jacobi_coefficients
-from oracles import jacobi_eval, wpoly_derivative
+from oracles import jacobi_eval, poly_at, wpoly_derivative, wpoly_eval
 
 INTERIOR = np.linspace(0.05, 0.95, 19)
 
@@ -127,7 +126,7 @@ class TestWeightedPoly:
 
     def test_poly_at_horner(self):
         p = WeightedPoly.of(0, 0, [1, 2, 3])
-        assert p.poly_at(0.5) == pytest.approx(1 + 1 + 0.75, rel=1e-15)
+        assert poly_at(p, 0.5) == pytest.approx(1 + 1 + 0.75, rel=1e-15)
 
     def test_scale_divisor(self):
         assert WeightedPoly.of(0, 0, [1]).scale_divisor() == 1.0
@@ -336,7 +335,6 @@ class TestDiscretize:
         cfg = EstimatorConfig(n=1, beta=1, T=1.0, m=2)
         k = discretize(minimal_kernel(cfg), cfg)
         np.testing.assert_allclose(k.taps, [-1.5, 0.0, 1.5], rtol=1e-14, atol=1e-15)
-        np.testing.assert_allclose(k.abscissas, [0.0, 0.5, 1.0])
 
     def test_interior_taps_are_trapezoid_samples(self):
         cfg = EstimatorConfig(n=1, mu=0.5, kappa=0.25, beta=1, T=1.0, m=50)
@@ -349,7 +347,7 @@ class TestDiscretize:
         cfg = EstimatorConfig(n=1, mu=0.0, kappa=-0.79, beta=1, T=1.0, F=0.1, m=30)
         p = minimal_kernel(cfg)
         k = discretize(p, cfg)
-        expect = 0.5 / 30 * (0.1 / 30) ** (-0.79) * p.poly_at(0.0) / p.scale_divisor()
+        expect = 0.5 / 30 * (0.1 / 30) ** (-0.79) * poly_at(p, 0.0) / p.scale_divisor()
         assert k.taps[0] == pytest.approx(expect, rel=1e-13)
         assert np.all(np.isfinite(k.taps))
 
@@ -357,8 +355,8 @@ class TestDiscretize:
         cfg = EstimatorConfig(n=1, mu=-0.66, kappa=-0.7, beta=1, T=1.0, F=0.5, m=32)
         p = minimal_kernel(cfg)
         k = discretize(p, cfg)
-        lead = 0.5 / 32 * (0.5 / 32) ** (-0.7) * p.poly_at(0.0) / p.scale_divisor()
-        tail = 0.5 / 32 * (0.5 / 32) ** (-0.66) * p.poly_at(1.0) / p.scale_divisor()
+        lead = 0.5 / 32 * (0.5 / 32) ** (-0.7) * poly_at(p, 0.0) / p.scale_divisor()
+        tail = 0.5 / 32 * (0.5 / 32) ** (-0.66) * poly_at(p, 1.0) / p.scale_divisor()
         assert k.taps[0] == pytest.approx(lead, rel=1e-13)
         assert k.taps[-1] == pytest.approx(tail, rel=1e-13)
 
@@ -385,7 +383,7 @@ class TestDiscretize:
             cfg = EstimatorConfig(n=1, mu=mu, kappa=kappa, beta=1, T=1.0, m=m)
             p = minimal_kernel(cfg)
             k = discretize(p, cfg)
-            disc = float(k.taps @ k.abscissas)
+            disc = float(k.taps @ (np.arange(m + 1) / m))
             errs.append(abs(disc - wpoly_moment(p, 1)))
         assert 3.5 <= errs[0] / errs[1] <= 4.5
         assert 3.5 <= errs[1] / errs[2] <= 4.5
@@ -399,7 +397,7 @@ class TestDiscretize:
             cfg = EstimatorConfig(n=1, mu=mu, kappa=kappa, beta=1, T=1.0, m=m)
             p = minimal_kernel(cfg)
             k = discretize(p, cfg)
-            errs.append(abs(float(k.taps @ k.abscissas) - wpoly_moment(p, 1)))
+            errs.append(abs(float(k.taps @ (np.arange(m + 1) / m)) - wpoly_moment(p, 1)))
         assert errs[2] < errs[1] < errs[0]
         assert errs[1] <= errs[0] / 2
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,16 @@ class TestCalibrateSnr:
         with pytest.raises(ValueError):
             calibrate_snr(x, noise, target)
 
+    def test_huge_scale_attains_target_without_overflow(self):
+        # C = 1e200 attains 0 dB, but |C w|^2 overflows: the attained-SNR check
+        # used to warn, get inf/inf and report the target as not attained
+        x = SampledSignal(0.0, 1.0, np.array([1.0, 0.0]))
+        w = SampledSignal(0.0, 1.0, np.array([-1e-200, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = calibrate_snr(x, w, 0.0)
+        assert c == pytest.approx(1e200, rel=1e-15)
+
     def test_zero_signal_is_below_every_target(self):
         zero = SampledSignal(0.0, 1.0, np.zeros(3))
         noise = SampledSignal(0.0, 1.0, np.array([1.0, -2.0, 0.5]))
@@ -229,7 +240,8 @@ class TestCalibrateSnr:
         got = calibrate_or_none(calibrate_snr, x, w, target)
         want = calibrate_or_none(bisection_calibrate_snr, x, w, target)
         if got is not None:
-            assert abs(snr_db(x.values, got * w.values) - target) <= 1e-9
+            # |x + C w|^2 / |C w|^2 with C divided out: a huge C cannot overflow
+            assert abs(snr_db(x.values / got, w.values) - target) <= 1e-9
         if want is None:
             return
         # a root where the SNR barely moves with C (at 0 dB with x.w > 0, or
@@ -341,12 +353,14 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             PolyMean((1.0, value), Wiener(1.0))
 
-    def test_white_noise_has_no_cov_matrix(self):
-        with pytest.raises(TypeError):
-            WhiteGaussian(1.0).cov_matrix(np.zeros(2), np.zeros(2))
-
     def test_white_part_dispatch(self):
+        # each model states exactly one intensity: white or independent-increment
         assert WhiteGaussian(0.9).white_part() == 0.9
         assert Wiener(1.0).white_part() is None
         assert Poisson(1.0).white_part() is None
         assert PolyMean((1.0,), WhiteGaussian(0.9)).white_part() == 0.9
+        assert WhiteGaussian(0.9).increment_part() is None
+        assert Wiener(1.3).increment_part() == 1.3
+        assert Poisson(2.5).increment_part() == 2.5
+        assert PolyMean((1.0,), WhiteGaussian(0.9)).increment_part() is None
+        assert PolyMean((1.0,), Poisson(2.5)).increment_part() == 2.5
