@@ -59,7 +59,10 @@ class RngSeed:
         return RngSeed(self.seed, (self.stream + offset) % _U64)
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
+        # an explicit uint64 array: a list mixing words on both sides of 2**63
+        # would become float64 and round the key
+        key = np.array([self.seed, self.stream], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -199,7 +202,13 @@ def calibrate_snr(x: SampledSignal, noise_path: SampledSignal, target_db: float)
     # 10**(dB/10) overflows a float past about 3 082 dB
     if not abs(target_db) <= 3000.0:
         raise ValueError(f"target must be finite and within 3000 dB of 0, got {target_db!r}")
-    xv = x.values
+    # solve for C * sw / sx with x / (sx * sn) and w / (sw * sn), where sx, sw
+    # and sn are powers of two near max|x|, max|w| and sqrt(len): exact, so the
+    # same bits, but |x|^2 and |w|^2 are below 16 and r * |w|^2 * |x|^2 cannot
+    # overflow
+    sizes = (float(np.max(np.abs(x.values))), float(np.max(np.abs(w))), math.sqrt(len(w)))
+    sx, sw, sn = (2.0 ** (math.frexp(size)[1] - 1) for size in sizes)
+    xv, w = x.values / sx / sn, w / sw / sn
     xx, ww, xw = float(xv @ xv), float(w @ w), float(xv @ w)
     if xx == 0.0:
         raise ValueError(f"target {target_db} dB infeasible: SNR below target even at C -> 0")
@@ -215,11 +224,15 @@ def calibrate_snr(x: SampledSignal, noise_path: SampledSignal, target_db: float)
         raise ValueError(f"target {target_db} dB infeasible: SNR stays above target")
     offset = math.nan
     if 0.0 < c < math.inf:
-        # |x + C w|^2 / |C w|^2 with C divided out, so a huge C cannot overflow
+        # |x + C w|^2 / |C w|^2 with C divided out; at the root that is
+        # r * |w|^2 < 16 * r for the scaled w, so it cannot overflow
         noisy = xv / c + w
         offset = 10.0 * math.log10(float(noisy @ noisy) / ww) - target_db
     if not abs(offset) <= 1e-6:
         raise ValueError(f"target {target_db} dB not attained to 1e-6 dB (got offset {offset})")
+    c *= sx / sw
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"target {target_db} dB needs a noise scale beyond the float range")
     return c
 
 
@@ -243,8 +256,9 @@ def mc_noise_samples(
 ) -> np.ndarray:
     """Per-trial noise-error contributions: taps applied to noise paths alone.
 
-    Trial k draws its path from stream ``seed.stream + k``; the result is
-    deterministic and embarrassingly parallel in construction.
+    Trial k draws its path from Philox key ``[seed.seed, (seed.stream + k)
+    mod 2**64]`` at counter 0, so ``gen_path(..., seed.shifted(k))`` replays
+    it; one generator is re-keyed per trial rather than built anew.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -252,9 +266,16 @@ def mc_noise_samples(
     k0, count = _window_indices(cfg, t0)
     step = cfg.T / cfg.m
     idx = k0 + cfg.beta * np.arange(cfg.m + 1)
+    rng = seed.generator()
+    # a fresh state: counter 0, empty buffer; the setter copies it, so this
+    # one dict rewinds the generator onto each trial's key
+    state = rng.bit_generator.state
+    key = state["state"]["key"]
     out = np.empty(trials)
     for k in range(trials):
-        values = _path_values(model, step, count, seed.shifted(k).generator())
+        key[1] = (seed.stream + k) % _U64
+        rng.bit_generator.state = state
+        values = _path_values(model, step, count, rng)
         out[k] = np.dot(taps, values[idx])
     return out
 

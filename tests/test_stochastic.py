@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from algdiff.estimator import SampledSignal
-from algdiff.kernel import EstimatorConfig, affine_kernel, discretize, minimal_kernel
+from algdiff.kernel import EstimatorConfig, affine_kernel, discretize, kernel_taps, minimal_kernel
 from algdiff.stochastic import (
     Poisson,
     PolyMean,
@@ -24,6 +24,10 @@ from algdiff.stochastic import (
     mc_noise_samples,
 )
 from oracles import bisection_calibrate_snr, snr_db
+
+U64 = 2**64
+MODELS = [Wiener(1.0), WhiteGaussian(2.0), Poisson(20.0), PolyMean((1.0, -2.0), Poisson(3.0))]
+MODEL_IDS = ["wiener", "white", "poisson", "polymean"]
 
 
 def snr_slope(x: np.ndarray, w: np.ndarray, c: float) -> float:
@@ -71,6 +75,22 @@ class TestRngSeed:
         a = RngSeed(42, 0).generator().normal(size=8)
         b = RngSeed(42, 1).generator().normal(size=8)
         assert not np.array_equal(a, b)
+
+    def test_streams_either_side_of_the_top_bit_differ(self):
+        # a key list mixing words below and at or above 2**63 became float64,
+        # so streams 2**63 and 2**63 + 1 rounded to one key
+        a = RngSeed(5, 2**63).generator().normal(size=8)
+        b = RngSeed(5, 2**63 + 1).generator().normal(size=8)
+        assert not np.array_equal(a, b)
+
+    def test_top_stream_keeps_its_key_without_warning(self):
+        # 2**64 - 56 used to round to 2**64 in float64 and wrap to 0 in the cast
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top = RngSeed(5, U64 - 56).generator()
+            draw = top.normal(size=8)
+        assert top.bit_generator.state["state"]["key"].tolist() == [5, U64 - 56]
+        assert not np.array_equal(draw, RngSeed(5, 0).generator().normal(size=8))
 
 
 class TestGenPath:
@@ -226,6 +246,35 @@ class TestCalibrateSnr:
             c = calibrate_snr(x, w, 0.0)
         assert c == pytest.approx(1e200, rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "xv, wv, target",
+        [
+            # r * |w|^2 is about 1e312, so the unscaled root was inf / inf
+            ([1.0, 2.0], [3e6, -1e6], 2990.0),
+            # |w| is modest but r * |w|^2 * |x|^2 is about 3e308
+            ([1.0] * 20_000, [1.5] * 20_000, 2999.0),
+            # scaling w alone by sqrt(len * |x|^2) would overflow r * |w|^2
+            ([3e-8, -1e-8, 2e-8], [0.5, 0.2, -0.4], 2985.0),
+        ],
+        ids=["large-noise", "long-signal", "small-signal"],
+    )
+    def test_high_target_does_not_overflow(self, xv, wv, target):
+        # the root, about sqrt(|x|^2 / (r |w|^2)), is a normal float
+        x, w = (SampledSignal(0.0, 1.0, np.array(v)) for v in (xv, wv))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = calibrate_snr(x, w, target)
+        xx, ww = float(x.values @ x.values), float(w.values @ w.values)
+        want = math.sqrt(xx / ww) * 10.0 ** (-target / 20.0)
+        assert c == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_scale_beyond_float_range_is_reported(self):
+        # the scaled root is 1e200, but C itself would be about 1e310
+        x = SampledSignal(0.0, 1.0, np.array([1.0, 0.0]))
+        w = SampledSignal(0.0, 1.0, np.array([-1e-310, 1e-110]))
+        with pytest.raises(ValueError, match="beyond the float range"):
+            calibrate_snr(x, w, 0.0)
+
     def test_zero_signal_is_below_every_target(self):
         zero = SampledSignal(0.0, 1.0, np.zeros(3))
         noise = SampledSignal(0.0, 1.0, np.array([1.0, -2.0, 0.5]))
@@ -267,11 +316,7 @@ class TestMcNoiseSamples:
         assert abs(corr) <= 4.0 / math.sqrt(trials)
 
     @pytest.mark.parametrize("beta", [-1, 1])
-    @pytest.mark.parametrize(
-        "model",
-        [Wiener(1.0), WhiteGaussian(2.0), Poisson(20.0), PolyMean((1.0, -2.0), Poisson(3.0))],
-        ids=["wiener", "white", "poisson", "polymean"],
-    )
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     def test_trial_k_applies_taps_to_gen_path_k(self, model, beta):
         # the trial loop skips the SampledSignal wrapper but draws the same path
         cfg = EstimatorConfig(n=1, q=1, xi=0.3, beta=beta, T=0.5, m=50)
@@ -284,6 +329,48 @@ class TestMcNoiseSamples:
         expect = [np.dot(taps, gen_path(model, cfg.T / cfg.m, count, seed.shifted(k)).values[idx])
                   for k in range(20)]
         np.testing.assert_array_equal(got, expect)
+
+    @given(
+        model=st.sampled_from(MODELS),
+        beta=st.sampled_from([-1, 1]),
+        m=st.integers(2, 23),
+        k0=st.integers(0, 41),
+        seed=st.one_of(st.integers(0, 2**63 - 1), st.integers(2**63, U64 - 1)),
+        stream=st.one_of(
+            st.integers(0, 2**63 - 1), st.integers(2**63, U64 - 1), st.integers(U64 - 8, U64 - 1)
+        ),
+        trials=st.integers(1, 12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fresh_generator_per_trial(self, model, beta, m, k0, seed, stream, trials):
+        # the re-keyed generator must replay gen_path(seed.shifted(k)) for every
+        # key, across the 2**64 wrap and for draw counts that leave part of a
+        # four-word Philox block in the buffer
+        cfg = EstimatorConfig(n=1, beta=beta, T=1.0, m=m)
+        if beta == -1:
+            k0 += m
+        step = cfg.T / m
+        rng_seed = RngSeed(seed, stream)
+        got = mc_noise_samples(cfg, model, k0 * step, trials, rng_seed)
+        taps = kernel_taps(cfg).taps
+        idx = k0 + beta * np.arange(m + 1)
+        count = k0 + 1 if beta == -1 else k0 + m + 1
+        expect = [np.dot(taps, gen_path(model, step, count, rng_seed.shifted(k)).values[idx])
+                  for k in range(trials)]
+        np.testing.assert_array_equal(got, expect)
+
+    @pytest.mark.parametrize("trials", [1, 7, 300])
+    def test_builds_one_generator_per_call(self, monkeypatch, trials):
+        built = []
+        generator = RngSeed.generator
+
+        def counting(self):
+            built.append(self)
+            return generator(self)
+
+        monkeypatch.setattr(RngSeed, "generator", counting)
+        mc_noise_samples(self.CFG, Wiener(1.0), 2.0, trials, RngSeed(3, 4))
+        assert built == [RngSeed(3, 4)]
 
     def test_off_grid_anchor_rejected(self):
         with pytest.raises(ValueError):
