@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -62,39 +63,39 @@ __all__ = [
 EXPSIN_TS = 1.0 / 200.0
 SIN2T_TS = math.pi / 100.0
 
-# name -> (s, sign, ts, count) of the signal x(t) = sign * Im exp(s t)
-_NAMED_SIGNALS = {
-    # exp(-t/1.2) sin(6t + pi)
-    "expsin": (complex(-1.0 / 1.2, 6.0), -1.0, EXPSIN_TS, 1001),
-    # sin(2t)
-    "sin2t": (complex(0.0, 2.0), 1.0, SIN2T_TS, 446),
-}
 
-
-def _exp_signal(
-    s: complex, sign: float, ts: float, count: int
-) -> tuple[SampledSignal, Callable[[np.ndarray, int], np.ndarray]]:
+def _exp_signal(s: complex, sign: float) -> Callable[[np.ndarray, int], np.ndarray]:
     def deriv(t: np.ndarray, n: int) -> np.ndarray:
         return sign * np.imag(s**n * np.exp(s * t))
 
-    t = np.arange(count) * ts
-    return SampledSignal(0.0, ts, deriv(t, 0)), deriv
+    return deriv
 
 
-def _polynomial_signal(
-    coeffs: tuple[float, ...], ts: float, count: int
-) -> tuple[SampledSignal, Callable[[np.ndarray, int], np.ndarray]]:
+# name -> (derivative, ts, count) of the signal x(t) = sign * Im exp(s t)
+_NAMED_SIGNALS = {
+    # exp(-t/1.2) sin(6t + pi)
+    "expsin": (_exp_signal(complex(-1.0 / 1.2, 6.0), -1.0), EXPSIN_TS, 1001),
+    # sin(2t)
+    "sin2t": (_exp_signal(complex(0.0, 2.0), 1.0), SIN2T_TS, 446),
+}
+
+
+def _polynomial_signal(coeffs: tuple[float, ...]) -> Callable[[np.ndarray, int], np.ndarray]:
     poly = np.polynomial.polynomial
 
     def deriv(t: np.ndarray, n: int) -> np.ndarray:
         return poly.polyval(t, poly.polyder(np.asarray(coeffs, dtype=float), n))
 
-    t = np.arange(count) * ts
-    return SampledSignal(0.0, ts, deriv(t, 0)), deriv
+    return deriv
 
 
 def _csv_signal(path: str) -> SampledSignal:
-    rows = np.genfromtxt(path, delimiter=",", names=True)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message="genfromtxt: Empty input file")
+        try:
+            rows = np.genfromtxt(path, delimiter=",", names=True)
+        except UserWarning:
+            raise ValueError(f"CSV {path} is empty") from None
     try:
         t = np.atleast_1d(rows["t"]).astype(float)
         v = np.atleast_1d(rows["value"]).astype(float)
@@ -104,13 +105,22 @@ def _csv_signal(path: str) -> SampledSignal:
         raise ValueError("CSV signal needs at least 2 samples")
     steps = np.diff(t)
     ts = float(steps[0])
-    if np.max(np.abs(steps - ts)) > 1e-9 * max(abs(ts), 1.0):
+    # a nan step fails every comparison, so the check is written as "not <="
+    if not np.max(np.abs(steps - ts)) <= 1e-9 * max(abs(ts), 1.0):
         raise ValueError("CSV signal must be uniformly sampled")
     return SampledSignal(float(t[0]), ts, v)
 
 
 # ---------------------------------------------------------------------------
 # experiment specification and report
+
+# run defaults, each stated once: a preset or spec-file value overrides one,
+# and a flag overrides both
+_DEFAULTS = {
+    "signal": "expsin", "ts": 0.01, "count": 1001, "noise": "none", "sigma2": 1.0,
+    "nu": 1.0, "window_lo": -math.inf, "window_hi": math.inf, "n": 1, "seed": 42,
+    "stream": 0, "gamma": 2.0, "label": "run",
+}
 
 
 @dataclass(frozen=True)
@@ -127,9 +137,9 @@ class ExperimentSpec:
     noise: NoiseModel | None = None
     target_snr_db: float | None = None
     window: tuple[float, float] | None = None
-    seed: RngSeed = RngSeed(42)
-    gamma: float = 2.0
-    label: str = "run"
+    seed: RngSeed = RngSeed(_DEFAULTS["seed"], _DEFAULTS["stream"])
+    gamma: float = _DEFAULTS["gamma"]
+    label: str = _DEFAULTS["label"]
     out_dir: str | None = None
 
 
@@ -252,9 +262,9 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
 # presets: the benchmark parameter pairs (integer exponents vs extended)
 
 
-_TABLE1 = dict(signal="expsin", noise="wiener", sigma2=1.0, target_snr_db=16.0,
+_TABLE1 = dict(signal="expsin", noise="wiener", target_snr_db=16.0,
                window_lo=50 * EXPSIN_TS, window_hi=5.0, n=1, F=0.1)
-_TABLE2 = dict(signal="sin2t", noise="white", sigma2=1.0, target_snr_db=20.0,
+_TABLE2 = dict(signal="sin2t", noise="white", target_snr_db=20.0,
                window_lo=38 * SIN2T_TS, window_hi=14.0, n=1, F=0.5)
 
 # preset -> its "integer" and "extended" runs, each a built-in spec file
@@ -282,30 +292,20 @@ PRESETS = {
 _NOISE_KINDS = {"white": WhiteGaussian, "wiener": Wiener, "poisson": Poisson}
 
 
-def _noise_class(kind: str):
-    if kind not in _NOISE_KINDS:
-        raise ValueError(f"unknown noise kind {kind!r}")
-    return _NOISE_KINDS[kind]
-
-
-def _intensity_name(kind: str) -> str:
-    """Name of the model's intensity parameter: sigma2, or nu for poisson."""
-    return fields(_noise_class(kind))[0].name
-
-
-def run_preset_pair(name: str, seed: RngSeed, out_dir: str | None = None, gamma: float = 2.0) -> dict:
+def run_preset_pair(
+    name: str, seed: RngSeed, out_dir: str | None = None, gamma: float = _DEFAULTS["gamma"]
+) -> dict:
     """Run a preset's integer-exponent and extended-exponent configs on the
     same noise realization and return the paired report."""
-    overrides = argparse.Namespace(seed=seed.seed, stream=seed.stream, gamma=gamma, out_dir=out_dir)
-    return _preset_pair(name, overrides)
+    return _preset_pair(name, {"seed": seed.seed, "stream": seed.stream, "gamma": gamma}, out_dir)
 
 
-def _preset_pair(name: str, overrides: argparse.Namespace) -> dict:
-    """`run_preset_pair` with flags over both runs' spec values."""
+def _preset_pair(name: str, flags: dict, out_dir: str | None) -> dict:
+    """`run_preset_pair` with ``flags`` over both runs' spec values."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     reports = [
-        run_experiment(_spec_from_mapping(dict(values, label=f"{name}_{label}"), overrides))
+        run_experiment(_spec(_resolve(flags, dict(values, label=f"{name}_{label}")), out_dir))
         for label, values in PRESETS[name].items()
     ]
     ratio = None
@@ -351,19 +351,12 @@ def dump_kernel(cfg: EstimatorConfig, out: TextIO) -> None:
     _write_csv(out, ["i", "abscissa", "tap"], rows)
 
 
-def dump_surface(
-    quantity: str,
-    kappa_grid,
-    mu_grid,
-    out: TextIO,
-    *,
-    n: int = 1,
-    q: int = 1,
-    T: float = 1.0,
-    eta: float = 1.0,
-) -> None:
-    """CSV grid of a design quantity: header row of mu, first column kappa."""
-    grid = sweep_surface(quantity, kappa_grid, mu_grid, n=n, q=q, T=T, eta=eta)
+def dump_surface(quantity: str, kappa_grid, mu_grid, out: TextIO, **design) -> None:
+    """CSV grid of a design quantity: header row of mu, first column kappa.
+
+    ``design`` (n, q, T, eta) is passed to `sweep_surface`, whose defaults apply.
+    """
+    grid = sweep_surface(quantity, kappa_grid, mu_grid, **design)
     out.write("," + ",".join(_fmt(mu) for mu in mu_grid) + "\n")
     for kappa, row in zip(kappa_grid, grid):
         out.write(_fmt(kappa) + "," + ",".join(_fmt(v) for v in row) + "\n")
@@ -429,15 +422,25 @@ def _model_dict(model: NoiseModel) -> dict:
 # ---------------------------------------------------------------------------
 # spec files and argument plumbing
 
-_SPEC_KEYS = {
-    "signal", "coeffs", "csv_path", "ts", "count", "noise", "sigma2", "nu",
-    "target_snr_db", "n", "q", "mu", "kappa", "beta", "T", "xi", "F", "m",
-    "endpoint", "window_lo", "window_hi", "seed", "stream", "gamma", "label",
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(c) for c in text.split(",") if c.strip())
+
+
+_CONFIG_KEYS = tuple(f.name for f in fields(EstimatorConfig))
+
+# spec key -> the type its value is cast to, once, when a spec file is read;
+# the same keys name the flags that override them
+_SPEC_TYPES = {
+    **get_type_hints(EstimatorConfig),
+    "signal": str, "coeffs": _floats, "csv_path": str, "ts": float, "count": int,
+    "noise": str, "sigma2": float, "nu": float, "target_snr_db": float,
+    "window_lo": float, "window_hi": float, "seed": int, "stream": int,
+    "gamma": float, "label": str,
 }
 
 
 def _parse_spec_file(path: str) -> dict:
-    values: dict[str, str] = {}
+    values = {}
     for raw_line in Path(path).read_text().splitlines():
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -446,106 +449,103 @@ def _parse_spec_file(path: str) -> dict:
             raise ValueError(f"bad spec line (expected key = value): {raw_line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _SPEC_KEYS:
+        if key not in _SPEC_TYPES:
             raise ValueError(f"unknown spec key {key!r}")
-        values[key] = value
+        if key in values:
+            raise ValueError(f"spec key {key!r} is given twice")
+        try:
+            values[key] = _SPEC_TYPES[key](value)
+        except ValueError as exc:
+            raise ValueError(f"spec key {key!r}: {exc}") from None
     return values
 
 
-def _pick(values: dict, ns: argparse.Namespace, key: str, cast, default=None):
-    """A flag if given, else the spec-file value, else ``default``."""
-    flag = getattr(ns, key, None)
-    if flag is not None:
-        return flag
-    if key in values:
-        return cast(values[key])
-    return default
+def _flags(ns: argparse.Namespace) -> dict:
+    """The spec keys set on the command line."""
+    return {
+        key: value for key, value in vars(ns).items() if key in _SPEC_TYPES and value is not None
+    }
 
 
-_CONFIG_TYPES = get_type_hints(EstimatorConfig)
+def _resolve(flags: dict, spec: dict | None = None) -> dict:
+    """A run's values: flag over spec-file (or preset) value over default."""
+    return {**_DEFAULTS, **(spec or {}), **flags}
 
 
-def _resolve_config(
-    values: dict, ns: argparse.Namespace, ts: float | None = None
-) -> EstimatorConfig:
-    """Estimator from flags over spec-file values over the dataclass defaults.
+def _config(values: dict, ts: float | None = None) -> EstimatorConfig:
+    """Estimator from resolved values over the dataclass defaults.
 
     With a sampling period ``ts`` the window must be set by m (taps) or T
     (seconds), and either gives the other; without one, each defaults alone.
     """
-    given = {}
-    for f in fields(EstimatorConfig):
-        value = _pick(values, ns, f.name, _CONFIG_TYPES[f.name])
-        if value is not None:
-            given[f.name] = value
-    given.setdefault("n", 1)
+    given = {key: values[key] for key in _CONFIG_KEYS if key in values}
     if ts is not None:
         if "m" not in given and "T" not in given:
             raise ValueError("set m (taps) or T (window length)")
         if "m" not in given:
             given["m"] = round(given["T"] / ts)
-        if "T" not in given:
-            given["T"] = given["m"] * ts
+        given.setdefault("T", given["m"] * ts)
     return EstimatorConfig(**given)
 
 
-def _spec_from_mapping(values: dict, overrides: argparse.Namespace) -> ExperimentSpec:
-    def pick(key: str, cast, default=None):
-        return _pick(values, overrides, key, cast, default)
+def _noise(values: dict) -> NoiseModel | None:
+    kind = values["noise"]
+    if kind in ("none", ""):
+        return None
+    if kind not in _NOISE_KINDS:
+        raise ValueError(f"unknown noise kind {kind!r}")
+    model = _NOISE_KINDS[kind]
+    return model(values[fields(model)[0].name])
 
+
+def _spec(values: dict, out_dir: str | None = None) -> ExperimentSpec:
     # the signal is built here once; the config's sampling period comes from it
-    kind = pick("signal", str, "expsin")
-    if kind in _NAMED_SIGNALS:
-        signal, derivative = _exp_signal(*_NAMED_SIGNALS[kind])
-    elif kind == "polynomial":
-        coeffs = tuple(float(c) for c in values.get("coeffs", "").split(",") if c.strip())
-        if not coeffs:
-            raise ValueError("polynomial signal requires coefficients")
-        ts, count = pick("ts", float, 0.01), pick("count", int, 1001)
-        signal, derivative = _polynomial_signal(coeffs, ts, count)
-    elif kind == "csv":
+    kind = values["signal"]
+    if kind == "csv":
         if "csv_path" not in values:
             raise ValueError("csv signal requires a path")
         signal, derivative = _csv_signal(values["csv_path"]), None
     else:
-        raise ValueError(f"unknown signal kind {kind!r}")
+        if kind in _NAMED_SIGNALS:
+            derivative, ts, count = _NAMED_SIGNALS[kind]
+        elif kind == "polynomial":
+            if not values.get("coeffs"):
+                raise ValueError("polynomial signal requires coefficients")
+            derivative = _polynomial_signal(values["coeffs"])
+            ts, count = values["ts"], values["count"]
+        else:
+            raise ValueError(f"unknown signal kind {kind!r}")
+        signal = SampledSignal(0.0, ts, derivative(np.arange(count) * ts, 0))
 
-    kind = pick("noise", str, "none")
-    noise: NoiseModel | None = None
-    if kind not in ("none", ""):
-        noise = _noise_class(kind)(pick(_intensity_name(kind), float, 1.0))
-
-    window = None
-    lo = pick("window_lo", float)
-    hi = pick("window_hi", float)
-    if lo is not None or hi is not None:
-        window = (lo if lo is not None else -math.inf, hi if hi is not None else math.inf)
-
+    noise = _noise(values)
     return ExperimentSpec(
         signal=signal,
         derivative=derivative,
-        estimator=_resolve_config(values, overrides, signal.ts),
+        estimator=_config(values, signal.ts),
         noise=noise,
-        target_snr_db=pick("target_snr_db", float),
-        window=window,
-        seed=RngSeed(pick("seed", int, 42), pick("stream", int, 0)),
-        gamma=pick("gamma", float, 2.0),
-        label=pick("label", str, "run"),
-        out_dir=getattr(overrides, "out_dir", None),
+        target_snr_db=values.get("target_snr_db"),
+        window=(values["window_lo"], values["window_hi"]),
+        seed=RngSeed(values["seed"], values["stream"]),
+        gamma=values["gamma"],
+        label=values["label"],
+        out_dir=out_dir,
     )
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=None, help="derivative order")
-    parser.add_argument("--q", type=int, default=None, help="series terms beyond minimal")
-    parser.add_argument("--mu", type=float, default=None, help="(1-t) weight exponent")
-    parser.add_argument("--kappa", type=float, default=None, help="t weight exponent")
-    parser.add_argument("--beta", type=int, default=None, choices=(-1, 1), help="window direction")
-    parser.add_argument("--T", type=float, default=None, help="window length, seconds")
-    parser.add_argument("--xi", type=float, default=None, help="evaluation abscissa (q >= 1)")
-    parser.add_argument("--F", type=float, default=None, help="endpoint regularization fraction")
-    parser.add_argument("--m", type=int, default=None, help="tap count (window = m+1 samples)")
-    parser.add_argument("--endpoint", choices=("f-rule", "suppress"), default=None)
+_FLAG_HELP = {
+    "n": "derivative order", "q": "series terms beyond minimal",
+    "mu": "(1-t) weight exponent", "kappa": "t weight exponent", "beta": "window direction",
+    "T": "window length, seconds", "xi": "evaluation abscissa (q >= 1)",
+    "F": "endpoint regularization fraction", "m": "tap count (window = m+1 samples)",
+}
+_FLAG_CHOICES = {"beta": (-1, 1), "endpoint": ("f-rule", "suppress")}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
+    """A flag for each spec key, typed by `_SPEC_TYPES`; an unset flag is None."""
+    for key in keys:
+        parser.add_argument(f"--{key}", type=_SPEC_TYPES[key],
+                            choices=_FLAG_CHOICES.get(key), help=_FLAG_HELP.get(key))
 
 
 def _half_open_grid(lo: float, hi: float, points: int) -> np.ndarray:
@@ -569,7 +569,7 @@ def _print_json(document: dict) -> None:
 
 def _cmd_estimate(ns: argparse.Namespace) -> int:
     signal = _csv_signal(ns.input)
-    series = estimate_series(signal, _resolve_config({}, ns, ts=signal.ts))
+    series = estimate_series(signal, _config(_resolve(_flags(ns)), signal.ts))
     with _open_out(ns.out) as out:
         _write_csv(out, ["t", "estimate"], zip(series.times, series.estimates))
     return 0
@@ -577,21 +577,21 @@ def _cmd_estimate(ns: argparse.Namespace) -> int:
 
 def _cmd_experiment(ns: argparse.Namespace) -> int:
     if ns.target in PRESETS:
-        document = _preset_pair(ns.target, ns)
+        document = _preset_pair(ns.target, _flags(ns), ns.out_dir)
         _render_pair_table(document, sys.stderr)
     else:
         if not Path(ns.target).exists():
             raise ValueError(
                 f"{ns.target!r} is neither a preset ({sorted(PRESETS)}) nor a spec file"
             )
-        spec = _spec_from_mapping(_parse_spec_file(ns.target), ns)
+        spec = _spec(_resolve(_flags(ns), _parse_spec_file(ns.target)), ns.out_dir)
         document = asdict(run_experiment(spec))
     _print_json(document)
     return 0
 
 
 def _cmd_kernel(ns: argparse.Namespace) -> int:
-    cfg = _resolve_config({}, ns)
+    cfg = _config(_resolve(_flags(ns)))
     with _open_out(ns.out) as out:
         dump_kernel(cfg, out)
     return 0
@@ -602,17 +602,18 @@ def _cmd_surface(ns: argparse.Namespace) -> int:
         raise ValueError(f"--points must be at least 1, got {ns.points}")
     kappa_grid = _half_open_grid(ns.kappa_lo, ns.kappa_hi, ns.points)
     mu_grid = _half_open_grid(ns.mu_lo, ns.mu_hi, ns.points)
-    # unset flags fall back to dump_surface's own defaults (q = 1 here)
-    given = {key: getattr(ns, key) for key in ("n", "q", "T") if getattr(ns, key) is not None}
+    # unset flags fall back to sweep_surface's own defaults (q = 1 there)
+    design = {k: getattr(ns, k) for k in ("n", "q", "T", "eta") if getattr(ns, k) is not None}
     with _open_out(ns.out) as out:
-        dump_surface(ns.quantity, kappa_grid, mu_grid, out, eta=ns.eta, **given)
+        dump_surface(ns.quantity, kappa_grid, mu_grid, out, **design)
     return 0
 
 
 def _cmd_mc(ns: argparse.Namespace) -> int:
-    model = _noise_class(ns.model)(getattr(ns, _intensity_name(ns.model)))
-    seed = RngSeed(ns.seed, ns.stream)
-    _print_json(mc_report(_resolve_config({}, ns), model, ns.t0, ns.trials, ns.gamma, seed))
+    values = _resolve(_flags(ns))
+    model = _noise(values)
+    seed = RngSeed(values["seed"], values["stream"])
+    _print_json(mc_report(_config(values), model, ns.t0, ns.trials, values["gamma"], seed))
     return 0
 
 
@@ -626,21 +627,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="estimate a derivative series from a CSV signal")
     p_est.add_argument("--in", dest="input", required=True, help="CSV with columns t,value")
     p_est.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    _add_config_flags(p_est)
     p_est.set_defaults(func=_cmd_estimate)
 
     p_exp = sub.add_parser("experiment", help="run a benchmark preset or a spec file")
     p_exp.add_argument("target", help=f"preset name ({', '.join(sorted(PRESETS))}) or spec-file path")
-    p_exp.add_argument("--seed", type=int, default=None)
-    p_exp.add_argument("--stream", type=int, default=None)
-    p_exp.add_argument("--gamma", type=float, default=None)
+    _add_flags(p_exp, "seed", "stream", "gamma")
     p_exp.add_argument("--out-dir", dest="out_dir", default=None, help="directory for series CSVs")
-    _add_config_flags(p_exp)
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_ker = sub.add_parser("kernel", help="dump discrete kernel taps as CSV")
     p_ker.add_argument("--out", default=None)
-    _add_config_flags(p_ker)
     p_ker.set_defaults(func=_cmd_kernel)
 
     p_sur = sub.add_parser("surface", help="dump a design-quantity grid as CSV")
@@ -650,23 +646,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sur.add_argument("--kappa-hi", dest="kappa_hi", type=float, default=1.0)
     p_sur.add_argument("--mu-lo", dest="mu_lo", type=float, default=-1.0)
     p_sur.add_argument("--mu-hi", dest="mu_hi", type=float, default=1.0)
-    p_sur.add_argument("--eta", type=float, default=1.0)
+    p_sur.add_argument("--eta", type=float, default=None)
     p_sur.add_argument("--out", default=None)
-    _add_config_flags(p_sur)
     p_sur.set_defaults(func=_cmd_surface)
 
     p_mc = sub.add_parser("mc", help="Monte-Carlo noise-error report as JSON")
-    p_mc.add_argument("--model", choices=tuple(_NOISE_KINDS), default="wiener")
-    p_mc.add_argument("--sigma2", type=float, default=1.0)
-    p_mc.add_argument("--nu", type=float, default=1.0)
+    p_mc.add_argument("--model", dest="noise", choices=tuple(_NOISE_KINDS), default="wiener")
+    _add_flags(p_mc, "sigma2", "nu")
     p_mc.add_argument("--t0", type=float, default=2.0)
     p_mc.add_argument("--trials", type=int, default=10_000)
-    p_mc.add_argument("--seed", type=int, default=42)
-    p_mc.add_argument("--stream", type=int, default=0)
-    p_mc.add_argument("--gamma", type=float, default=2.0)
-    _add_config_flags(p_mc)
+    _add_flags(p_mc, "seed", "stream", "gamma")
     p_mc.set_defaults(func=_cmd_mc)
 
+    for subparser in sub.choices.values():
+        _add_flags(subparser, *_CONFIG_KEYS)
     return parser
 
 

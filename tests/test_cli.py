@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algdiff import cli
 from algdiff.cli import SIN2T_TS, main
@@ -34,6 +39,14 @@ def assert_one_line_error(capsys, argv, fragment):
 def run_json(capsys, argv):
     assert main(argv) == 0
     return json.loads(capsys.readouterr().out)
+
+
+def run_captured(argv):
+    """Exit code, stdout and stderr of one in-process run, without a fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
 
 
 class TestKernelCommand:
@@ -150,6 +163,21 @@ class TestEstimateCommand:
         src.write_text("t,value\n" + "\n".join(rows) + "\n")
         argv = ["estimate", "--in", str(src), "--n", "1", "--m", "10"]
         assert_one_line_error(capsys, argv, "sample 30 is nan")
+
+    def test_empty_csv_exits_2_without_a_warning(self, tmp_path, capsys):
+        # NumPy's empty-file warning used to precede "list index out of range"
+        src = tmp_path / "empty.csv"
+        src.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_one_line_error(capsys, ["estimate", "--in", str(src), "--m", "2"], "is empty")
+
+    def test_nan_time_exits_2(self, tmp_path, capsys):
+        # a nan step used to pass the uniform-sampling check
+        src = tmp_path / "nan_t.csv"
+        src.write_text("t,value\n0,1\n0.1,2\nnan,3\n0.3,4\n0.4,5\n")
+        argv = ["estimate", "--in", str(src), "--m", "2"]
+        assert_one_line_error(capsys, argv, "uniformly sampled")
 
 
 class TestExperimentCommand:
@@ -422,7 +450,80 @@ class TestConfigResolver:
         spec = self.write_spec(tmp_path, "noise = none\n")
         assert_one_line_error(capsys, ["experiment", spec], "set m (taps) or T")
 
+    @pytest.mark.parametrize(
+        "text,fragment",
+        [
+            ("m = 2.5\n", "spec key 'm'"),
+            # ts is unused by a named signal, but is still checked
+            ("m = 25\nts = abc\n", "spec key 'ts'"),
+            ("m = 25\nm = 30\n", "spec key 'm' is given twice"),
+        ],
+        ids=["non-integer-m", "unused-bad-ts", "repeated-key"],
+    )
+    def test_spec_value_checked_when_read(self, tmp_path, capsys, text, fragment):
+        assert_one_line_error(capsys, ["experiment", self.write_spec(tmp_path, text)], fragment)
+
+    def test_csv_spec_with_nan_time_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "nan_t.csv"
+        src.write_text("t,value\n0,1\n0.1,2\nnan,3\n0.3,4\n0.4,5\n")
+        spec = tmp_path / "csv.spec"
+        spec.write_text(f"signal = csv\ncsv_path = {src}\nm = 2\n")
+        assert_one_line_error(capsys, ["experiment", str(spec)], "uniformly sampled")
+
     def test_estimate_without_window_exits_2(self, tmp_path, capsys):
         src = tmp_path / "ramp.csv"
         src.write_text("t,value\n" + "".join(f"{i * 0.01},{i}\n" for i in range(50)))
         assert_one_line_error(capsys, ["estimate", "--in", str(src), "--n", "1"], "set m (taps) or T")
+
+
+# spec key -> valid values; str() round-trips a float, so the spec file and
+# the flag parse the same text
+RUN_VALUES = {
+    "n": st.integers(1, 2),
+    "q": st.integers(0, 1),
+    "mu": st.floats(-0.9, 1.0),
+    "kappa": st.floats(-0.9, 1.0),
+    "beta": st.sampled_from((-1, 1)),
+    "xi": st.floats(0.0, 1.0),
+    "F": st.floats(0.05, 1.0),
+    "endpoint": st.sampled_from(("f-rule", "suppress")),
+    "seed": st.integers(0, 2**64 - 1),
+    "stream": st.integers(0, 2**64 - 1),
+    "gamma": st.floats(0.5, 5.0),
+}
+
+
+class TestOneRoute:
+    """Flags, spec files and defaults resolve through one route."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.fixed_dictionaries({"m": st.integers(10, 60)}, optional=RUN_VALUES),
+        st.data(),
+    )
+    def test_moving_a_key_to_the_command_line_keeps_the_output(
+        self, tmp_path_factory, values, data
+    ):
+        moved = data.draw(st.sets(st.sampled_from(sorted(values)), min_size=1))
+        spec = tmp_path_factory.mktemp("route") / "run.spec"
+
+        def run(in_file):
+            lines = ["signal = sin2t", "noise = white", "target_snr_db = 20"]
+            lines += [f"{key} = {values[key]}" for key in in_file]
+            spec.write_text("\n".join(lines) + "\n")
+            flags = [f"--{key}={values[key]}" for key in values if key not in in_file]
+            return run_captured(["experiment", str(spec), *flags])
+
+        spec_only = run(set(values))
+        assert spec_only[0] == 0, spec_only[2]
+        assert run(set(values) - moved) == spec_only
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from(("white", "wiener", "poisson")), st.integers(10, 60))
+    def test_mc_defaults_written_out_keep_the_output(self, model, m):
+        argv = ["mc", "--model", model, "--trials", "100", "--m", str(m)]
+        defaults = [f"--{key}={cli._DEFAULTS[key]}"
+                    for key in ("seed", "stream", "gamma", "sigma2", "nu")]
+        implicit = run_captured(argv)
+        assert implicit[0] == 0, implicit[2]
+        assert run_captured(argv + defaults) == implicit
