@@ -231,7 +231,10 @@ def sweep_surface(
     of the degree-(q+1) raised-exponent polynomial), "variance_minimal" (the
     continuous variance at q = 0), or "variance_affine" (the continuous
     variance with q terms, evaluated at that root, recomputed per cell).
+    n, q and T are checked as a config checks them, whether or not the
+    quantity reads them.
     """
+    EstimatorConfig(n=n, q=q, T=T, m=n + q + 1)
     kappa_grid = np.asarray(kappa_grid, dtype=float)
     mu_grid = np.asarray(mu_grid, dtype=float)
     out = np.empty((len(kappa_grid), len(mu_grid)))

@@ -9,6 +9,7 @@ are deterministic given the seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -617,7 +618,9 @@ def _cmd_mc(ns: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="algdiff",
         description="Sliding-window derivative estimation for noisy signals",
@@ -646,6 +649,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sur.add_argument("--kappa-hi", dest="kappa_hi", type=float, default=1.0)
     p_sur.add_argument("--mu-lo", dest="mu_lo", type=float, default=-1.0)
     p_sur.add_argument("--mu-hi", dest="mu_hi", type=float, default=1.0)
+    _add_flags(p_sur, "n", "q", "T")
     p_sur.add_argument("--eta", type=float, default=None)
     p_sur.add_argument("--out", default=None)
     p_sur.set_defaults(func=_cmd_surface)
@@ -658,7 +662,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_flags(p_mc, "seed", "stream", "gamma")
     p_mc.set_defaults(func=_cmd_mc)
 
-    for subparser in sub.choices.values():
+    # surface reads only n, q and T
+    for subparser in (p_est, p_exp, p_ker, p_mc):
         _add_flags(subparser, *_CONFIG_KEYS)
     return parser
 

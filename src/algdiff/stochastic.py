@@ -156,30 +156,26 @@ def gen_path(model: NoiseModel, ts: float, count: int, seed: RngSeed) -> Sampled
         raise ValueError("count must be at least 1")
     if not ts > 0:
         raise ValueError("ts must be positive")
-    return SampledSignal(0.0, ts, _path_values(model, ts, count, seed.generator()))
-
-
-def _path_values(
-    model: NoiseModel, ts: float, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """The samples of `gen_path`, drawn from ``rng``, without the signal wrapper."""
+    values = _draws(model, ts, count, seed.generator())
+    if model.increment_part() is not None:
+        values = np.concatenate(([0.0], np.cumsum(values)))
     if isinstance(model, PolyMean):
-        base = _path_values(model.base, ts, count, rng)
-        return base + model.poly_at(ts * np.arange(count))
+        values = values + model.poly_at(ts * np.arange(count))
+    return SampledSignal(0.0, ts, values)
+
+
+def _draws(model: NoiseModel, ts: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The random numbers behind a `gen_path` of ``count`` samples, drawn from
+    ``rng``: the samples of white noise, or the ``count - 1`` increments of a
+    process that starts at 0."""
+    if isinstance(model, PolyMean):
+        return _draws(model.base, ts, count, rng)
     if isinstance(model, WhiteGaussian):
         return rng.normal(0.0, math.sqrt(model.sigma2), count)
     if isinstance(model, Wiener):
-        values = np.zeros(count)
-        if count > 1:
-            increments = rng.normal(0.0, math.sqrt(model.sigma2 * ts), count - 1)
-            values[1:] = np.cumsum(increments)
-        return values
+        return rng.normal(0.0, math.sqrt(model.sigma2 * ts), count - 1)
     if isinstance(model, Poisson):
-        values = np.zeros(count)
-        if count > 1:
-            increments = rng.poisson(model.nu * ts, count - 1)
-            values[1:] = np.cumsum(increments).astype(float)
-        return values
+        return rng.poisson(model.nu * ts, count - 1)
     raise TypeError(f"unknown noise model {model!r}")
 
 
@@ -239,6 +235,10 @@ def calibrate_snr(x: SampledSignal, noise_path: SampledSignal, target_db: float)
 def _window_indices(cfg: EstimatorConfig, t0: float) -> tuple[int, int]:
     """Anchor index of t0 on the kernel grid and the path length needed."""
     step = cfg.T / cfg.m
+    # before rounding, which fails on nan and inf without naming t0; the
+    # window's last index must fit a NumPy index as well
+    if not abs(t0 / step) < np.iinfo(np.intp).max - cfg.m - 1:
+        raise ValueError(f"t0 must be finite and within the sample index range, got {t0!r}")
     k0 = round(t0 / step)
     if abs(t0 - k0 * step) > 1e-9 * max(1.0, abs(t0)):
         raise ValueError(f"t0 = {t0!r} does not lie on the kernel sample grid (step {step!r})")
@@ -258,7 +258,11 @@ def mc_noise_samples(
 
     Trial k draws its path from Philox key ``[seed.seed, (seed.stream + k)
     mod 2**64]`` at counter 0, so ``gen_path(..., seed.shifted(k))`` replays
-    it; one generator is re-keyed per trial rather than built anew.
+    it; one generator is re-keyed per trial rather than built anew.  A trial
+    is one dot product of its draws with weights built once: the taps at
+    their path indices, and for a process with independent increments the
+    tail sums of those, since sum_i w_i*X(t_i) = sum_j dX_j*sum_{i>j} w_i.
+    It equals the taps applied to ``gen_path``'s samples up to rounding.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -266,6 +270,11 @@ def mc_noise_samples(
     k0, count = _window_indices(cfg, t0)
     step = cfg.T / cfg.m
     idx = k0 + cfg.beta * np.arange(cfg.m + 1)
+    weights = np.zeros(count)
+    weights[idx] = taps
+    if model.increment_part() is not None:
+        weights = np.cumsum(weights[::-1])[::-1][1:]
+    offset = float(np.dot(taps, model.poly_at(step * idx))) if isinstance(model, PolyMean) else 0.0
     rng = seed.generator()
     # a fresh state: counter 0, empty buffer; the setter copies it, so this
     # one dict rewinds the generator onto each trial's key
@@ -275,8 +284,8 @@ def mc_noise_samples(
     for k in range(trials):
         key[1] = (seed.stream + k) % _U64
         rng.bit_generator.state = state
-        values = _path_values(model, step, count, rng)
-        out[k] = np.dot(taps, values[idx])
+        out[k] = np.dot(weights, _draws(model, step, count, rng))
+    out += offset
     return out
 
 

@@ -129,6 +129,15 @@ class TestSurfaceCommand:
                 cfg = EstimatorConfig(n=2, q=1, mu=mu, kappa=kappa, xi=xi)
                 assert float(cell) == variance_continuous(cfg, 1.0)
 
+    @pytest.mark.parametrize(
+        "flags", [["--mu", "0.5"], ["--m", "7"], ["--beta", "1"], ["--xi", "0.3"]]
+    )
+    def test_refuses_flags_it_does_not_read(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["surface", "delay", "--points", "3", *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestEstimateCommand:
     def test_ramp_csv_roundtrip(self, tmp_path):
@@ -356,6 +365,16 @@ class TestMcCommand:
         assert main(args) == 0
         assert first == capsys.readouterr().out
 
+    def test_calls_share_one_parser_and_no_state(self):
+        assert cli._build_parser() is cli._build_parser()
+        args = ["mc", "--seed", "3", "--trials", "200", "--n", "1", "--T", "1.0", "--m", "100"]
+        first = run_captured(args)
+        assert run_captured(["kernel", "--m", "50"])[0] == 0
+        assert run_captured(args) == first
+        # --m 50 does not carry over: the kernel is back to the default 400 taps
+        rc, out, _ = run_captured(["kernel"])
+        assert rc == 0 and len(out.splitlines()) == 1 + 401
+
     def test_too_few_trials(self, capsys):
         rc = main(["mc", "--trials", "50", "--n", "1", "--T", "1.0", "--m", "100"])
         assert rc == 2
@@ -379,8 +398,13 @@ class TestErrorHandling:
             (["mc", "--sigma2", "nan", "--trials", "100", "--m", "50"], "sigma2"),
             (["mc", "--model", "poisson", "--nu", "inf", "--trials", "100", "--m", "50"], "nu"),
             (["mc", "--gamma", "inf", "--trials", "100", "--m", "50"], "JSON"),
+            (["mc", "--trials", "100", "--m", "40", "--t0", "nan"], "t0"),
+            (["mc", "--trials", "100", "--m", "40", "--t0", "inf"], "t0"),
+            (["mc", "--trials", "100", "--m", "40", "--t0", "1e300"], "t0"),
+            (["surface", "xi", "--points", "2", "--T", "-1"], "T"),
         ],
-        ids=["points-0", "mu-inf", "T-inf", "xi-nan", "sigma2-nan", "nu-inf", "gamma-inf"],
+        ids=["points-0", "mu-inf", "T-inf", "xi-nan", "sigma2-nan", "nu-inf", "gamma-inf",
+             "t0-nan", "t0-inf", "t0-huge", "surface-T-negative"],
     )
     def test_rejected_input(self, capsys, argv, fragment):
         assert_one_line_error(capsys, argv, fragment)

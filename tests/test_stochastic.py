@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,11 +24,45 @@ from algdiff.stochastic import (
     mc_noise_error,
     mc_noise_samples,
 )
+from algdiff.stochastic import _draws
 from oracles import bisection_calibrate_snr, snr_db
 
 U64 = 2**64
 MODELS = [Wiener(1.0), WhiteGaussian(2.0), Poisson(20.0), PolyMean((1.0, -2.0), Poisson(3.0))]
 MODEL_IDS = ["wiener", "white", "poisson", "polymean"]
+EPS = np.finfo(float).eps
+TRIAL_ULPS = 16  # 300 Wiener trials at m = 400 reach 0.67 eps * S
+
+
+def assert_trials_apply_taps_to_gen_path(got, taps, idx, model, step, count, seed):
+    """Trial k equals the taps applied to gen_path(seed.shifted(k)) up to rounding.
+
+    The exact value sums tap_i * path_i in Fraction, path_i built from the
+    path's own draws.  The bound is TRIAL_ULPS * eps * S, with S the sum of
+    |tap_i| times the |draws| that make path_i, plus |tap_i * poly(t_i)|; a
+    trial on another key misses by O(1).
+    """
+    cumulative = model.increment_part() is not None
+    poly = np.zeros(count)
+    if isinstance(model, PolyMean):
+        poly = model.poly_at(step * np.arange(count))
+    for k, value in enumerate(got):
+        draws = _draws(model, step, count, seed.shifted(k).generator())
+        # the draws are gen_path's: its samples are built from them
+        built = np.concatenate(([0.0], np.cumsum(draws))) if cumulative else draws
+        path = gen_path(model, step, count, seed.shifted(k)).values
+        np.testing.assert_array_equal(path, built + poly)
+        exact, scale = [Fraction(0)], [0.0]
+        if cumulative:
+            for d in draws:
+                exact.append(exact[-1] + Fraction(float(d)))
+                scale.append(scale[-1] + abs(float(d)))
+        else:
+            exact, scale = [Fraction(float(d)) for d in draws], np.abs(draws)
+        want = sum(Fraction(float(t)) * (exact[i] + Fraction(float(poly[i])))
+                   for t, i in zip(taps, idx))
+        bound = sum(abs(t) * (scale[i] + abs(poly[i])) for t, i in zip(taps, idx))
+        assert abs(Fraction(float(value)) - want) <= TRIAL_ULPS * EPS * bound, k
 
 
 def snr_slope(x: np.ndarray, w: np.ndarray, c: float) -> float:
@@ -318,7 +353,8 @@ class TestMcNoiseSamples:
     @pytest.mark.parametrize("beta", [-1, 1])
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     def test_trial_k_applies_taps_to_gen_path_k(self, model, beta):
-        # the trial loop skips the SampledSignal wrapper but draws the same path
+        # the trial loop weights the draws instead of building the path, but
+        # draws the same numbers
         cfg = EstimatorConfig(n=1, q=1, xi=0.3, beta=beta, T=0.5, m=50)
         seed = RngSeed(9, 3)
         got = mc_noise_samples(cfg, model, 1.0, 20, seed)
@@ -326,9 +362,7 @@ class TestMcNoiseSamples:
         k0 = 100
         idx = k0 + beta * np.arange(cfg.m + 1)
         count = k0 + 1 if beta == -1 else k0 + cfg.m + 1
-        expect = [np.dot(taps, gen_path(model, cfg.T / cfg.m, count, seed.shifted(k)).values[idx])
-                  for k in range(20)]
-        np.testing.assert_array_equal(got, expect)
+        assert_trials_apply_taps_to_gen_path(got, taps, idx, model, cfg.T / cfg.m, count, seed)
 
     @given(
         model=st.sampled_from(MODELS),
@@ -355,9 +389,7 @@ class TestMcNoiseSamples:
         taps = kernel_taps(cfg).taps
         idx = k0 + beta * np.arange(m + 1)
         count = k0 + 1 if beta == -1 else k0 + m + 1
-        expect = [np.dot(taps, gen_path(model, step, count, rng_seed.shifted(k)).values[idx])
-                  for k in range(trials)]
-        np.testing.assert_array_equal(got, expect)
+        assert_trials_apply_taps_to_gen_path(got, taps, idx, model, step, count, rng_seed)
 
     @pytest.mark.parametrize("trials", [1, 7, 300])
     def test_builds_one_generator_per_call(self, monkeypatch, trials):
