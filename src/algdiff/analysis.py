@@ -10,18 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .kernel import (
-    DiscreteKernel,
-    EstimatorConfig,
-    WeightedPoly,
-    _series_derivative,
-    wpoly_moment,
-)
-from .specfun import JacobiIndex, smallest_root
+from .kernel import DiscreteKernel, EstimatorConfig
+from .specfun import _gauss_rule, _jacobi_values, _least_zero, _log_beta
 from .stochastic import NoiseModel
 
 __all__ = [
@@ -39,10 +32,11 @@ __all__ = [
 ]
 
 
-def _check_exponents(kappa: float, mu: float) -> None:
-    if not kappa > -1:
+def _check_exponents(kappa, mu) -> None:
+    # np.all: `sweep_surface` passes whole grids, checked beforehand
+    if not np.all(kappa > -1):
         raise ValueError(f"kappa must exceed -1, got {kappa!r}")
-    if not mu > -1:
+    if not np.all(mu > -1):
         raise ValueError(f"mu must exceed -1, got {mu!r}")
 
 
@@ -105,20 +99,47 @@ def variance_continuous(cfg: EstimatorConfig, eta: float) -> float:
     Poisson process.  One integration by parts moves the kernel onto the
     process increments, so the variance is ``eta * T * integral of G**2``
     over [0, 1], with G the (n-1)-th derivative of the raised-weight series
-    (it vanishes at both ends).  G**2 is an exact polynomial under the weight
-    ``w^{2mu+2, 2kappa+2}``, integrated by one exact Beta expansion.  Any n
-    and q; scales as 1/T^(2n-1).
+    (it vanishes at both ends).  G is ``w^{mu+1, kappa+1} R`` over
+    ``B(kappa+n+1, mu+n+1)`` with R a polynomial of degree n+q-1, so the
+    integral is the (n+q)-point Gauss-Jacobi rule of the weight
+    ``w^{2mu+2, 2kappa+2}`` applied to R**2, exact up to rounding (measured
+    within 3e-14 relative of the exact rational route for n <= 4, q <= 3).
+    Any n and q; scales as 1/T^(2n-1).
     """
     if not eta >= 0:
         raise ValueError(f"eta must be nonnegative, got {eta!r}")
-    g = _series_derivative(cfg, cfg.n - 1)
-    square = [Fraction(0)] * (2 * len(g.coeffs) - 1)
-    for i, a in enumerate(g.coeffs):
-        square[2 * i] += a * a
-        for j in range(i + 1, len(g.coeffs)):
-            square[i + j] += 2 * a * g.coeffs[j]
-    g2 = WeightedPoly(2 * g.mu_exp, 2 * g.kappa_exp, tuple(square))
-    return eta * cfg.T * wpoly_moment(g2, 0) / g.scale_divisor() ** 2
+    return float(_continuous_variance(cfg.n, cfg.q, cfg.mu, cfg.kappa, cfg.T, cfg.xi, eta))
+
+
+@np.errstate(over="raise", invalid="raise", divide="raise")
+def _continuous_variance(n: int, q: int, mu, kappa, T: float, xi, eta: float) -> np.ndarray:
+    """`variance_continuous` over arrays: ``mu``, ``kappa`` and ``xi`` broadcast.
+
+    R is sum_i c_i P_{i+n-1}^{(mu+1, kappa+1)}: term i of the series is
+    weighted by P_i^{(a,b)}(xi) over its squared norm, relative to that of
+    P_0, with (a, b) = (mu+n, kappa+n), and by (i+n-1)!/i! from the n-1
+    derivatives (see `kernel._series_derivative`); the window factor
+    1/(beta*T)**n squares to 1/T**(2n).
+    """
+    mu, kappa = np.asarray(mu, dtype=float), np.asarray(kappa, dtype=float)
+    a, b = mu + n, kappa + n
+    s = a + b
+    at_xi = _jacobi_values(q, a, b, xi)
+    nodes, weights = _gauss_rule(n + q, 2 * mu + 2, 2 * kappa + 2)
+    at_nodes = _jacobi_values(n + q - 1, mu[..., None] + 1, kappa[..., None] + 1, nodes)
+    r, inv_norm = 0.0, 1.0
+    for i in range(q + 1):
+        if i:  # times h_{i-1} / h_i, with h_i the squared norm of P_i^{(a,b)}
+            inv_norm = inv_norm * i * (s + i) * (s + 2 * i + 1) / ((a + i) * (b + i) * (s + 2 * i - 1))
+        c = at_xi[i] * inv_norm * (math.factorial(i + n - 1) // math.factorial(i))
+        r = r + c[..., None] * at_nodes[i + n - 1]
+    # summed node by node, so a grid cell and a scalar call round alike
+    total = 0.0
+    for j in range(n + q):
+        total = total + weights[..., j] * r[..., j] ** 2
+    # B(2kappa+3, 2mu+3) integrates the Gauss weight; B(kappa+n+1, mu+n+1) is G's divisor
+    log_ratio = _log_beta(2 * kappa + 3, 2 * mu + 3) - 2 * _log_beta(b + 1, a + 1)
+    return eta * T * total * np.exp(log_ratio) / T ** (2 * n)
 
 
 def poisson_mean(n: int, nu: float) -> float:
@@ -215,6 +236,19 @@ def chebyshev_band(mean: float, variance: float, gamma: float) -> tuple[float, f
     return mean - half, mean + half
 
 
+_QUANTITIES = ("delay", "xi", "variance_minimal", "variance_affine")
+
+
+def _exponent_grid(name: str, values) -> np.ndarray:
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {grid.shape}")
+    bad = grid[~(np.isfinite(grid) & (grid > -1))]
+    if bad.size:
+        raise ValueError(f"{name} values must be finite and exceed -1, got {float(bad[0])!r}")
+    return grid
+
+
 def sweep_surface(
     quantity: str,
     kappa_grid,
@@ -230,27 +264,26 @@ def sweep_surface(
     quantity: "delay" (single-term delay factor times T), "xi" (smallest root
     of the degree-(q+1) raised-exponent polynomial), "variance_minimal" (the
     continuous variance at q = 0), or "variance_affine" (the continuous
-    variance with q terms, evaluated at that root, recomputed per cell).
-    n, q and T are checked as a config checks them, whether or not the
-    quantity reads them.
+    variance with q terms, evaluated at each cell's root).  The whole grid is
+    one batched evaluation, and each cell equals the scalar call
+    (`theoretical_delay`, `smallest_root`, `variance_continuous`) bit for bit.
+    Every input is checked up front, whether or not the quantity reads it:
+    n, q and T as a config checks them, eta >= 0, and each grid value finite
+    and above -1.
     """
     EstimatorConfig(n=n, q=q, T=T, m=n + q + 1)
-    kappa_grid = np.asarray(kappa_grid, dtype=float)
-    mu_grid = np.asarray(mu_grid, dtype=float)
-    out = np.empty((len(kappa_grid), len(mu_grid)))
-    for i, kappa in enumerate(kappa_grid):
-        for j, mu in enumerate(mu_grid):
-            if quantity == "delay":
-                out[i, j] = theoretical_delay(n, kappa, mu, T)
-            elif quantity == "xi":
-                out[i, j] = smallest_root(JacobiIndex(q + 1, mu + n, kappa + n))
-            elif quantity == "variance_minimal":
-                cfg = EstimatorConfig(n=n, mu=mu, kappa=kappa, T=T)
-                out[i, j] = variance_continuous(cfg, eta)
-            elif quantity == "variance_affine":
-                xi = smallest_root(JacobiIndex(q + 1, mu + n, kappa + n))
-                cfg = EstimatorConfig(n=n, q=q, mu=mu, kappa=kappa, T=T, xi=xi)
-                out[i, j] = variance_continuous(cfg, eta)
-            else:
-                raise ValueError(f"unknown quantity {quantity!r}")
-    return out
+    if not eta >= 0:
+        raise ValueError(f"eta must be nonnegative, got {eta!r}")
+    if quantity not in _QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}; choose from {list(_QUANTITIES)}")
+    kappa_grid = _exponent_grid("kappa_grid", kappa_grid)
+    mu_grid = _exponent_grid("mu_grid", mu_grid)
+    kappa, mu = np.meshgrid(kappa_grid, mu_grid, indexing="ij")
+    if quantity == "delay":
+        return theoretical_delay(n, kappa, mu, T)
+    if quantity == "variance_minimal":
+        return _continuous_variance(n, 0, mu, kappa, T, 0.0, eta)
+    xi = _least_zero(q + 1, mu + n, kappa + n)
+    if quantity == "xi":
+        return xi
+    return _continuous_variance(n, q, mu, kappa, T, xi, eta)

@@ -549,10 +549,20 @@ def _add_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
                             choices=_FLAG_CHOICES.get(key), help=_FLAG_HELP.get(key))
 
 
-def _half_open_grid(lo: float, hi: float, points: int) -> np.ndarray:
+def _surface_axis(name: str, lo: float, hi: float, points: int) -> np.ndarray:
+    """The half-open grid (lo, hi] of one exponent, checked against its flags."""
+    for end, value in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(value):
+            raise ValueError(f"--{name}-{end} must be finite, got {value!r}")
     # points cells on (lo, hi]: lo + k*(hi-lo)/points, k = 1..points
-    step = (hi - lo) / points
-    return lo + step * np.arange(1, points + 1)
+    grid = lo + (hi - lo) / points * np.arange(1, points + 1)
+    bad = grid[~(np.isfinite(grid) & (grid > -1))]
+    if bad.size:
+        raise ValueError(
+            f"--{name}-lo {lo!r} and --{name}-hi {hi!r} give {name} = {float(bad[0])!r}; "
+            f"every {name} must be finite and exceed -1"
+        )
+    return grid
 
 
 @contextmanager
@@ -601,8 +611,8 @@ def _cmd_kernel(ns: argparse.Namespace) -> int:
 def _cmd_surface(ns: argparse.Namespace) -> int:
     if ns.points < 1:
         raise ValueError(f"--points must be at least 1, got {ns.points}")
-    kappa_grid = _half_open_grid(ns.kappa_lo, ns.kappa_hi, ns.points)
-    mu_grid = _half_open_grid(ns.mu_lo, ns.mu_hi, ns.points)
+    kappa_grid = _surface_axis("kappa", ns.kappa_lo, ns.kappa_hi, ns.points)
+    mu_grid = _surface_axis("mu", ns.mu_lo, ns.mu_hi, ns.points)
     # unset flags fall back to sweep_surface's own defaults (q = 1 there)
     design = {k: getattr(ns, k) for k in ("n", "q", "T", "eta") if getattr(ns, k) is not None}
     with _open_out(ns.out) as out:

@@ -5,10 +5,11 @@ Gamma/Beta functions and on shifted Jacobi polynomials, i.e. polynomials
 orthogonal on [0, 1] under the weight ``(1 - t)**mu * t**kappa`` with
 ``mu, kappa > -1``.
 
-Polynomial coefficients are generated in exact rational arithmetic
+Kernel coefficients are generated in exact rational arithmetic
 (`fractions.Fraction`) so that orthogonality-based cancellations hold
-*exactly*; floats enter only at evaluation time and in the final Beta-function
-factor of moments.
+*exactly*.  Quantities that need no exact cancellation (polynomial zeros and
+the Gauss-Jacobi rules of the continuous variance) come from the float
+Jacobi matrix of the weight, broadcast over arrays of exponents.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 __all__ = [
     "JacobiIndex",
     "beta_fn",
-    "jacobi_coefficients",
     "smallest_root",
 ]
 
@@ -60,8 +60,9 @@ class JacobiIndex:
             raise ValueError(f"kappa must exceed -1, got {self.kappa!r}")
 
 
-# Bounds the memory of the coefficient cache: a design sweep keys it on fresh
-# float exponents, so an unbounded cache grows for the life of the process.
+# Bounds the memory of the coefficient cache: every kernel built for a fresh
+# float exponent pair adds entries, so an unbounded cache grows for the life
+# of the process.
 _JACOBI_CACHE_SIZE = 1024
 
 
@@ -79,11 +80,6 @@ def _jacobi_coeffs(degree: int, mu: Fraction, kappa: Fraction) -> tuple[Fraction
         c *= (k - degree) * (degree + mu + kappa + 1 + k) / ((kappa + 1 + k) * (k + 1))
         coeffs.append(c)
     return tuple(coeffs)
-
-
-def jacobi_coefficients(idx: JacobiIndex) -> tuple[Fraction, ...]:
-    """Exact ascending-power coefficients of the shifted Jacobi polynomial."""
-    return _jacobi_coeffs(idx.degree, Fraction(idx.mu), Fraction(idx.kappa))
 
 
 def _moment_rational_sum(
@@ -106,46 +102,92 @@ def _moment_rational_sum(
     return total
 
 
-_ROOT_GRID_POINTS = 1024
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
+
+
+def _log_beta(a, b) -> np.ndarray:
+    """log B(a, b) elementwise for a, b > 0 (NumPy has no log-Gamma)."""
+    return _lgamma(a) + _lgamma(b) - _lgamma(a + b)
+
+
+# exponents near the float range overflow the entries: an error, not inf or nan
+@np.errstate(over="raise", invalid="raise", divide="raise")
+def _jacobi_matrix(size: int, mu, kappa) -> np.ndarray:
+    """Symmetric tridiagonal Jacobi matrix of the weight (1-t)**mu * t**kappa.
+
+    Row k holds the recurrence t*p_k = sqrt(b_k)*p_{k-1} + a_k*p_k +
+    sqrt(b_{k+1})*p_{k+1} of the orthonormal polynomials on [0, 1], so its
+    eigenvalues are the zeros of the degree-``size`` polynomial and it yields
+    the ``size``-point Gauss rule (Golub and Welsch, Math. Comp. 23, 1969).
+    ``mu`` and ``kappa`` broadcast; the result has shape ``(..., size, size)``.
+    """
+    mu, kappa = np.broadcast_arrays(np.asarray(mu, dtype=float), np.asarray(kappa, dtype=float))
+    mu, kappa = mu[..., None], kappa[..., None]
+    # in terms of mu + 1, kappa + 1 and r = mu + kappa + 2, which keep their
+    # relative precision as the exponents approach -1; a_0 and b_1 have their
+    # common factors cancelled, as the textbook forms are 0/0 at mu + kappa = 0
+    # and at mu + kappa = -1
+    m1, k1 = mu + 1, kappa + 1
+    r = m1 + k1
+    u = 2 * np.arange(size - 1) + r  # 2k + mu + kappa for k >= 1
+    diag = np.concatenate((k1 / r, 0.5 + (kappa - mu) * (r - 2) / (2 * u * (u + 2))), axis=-1)
+    k = np.arange(2, size)
+    v = 2 * (k - 1) + r
+    b1 = m1 * k1 / (r**2 * (r + 1))
+    bk = k * (k - 1 + m1) * (k - 1 + k1) * (k - 2 + r) / (v**2 * (v + 1) * (v - 1))
+    off = np.sqrt(np.concatenate((b1, bk), axis=-1)[..., : size - 1])
+    out = np.zeros(diag.shape + (size,))
+    i = np.arange(size)
+    out[..., i, i] = diag
+    out[..., i[1:], i[:-1]] = off
+    out[..., i[:-1], i[1:]] = off
+    return out
+
+
+def _least_zero(degree: int, mu, kappa) -> np.ndarray:
+    """Smallest zero of the degree-``degree`` polynomial, elementwise."""
+    return np.linalg.eigvalsh(_jacobi_matrix(degree, mu, kappa))[..., 0]
+
+
+def _gauss_rule(size: int, mu, kappa) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights, each ``(..., size)``, of the ``size``-point Gauss rule.
+
+    Exact for polynomials of degree below 2 * size; the weights sum to 1, so
+    they integrate against the weight divided by B(kappa + 1, mu + 1).
+    """
+    nodes, vectors = np.linalg.eigh(_jacobi_matrix(size, mu, kappa))
+    return nodes, vectors[..., 0, :] ** 2
+
+
+def _jacobi_values(degree: int, mu, kappa, t) -> list[np.ndarray]:
+    """Values of the polynomials of degree 0..``degree`` at ``t``, in floats.
+
+    Same normalization as `_jacobi_coeffs`: P_d(0) = (-1)**d C(d + kappa, d).
+    Evaluated by the three-term recurrence in x = 2t - 1; ``mu``, ``kappa``
+    and ``t`` broadcast.
+    """
+    mu, kappa, t = (np.asarray(v, dtype=float) for v in (mu, kappa, t))
+    s = mu + kappa
+    x = 2.0 * t - 1.0
+    values = [np.ones(np.broadcast_shapes(s.shape, x.shape))]
+    if degree >= 1:
+        values.append((mu + 1) + (s + 2) * (t - 1))
+    for k in range(1, degree):
+        # 2(k+1)(k+s+1)(2k+s) P_{k+1} = (2k+s+1)((2k+s+2)(2k+s) x + mu^2 - kappa^2) P_k
+        #                               - 2(k+mu)(k+kappa)(2k+s+2) P_{k-1}
+        u = 2 * k + s
+        upper = (u + 1) * ((u + 2) * u * x + (mu - kappa) * s) * values[k]
+        lower = 2 * (k + mu) * (k + kappa) * (u + 2) * values[k - 1]
+        values.append((upper - lower) / (2 * (k + 1) * (k + s + 1) * u))
+    return values
 
 
 def smallest_root(idx: JacobiIndex) -> float:
     """Smallest zero of the polynomial inside (0, 1).
 
-    Brackets by sign change on a uniform 1024-interval grid, then bisects to
-    an interval width of 1e-13.  All the roots of these polynomials are real,
-    simple, and interior, so a missing bracket indicates a broken invariant
-    and is reported as an error.
+    The least eigenvalue of the degree-sized Jacobi matrix; its absolute error
+    is a few units of 1e-16.
     """
     if idx.degree < 1:
         raise ValueError("smallest_root requires degree >= 1")
-    coeffs = [float(c) for c in jacobi_coefficients(idx)]
-
-    def poly(t: float) -> float:
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * t + c
-        return acc
-
-    grid = np.arange(_ROOT_GRID_POINTS + 1) / _ROOT_GRID_POINTS
-    values = np.polynomial.polynomial.polyval(grid, coeffs)
-    hits = np.flatnonzero((values[:-1] == 0.0) | (values[:-1] * values[1:] < 0.0))
-    if hits.size == 0:
-        raise ValueError(f"no sign change found in (0, 1) for {idx!r}")
-    i = hits[0]
-    if values[i] == 0.0:
-        return float(grid[i])
-    lo, hi, flo = float(grid[i]), float(grid[i + 1]), float(values[i])
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        vm = poly(mid)
-        if vm == 0.0:
-            return mid
-        if flo * vm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, vm
-        if hi - lo <= 1e-13:
-            break
-    return 0.5 * (lo + hi)
+    return float(_least_zero(idx.degree, idx.mu, idx.kappa))

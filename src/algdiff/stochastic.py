@@ -232,6 +232,12 @@ def calibrate_snr(x: SampledSignal, noise_path: SampledSignal, target_db: float)
     return c
 
 
+# Longest noise path `mc_noise_samples` draws: a trial replays every draw
+# from t = 0, and its weights and its draws each hold up to this many float64
+# values (128 MiB)
+_MAX_PATH_SAMPLES = 1 << 24
+
+
 def _window_indices(cfg: EstimatorConfig, t0: float) -> tuple[int, int]:
     """Anchor index of t0 on the kernel grid and the path length needed."""
     step = cfg.T / cfg.m
@@ -242,13 +248,17 @@ def _window_indices(cfg: EstimatorConfig, t0: float) -> tuple[int, int]:
     k0 = round(t0 / step)
     if abs(t0 - k0 * step) > 1e-9 * max(1.0, abs(t0)):
         raise ValueError(f"t0 = {t0!r} does not lie on the kernel sample grid (step {step!r})")
-    if cfg.beta == -1:
-        if k0 < cfg.m:
-            raise ValueError("causal window reaches before time 0; need t0 >= T")
-        return k0, k0 + 1
+    if cfg.beta == -1 and k0 < cfg.m:
+        raise ValueError("causal window reaches before time 0; need t0 >= T")
     if k0 < 0:
         raise ValueError("t0 must be nonnegative")
-    return k0, k0 + cfg.m + 1
+    count = k0 + 1 if cfg.beta == -1 else k0 + cfg.m + 1
+    if count > _MAX_PATH_SAMPLES:
+        raise ValueError(
+            f"t0 = {t0!r} needs a noise path of {count} samples from t = 0 at step "
+            f"{step!r}; at most {_MAX_PATH_SAMPLES} are drawn"
+        )
+    return k0, count
 
 
 def mc_noise_samples(
@@ -263,6 +273,7 @@ def mc_noise_samples(
     their path indices, and for a process with independent increments the
     tail sums of those, since sum_i w_i*X(t_i) = sum_j dX_j*sum_{i>j} w_i.
     It equals the taps applied to ``gen_path``'s samples up to rounding.
+    The path from t = 0 to the window may hold at most 2**24 samples.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

@@ -12,8 +12,13 @@ from fractions import Fraction
 import numpy as np
 
 from algdiff.estimator import SampledSignal
-from algdiff.kernel import WeightedPoly
-from algdiff.specfun import JacobiIndex, beta_fn, jacobi_coefficients
+from algdiff.kernel import EstimatorConfig, WeightedPoly, _series_derivative, wpoly_moment
+from algdiff.specfun import JacobiIndex, _jacobi_coeffs, beta_fn
+
+
+def jacobi_coefficients(idx: JacobiIndex) -> tuple[Fraction, ...]:
+    """Exact ascending-power coefficients of the shifted Jacobi polynomial."""
+    return _jacobi_coeffs(idx.degree, Fraction(idx.mu), Fraction(idx.kappa))
 
 
 def jacobi_eval(idx: JacobiIndex, t: float) -> float:
@@ -44,6 +49,66 @@ def jacobi_norm_sq(idx: JacobiIndex) -> float:
         - math.log(2.0 * i + a + b + 1.0)
     )
     return math.exp(log_value)
+
+
+def scan_root(idx: JacobiIndex) -> float:
+    """`smallest_root` by a sign-change scan and bisection.
+
+    Brackets by sign change on a uniform 1024-interval grid, then bisects to
+    an interval width of 1e-13.  Two zeros inside one grid interval give no
+    sign change, so the scan then brackets a later zero or, when none is
+    left, raises.
+    """
+    if idx.degree < 1:
+        raise ValueError("smallest_root requires degree >= 1")
+    coeffs = [float(c) for c in jacobi_coefficients(idx)]
+
+    def poly(t: float) -> float:
+        acc = 0.0
+        for c in reversed(coeffs):
+            acc = acc * t + c
+        return acc
+
+    grid = np.arange(1025) / 1024
+    values = np.polynomial.polynomial.polyval(grid, coeffs)
+    hits = np.flatnonzero((values[:-1] == 0.0) | (values[:-1] * values[1:] < 0.0))
+    if hits.size == 0:
+        raise ValueError(f"no sign change found in (0, 1) for {idx!r}")
+    i = hits[0]
+    if values[i] == 0.0:
+        return float(grid[i])
+    lo, hi, flo = float(grid[i]), float(grid[i + 1]), float(values[i])
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        vm = poly(mid)
+        if vm == 0.0:
+            return mid
+        if flo * vm < 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, vm
+        if hi - lo <= 1e-13:
+            break
+    return 0.5 * (lo + hi)
+
+
+def exact_variance_continuous(cfg: EstimatorConfig, eta: float) -> float:
+    """`variance_continuous` in exact rational arithmetic.
+
+    G, the (n-1)-th derivative of the raised-weight series, is squared
+    exactly and integrated by one exact Beta expansion (`wpoly_moment`);
+    floats enter only in the final Beta factors.
+    """
+    if not eta >= 0:
+        raise ValueError(f"eta must be nonnegative, got {eta!r}")
+    g = _series_derivative(cfg, cfg.n - 1)
+    square = [Fraction(0)] * (2 * len(g.coeffs) - 1)
+    for i, a in enumerate(g.coeffs):
+        square[2 * i] += a * a
+        for j in range(i + 1, len(g.coeffs)):
+            square[i + j] += 2 * a * g.coeffs[j]
+    g2 = WeightedPoly(2 * g.mu_exp, 2 * g.kappa_exp, tuple(square))
+    return eta * cfg.T * wpoly_moment(g2, 0) / g.scale_divisor() ** 2
 
 
 def wpoly_derivative(p: WeightedPoly) -> WeightedPoly:

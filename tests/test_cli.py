@@ -401,10 +401,20 @@ class TestErrorHandling:
             (["mc", "--trials", "100", "--m", "40", "--t0", "nan"], "t0"),
             (["mc", "--trials", "100", "--m", "40", "--t0", "inf"], "t0"),
             (["mc", "--trials", "100", "--m", "40", "--t0", "1e300"], "t0"),
+            (["mc", "--trials", "100", "--m", "40", "--t0", "1e12"], "t0 = 1000000000000.0"),
             (["surface", "xi", "--points", "2", "--T", "-1"], "T"),
+            (["surface", "xi", "--points", "2", "--eta", "-1"], "eta must be nonnegative, got -1.0"),
+            (["surface", "delay", "--points", "2", "--kappa-lo", "nan"],
+             "--kappa-lo must be finite, got nan"),
+            (["surface", "delay", "--points", "2", "--mu-hi=-inf"],
+             "--mu-hi must be finite, got -inf"),
+            (["surface", "delay", "--points", "2", "--kappa-lo", "1", "--kappa-hi", "-3"],
+             "--kappa-lo 1.0 and --kappa-hi -3.0 give kappa = -1.0"),
         ],
         ids=["points-0", "mu-inf", "T-inf", "xi-nan", "sigma2-nan", "nu-inf", "gamma-inf",
-             "t0-nan", "t0-inf", "t0-huge", "surface-T-negative"],
+             "t0-nan", "t0-inf", "t0-huge", "t0-path-too-long", "surface-T-negative",
+             "surface-eta-negative", "surface-kappa-lo-nan", "surface-mu-hi-inf",
+             "surface-kappa-grid-reaches-minus-one"],
     )
     def test_rejected_input(self, capsys, argv, fragment):
         assert_one_line_error(capsys, argv, fragment)

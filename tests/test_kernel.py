@@ -23,8 +23,8 @@ from algdiff.kernel import (
     minimal_kernel,
     wpoly_moment,
 )
-from algdiff.specfun import JacobiIndex, beta_fn, jacobi_coefficients
-from oracles import jacobi_eval, poly_at, wpoly_derivative, wpoly_eval
+from algdiff.specfun import JacobiIndex, beta_fn
+from oracles import jacobi_coefficients, jacobi_eval, poly_at, wpoly_derivative, wpoly_eval
 
 INTERIOR = np.linspace(0.05, 0.95, 19)
 

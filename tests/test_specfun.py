@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,10 +17,9 @@ from algdiff.specfun import (
     JacobiIndex,
     _jacobi_coeffs,
     beta_fn,
-    jacobi_coefficients,
     smallest_root,
 )
-from oracles import jacobi_eval, jacobi_norm_sq
+from oracles import jacobi_coefficients, jacobi_eval, jacobi_norm_sq, scan_root
 
 GRID = np.linspace(0.0, 1.0, 21)
 EXPONENT_PAIRS = [(0.0, 0.0), (0.5, -0.25), (-0.78, -0.6), (1.0, 2.0)]
@@ -259,58 +259,31 @@ class TestSmallestRoot:
         with pytest.raises(ValueError):
             smallest_root(JacobiIndex(0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_chebyshev_closed_form(self, degree):
+        # mu = kappa = -1/2 is the Chebyshev weight, where the textbook forms
+        # of the first recurrence coefficients are 0/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = smallest_root(JacobiIndex(degree, -0.5, -0.5))
+        expected = (1.0 - math.cos(math.pi / (2 * degree))) / 2.0
+        assert got == pytest.approx(expected, rel=1e-14, abs=1e-16)
+
     @given(
         st.integers(1, 8),
         st.floats(min_value=-1.0, max_value=3.0, exclude_min=True),
         st.floats(min_value=-1.0, max_value=3.0, exclude_min=True),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_scalar_scan_bit_for_bit(self, degree, mu, kappa):
-        # exponents near -1 can push the root past the last grid point; then
-        # both must report the same missing bracket
-        def outcome(find_root):
-            try:
-                return find_root(JacobiIndex(degree, mu, kappa))
-            except ValueError as exc:
-                return str(exc)
-
-        assert outcome(smallest_root) == outcome(scalar_scan_root)
-
-
-def scalar_scan_root(idx: JacobiIndex) -> float:
-    """Reference for `smallest_root`: one Horner evaluation per grid point."""
-    coeffs = [float(c) for c in jacobi_coefficients(idx)]
-
-    def poly(t: float) -> float:
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * t + c
-        return acc
-
-    prev_t, prev_v = 0.0, poly(0.0)
-    for i in range(1, 1025):
-        t = i / 1024
-        v = poly(t)
-        if prev_v == 0.0:
-            return prev_t
-        if prev_v * v < 0.0:
-            lo, hi, flo = prev_t, t, prev_v
-            break
-        prev_t, prev_v = t, v
-    else:
-        raise ValueError(f"no sign change found in (0, 1) for {idx!r}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        vm = poly(mid)
-        if vm == 0.0:
-            return mid
-        if flo * vm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, vm
-        if hi - lo <= 1e-13:
-            break
-    return 0.5 * (lo + hi)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scan_oracle_where_it_brackets(self, degree, mu, kappa):
+        # exponents near -1 can leave the scan without a bracket; elsewhere
+        # the eigenvalue and the bisection agree to the bisection's width
+        idx = JacobiIndex(degree, mu, kappa)
+        try:
+            want = scan_root(idx)
+        except ValueError:
+            return
+        assert smallest_root(idx) == pytest.approx(want, rel=0, abs=2e-13)
 
 
 def test_coefficient_cache_is_bounded():

@@ -24,7 +24,7 @@ from algdiff.stochastic import (
     mc_noise_error,
     mc_noise_samples,
 )
-from algdiff.stochastic import _draws
+from algdiff.stochastic import _MAX_PATH_SAMPLES, _draws, _window_indices
 from oracles import bisection_calibrate_snr, snr_db
 
 U64 = 2**64
@@ -411,6 +411,16 @@ class TestMcNoiseSamples:
     def test_causal_anchor_before_full_window_rejected(self):
         with pytest.raises(ValueError):
             mc_noise_samples(self.CFG, Wiener(1.0), 0.5, 200, RngSeed(1))
+
+    @pytest.mark.parametrize("beta", [-1, 1])
+    def test_path_length_is_capped(self, beta):
+        # checked before any path is allocated: the longest path allowed
+        # passes, one more sample is refused with an error naming t0
+        cfg = EstimatorConfig(n=1, beta=beta, T=1.0, m=8)
+        last = _MAX_PATH_SAMPLES - 1 if beta == -1 else _MAX_PATH_SAMPLES - cfg.m - 1
+        assert _window_indices(cfg, last / 8)[1] == _MAX_PATH_SAMPLES
+        with pytest.raises(ValueError, match=r"t0 = .* at most 16777216"):
+            _window_indices(cfg, (last + 1) / 8)
 
 
 class TestMcNoiseError:
