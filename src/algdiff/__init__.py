@@ -46,7 +46,6 @@ from .stochastic import (
     Wiener,
     calibrate_snr,
     gen_path,
-    mc_noise_error,
     mc_noise_samples,
 )
 
@@ -94,5 +93,4 @@ __all__ = [
     "gen_path",
     "calibrate_snr",
     "mc_noise_samples",
-    "mc_noise_error",
 ]

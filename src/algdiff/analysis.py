@@ -46,12 +46,13 @@ def _check_order(n: int) -> None:
 
 
 def theoretical_delay(n: int, kappa: float, mu: float, T: float) -> float:
-    """Delay of the single-term causal estimator: T*(kappa+n+1)/(mu+kappa+2n+2)."""
+    """Delay of the single-term causal estimator: T*(kappa+n+1)/(mu+kappa+2n+2),
+    evaluated as T/(1 + (mu+n+1)/(kappa+n+1)), which cannot overflow."""
     _check_order(n)
     _check_exponents(kappa, mu)
     if not T > 0:
         raise ValueError(f"T must be positive, got {T!r}")
-    return T * (kappa + n + 1) / (mu + kappa + 2 * n + 2)
+    return T / (1 + (mu + n + 1) / (kappa + n + 1))
 
 
 def affine_delay(n: int, kappa: float, mu: float, T: float, xi: float) -> float:

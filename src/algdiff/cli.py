@@ -15,7 +15,7 @@ import math
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, TextIO, get_type_hints
 
@@ -46,12 +46,8 @@ from .stochastic import (
 )
 
 __all__ = [
-    "ExperimentSpec",
-    "RunReport",
     "run_experiment",
     "run_preset_pair",
-    "dump_kernel",
-    "dump_surface",
     "mc_report",
     "main",
     "PRESETS",
@@ -64,8 +60,11 @@ __all__ = [
 EXPSIN_TS = 1.0 / 200.0
 SIN2T_TS = math.pi / 100.0
 
+# derivative(t, k): a signal's exact k-th derivative at the times t
+_Derivative = Callable[[np.ndarray, int], np.ndarray]
 
-def _exp_signal(s: complex, sign: float) -> Callable[[np.ndarray, int], np.ndarray]:
+
+def _exp_signal(s: complex, sign: float) -> _Derivative:
     def deriv(t: np.ndarray, n: int) -> np.ndarray:
         return sign * np.imag(s**n * np.exp(s * t))
 
@@ -81,7 +80,7 @@ _NAMED_SIGNALS = {
 }
 
 
-def _polynomial_signal(coeffs: tuple[float, ...]) -> Callable[[np.ndarray, int], np.ndarray]:
+def _polynomial_signal(coeffs: tuple[float, ...]) -> _Derivative:
     poly = np.polynomial.polynomial
 
     def deriv(t: np.ndarray, n: int) -> np.ndarray:
@@ -113,7 +112,7 @@ def _csv_signal(path: str) -> SampledSignal:
 
 
 # ---------------------------------------------------------------------------
-# experiment specification and report
+# experiment run and report
 
 # run defaults, each stated once: a preset or spec-file value overrides one,
 # and a flag overrides both
@@ -122,41 +121,6 @@ _DEFAULTS = {
     "nu": 1.0, "window_lo": -math.inf, "window_hi": math.inf, "n": 1, "seed": 42,
     "stream": 0, "gamma": 2.0, "label": "run",
 }
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One benchmark run: signal, optional calibrated noise, estimator, window.
-
-    ``derivative(t, k)`` is the signal's exact k-th derivative, None when it
-    is unknown (a CSV signal).
-    """
-
-    signal: SampledSignal
-    derivative: Callable[[np.ndarray, int], np.ndarray] | None
-    estimator: EstimatorConfig
-    noise: NoiseModel | None = None
-    target_snr_db: float | None = None
-    window: tuple[float, float] | None = None
-    seed: RngSeed = RngSeed(_DEFAULTS["seed"], _DEFAULTS["stream"])
-    gamma: float = _DEFAULTS["gamma"]
-    label: str = _DEFAULTS["label"]
-    out_dir: str | None = None
-
-
-@dataclass(frozen=True)
-class RunReport:
-    total_error: float | None
-    snr_db: float | None
-    delay_s: float
-    band_low: float
-    band_high: float
-    gamma: float
-    config: EstimatorConfig
-    seed: RngSeed
-    window: tuple[float, float]
-    label: str
-    series_paths: dict[str, str]
 
 
 def _fmt(value: float) -> str:
@@ -169,33 +133,36 @@ def _write_csv(out: TextIO, header: list[str], rows) -> None:
         out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def run_experiment(spec: ExperimentSpec) -> RunReport:
+def run_experiment(values: dict, out_dir: str | None = None) -> dict:
     """Generate signal and noise, estimate, and score on the metrics window.
 
-    The pointwise error is estimate(t) - x^(n)(t), unshifted; total_error is
+    ``values`` are a run's resolved spec values (see `_resolve`).  The
+    pointwise error is estimate(t) - x^(n)(t), unshifted; total_error is
     ts * sum of squares over the window.  The estimate SNR applies the
     calibration log-ratio to the noisy estimate series against its deviation
-    from the noiseless run.
+    from the noiseless run.  With ``out_dir`` the series are written there as
+    CSVs named after the run's label.
     """
-    clean, deriv = spec.signal, spec.derivative
-    cfg = spec.estimator
+    clean, deriv = _signal(values)
+    noise = _noise(values)
+    cfg = _config(values, clean.ts)
+    seed = RngSeed(values["seed"], values["stream"])
+    gamma = values["gamma"]
 
     scale = 0.0
     noisy = clean
-    if spec.noise is not None:
-        path = gen_path(spec.noise, clean.ts, len(clean.values), spec.seed)
-        if spec.target_snr_db is not None:
-            scale = calibrate_snr(clean, path, spec.target_snr_db)
-        else:
-            scale = 1.0
+    if noise is not None:
+        path = gen_path(noise, clean.ts, len(clean.values), seed)
+        target_snr_db = values.get("target_snr_db")
+        scale = 1.0 if target_snr_db is None else calibrate_snr(clean, path, target_snr_db)
         noisy = SampledSignal(clean.t_start, clean.ts, clean.values + scale * path.values)
 
     series_noisy = estimate_series(noisy, cfg)
-    series_clean = series_noisy if spec.noise is None else estimate_series(clean, cfg)
+    series_clean = series_noisy if noise is None else estimate_series(clean, cfg)
 
     times = series_noisy.times
-    lo = times[0] if spec.window is None else max(spec.window[0], times[0])
-    hi = times[-1] if spec.window is None else min(spec.window[1], times[-1])
+    lo = max(values["window_lo"], times[0])
+    hi = min(values["window_hi"], times[-1])
     mask = (times >= lo - 1e-12) & (times <= hi + 1e-12)
     if not np.any(mask):
         raise ValueError(f"metrics window [{lo}, {hi}] contains no estimates")
@@ -209,7 +176,7 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
         total_error = float(clean.ts * np.sum(err**2))
 
     snr_db = None
-    if spec.noise is not None:
+    if noise is not None:
         noise_part = series_noisy.estimates[mask] - series_clean.estimates[mask]
         signal_part = series_noisy.estimates[mask]
         denom = float(noise_part @ noise_part)
@@ -222,41 +189,37 @@ def run_experiment(spec: ExperimentSpec) -> RunReport:
         else affine_delay(cfg.n, cfg.kappa, cfg.mu, cfg.T, cfg.xi)
     )
 
-    dk = kernel_taps(cfg)
-    if spec.noise is not None:
-        base = discrete_moments(dk, spec.noise, window[0], spec.gamma)
-        band_low, band_high = chebyshev_band(
-            scale * base.mean, scale**2 * base.variance, spec.gamma
-        )
-    else:
-        band_low = band_high = 0.0
+    band_low = band_high = 0.0
+    if noise is not None:
+        base = discrete_moments(kernel_taps(cfg), noise, window[0], gamma)
+        band_low, band_high = chebyshev_band(scale * base.mean, scale**2 * base.variance, gamma)
 
     series_paths: dict[str, str] = {}
-    if spec.out_dir is not None:
-        out_dir = Path(spec.out_dir)
+    if out_dir is not None:
+        out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         named = {"estimate_noisy": series_noisy.estimates, "estimate_noiseless": series_clean.estimates}
         if truth is not None:
             named["truth"] = truth
-        for name, values in named.items():
-            path = out_dir / f"{spec.label}_{name}.csv"
-            with path.open("w") as fh:
-                _write_csv(fh, ["t", "estimate"], zip(times, values))
-            series_paths[name] = str(path)
+        for name, estimates in named.items():
+            csv_path = out_dir / f"{values['label']}_{name}.csv"
+            with csv_path.open("w") as fh:
+                _write_csv(fh, ["t", "estimate"], zip(times, estimates))
+            series_paths[name] = str(csv_path)
 
-    return RunReport(
-        total_error=total_error,
-        snr_db=snr_db,
-        delay_s=delay,
-        band_low=float(band_low),
-        band_high=float(band_high),
-        gamma=spec.gamma,
-        config=cfg,
-        seed=spec.seed,
-        window=window,
-        label=spec.label,
-        series_paths=series_paths,
-    )
+    return {
+        "total_error": total_error,
+        "snr_db": snr_db,
+        "delay_s": delay,
+        "band_low": float(band_low),
+        "band_high": float(band_high),
+        "gamma": gamma,
+        "config": asdict(cfg),
+        "seed": asdict(seed),
+        "window": window,
+        "label": values["label"],
+        "series_paths": series_paths,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -293,31 +256,22 @@ PRESETS = {
 _NOISE_KINDS = {"white": WhiteGaussian, "wiener": Wiener, "poisson": Poisson}
 
 
-def run_preset_pair(
-    name: str, seed: RngSeed, out_dir: str | None = None, gamma: float = _DEFAULTS["gamma"]
-) -> dict:
+def run_preset_pair(name: str, flags: dict, out_dir: str | None = None) -> dict:
     """Run a preset's integer-exponent and extended-exponent configs on the
-    same noise realization and return the paired report."""
-    return _preset_pair(name, {"seed": seed.seed, "stream": seed.stream, "gamma": gamma}, out_dir)
+    same noise realization and return the paired report.
 
-
-def _preset_pair(name: str, flags: dict, out_dir: str | None) -> dict:
-    """`run_preset_pair` with ``flags`` over both runs' spec values."""
+    ``flags`` (spec keys, e.g. ``{"seed": 3}``) override both runs' values.
+    """
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    reports = [
-        run_experiment(_spec(_resolve(flags, dict(values, label=f"{name}_{label}")), out_dir))
+    runs = [
+        run_experiment(_resolve(flags, dict(values, label=f"{name}_{label}")), out_dir)
         for label, values in PRESETS[name].items()
     ]
     ratio = None
-    if reports[0].total_error and reports[1].total_error:
-        ratio = reports[0].total_error / reports[1].total_error
-    return {
-        "preset": name,
-        "seed": asdict(reports[0].seed),
-        "runs": [asdict(r) for r in reports],
-        "error_ratio": ratio,
-    }
+    if runs[0]["total_error"] and runs[1]["total_error"]:
+        ratio = runs[0]["total_error"] / runs[1]["total_error"]
+    return {"preset": name, "seed": runs[0]["seed"], "runs": runs, "error_ratio": ratio}
 
 
 def _render_pair_table(pair: dict, out: TextIO) -> None:
@@ -343,24 +297,7 @@ def _render_pair_table(pair: dict, out: TextIO) -> None:
 
 
 # ---------------------------------------------------------------------------
-# dumps and Monte-Carlo report
-
-
-def dump_kernel(cfg: EstimatorConfig, out: TextIO) -> None:
-    """CSV of the discrete taps: i, abscissa, tap."""
-    rows = ((i, i / cfg.m, tap) for i, tap in enumerate(kernel_taps(cfg).taps))
-    _write_csv(out, ["i", "abscissa", "tap"], rows)
-
-
-def dump_surface(quantity: str, kappa_grid, mu_grid, out: TextIO, **design) -> None:
-    """CSV grid of a design quantity: header row of mu, first column kappa.
-
-    ``design`` (n, q, T, eta) is passed to `sweep_surface`, whose defaults apply.
-    """
-    grid = sweep_surface(quantity, kappa_grid, mu_grid, **design)
-    out.write("," + ",".join(_fmt(mu) for mu in mu_grid) + "\n")
-    for kappa, row in zip(kappa_grid, grid):
-        out.write(_fmt(kappa) + "," + ",".join(_fmt(v) for v in row) + "\n")
+# Monte-Carlo report
 
 
 def mc_report(
@@ -499,38 +436,24 @@ def _noise(values: dict) -> NoiseModel | None:
     return model(values[fields(model)[0].name])
 
 
-def _spec(values: dict, out_dir: str | None = None) -> ExperimentSpec:
-    # the signal is built here once; the config's sampling period comes from it
+def _signal(values: dict) -> tuple[SampledSignal, _Derivative | None]:
+    """The run's samples and the signal's derivative, None when it is
+    unknown (a CSV signal)."""
     kind = values["signal"]
     if kind == "csv":
         if "csv_path" not in values:
             raise ValueError("csv signal requires a path")
-        signal, derivative = _csv_signal(values["csv_path"]), None
+        return _csv_signal(values["csv_path"]), None
+    if kind in _NAMED_SIGNALS:
+        derivative, ts, count = _NAMED_SIGNALS[kind]
+    elif kind == "polynomial":
+        if not values.get("coeffs"):
+            raise ValueError("polynomial signal requires coefficients")
+        derivative = _polynomial_signal(values["coeffs"])
+        ts, count = values["ts"], values["count"]
     else:
-        if kind in _NAMED_SIGNALS:
-            derivative, ts, count = _NAMED_SIGNALS[kind]
-        elif kind == "polynomial":
-            if not values.get("coeffs"):
-                raise ValueError("polynomial signal requires coefficients")
-            derivative = _polynomial_signal(values["coeffs"])
-            ts, count = values["ts"], values["count"]
-        else:
-            raise ValueError(f"unknown signal kind {kind!r}")
-        signal = SampledSignal(0.0, ts, derivative(np.arange(count) * ts, 0))
-
-    noise = _noise(values)
-    return ExperimentSpec(
-        signal=signal,
-        derivative=derivative,
-        estimator=_config(values, signal.ts),
-        noise=noise,
-        target_snr_db=values.get("target_snr_db"),
-        window=(values["window_lo"], values["window_hi"]),
-        seed=RngSeed(values["seed"], values["stream"]),
-        gamma=values["gamma"],
-        label=values["label"],
-        out_dir=out_dir,
-    )
+        raise ValueError(f"unknown signal kind {kind!r}")
+    return SampledSignal(0.0, ts, derivative(np.arange(count) * ts, 0)), derivative
 
 
 _FLAG_HELP = {
@@ -588,23 +511,23 @@ def _cmd_estimate(ns: argparse.Namespace) -> int:
 
 def _cmd_experiment(ns: argparse.Namespace) -> int:
     if ns.target in PRESETS:
-        document = _preset_pair(ns.target, _flags(ns), ns.out_dir)
+        document = run_preset_pair(ns.target, _flags(ns), ns.out_dir)
         _render_pair_table(document, sys.stderr)
     else:
         if not Path(ns.target).exists():
             raise ValueError(
                 f"{ns.target!r} is neither a preset ({sorted(PRESETS)}) nor a spec file"
             )
-        spec = _spec(_resolve(_flags(ns), _parse_spec_file(ns.target)), ns.out_dir)
-        document = asdict(run_experiment(spec))
+        document = run_experiment(_resolve(_flags(ns), _parse_spec_file(ns.target)), ns.out_dir)
     _print_json(document)
     return 0
 
 
 def _cmd_kernel(ns: argparse.Namespace) -> int:
     cfg = _config(_resolve(_flags(ns)))
+    taps = kernel_taps(cfg).taps
     with _open_out(ns.out) as out:
-        dump_kernel(cfg, out)
+        _write_csv(out, ["i", "abscissa", "tap"], ((i, i / cfg.m, t) for i, t in enumerate(taps)))
     return 0
 
 
@@ -615,8 +538,16 @@ def _cmd_surface(ns: argparse.Namespace) -> int:
     mu_grid = _surface_axis("mu", ns.mu_lo, ns.mu_hi, ns.points)
     # unset flags fall back to sweep_surface's own defaults (q = 1 there)
     design = {k: getattr(ns, k) for k in ("n", "q", "T", "eta") if getattr(ns, k) is not None}
+    try:
+        grid = sweep_surface(ns.quantity, kappa_grid, mu_grid, **design)
+    except FloatingPointError as exc:
+        grid_hi = f"--kappa-hi {ns.kappa_hi!r}, --mu-hi {ns.mu_hi!r}"
+        raise ValueError(f"{ns.quantity} leaves the float range for {grid_hi}: {exc}") from None
+    # header row of mu, first column kappa
     with _open_out(ns.out) as out:
-        dump_surface(ns.quantity, kappa_grid, mu_grid, out, **design)
+        out.write("," + ",".join(_fmt(mu) for mu in mu_grid) + "\n")
+        for kappa, row in zip(kappa_grid, grid):
+            out.write(_fmt(kappa) + "," + ",".join(_fmt(v) for v in row) + "\n")
     return 0
 
 

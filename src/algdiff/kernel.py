@@ -40,16 +40,6 @@ __all__ = [
 _TAPS_CACHE_SIZE = 32
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)  # exact binary value of the float
-    raise TypeError(f"cannot represent {value!r} exactly")
-
-
 @dataclass(frozen=True)
 class WeightedPoly:
     """``(1-t)**mu_exp * t**kappa_exp * Q(t)``, all stored exactly.
@@ -63,18 +53,6 @@ class WeightedPoly:
     kappa_exp: Fraction
     coeffs: tuple[Fraction, ...]
     beta_divisor: tuple[Fraction, Fraction] | None = None
-
-    @classmethod
-    def of(cls, mu_exp, kappa_exp, coeffs, beta_divisor=None) -> "WeightedPoly":
-        cs = [_as_fraction(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            raise ValueError("coeffs must be nonempty")
-        div = None
-        if beta_divisor is not None:
-            div = (_as_fraction(beta_divisor[0]), _as_fraction(beta_divisor[1]))
-        return cls(_as_fraction(mu_exp), _as_fraction(kappa_exp), tuple(cs), div)
 
     @property
     def degree(self) -> int:
@@ -243,7 +221,7 @@ def _series_derivative(cfg: EstimatorConfig, k: int) -> WeightedPoly:
     n, q = cfg.n, cfg.q
     mu, kappa = Fraction(cfg.mu), Fraction(cfg.kappa)
     a, b = mu + n, kappa + n  # raised exponents: (1-t)**a * t**b
-    xi = _as_fraction(cfg.xi)  # 0 when q = 0, where it is unused
+    xi = Fraction(cfg.xi)  # 0 when q = 0, where it is unused
     window = (Fraction(cfg.beta) * Fraction(cfg.T)) ** n
     divisor = (b + 1, a + 1)  # B(kappa+n+1, mu+n+1), shared by all terms
 
@@ -290,6 +268,7 @@ def discretize(p: WeightedPoly, cfg: EstimatorConfig) -> DiscreteKernel:
     exponent at its own end) is handled per ``cfg.endpoint``: the "f-rule"
     replaces only the singular power factor by ``(F/m)**exponent``, keeping
     every other factor at the true abscissa; "suppress" zeroes the tap.
+    Exponents whose taps leave the float range are rejected.
     """
     m = cfg.m
     a, b = float(p.mu_exp), float(p.kappa_exp)
@@ -312,7 +291,10 @@ def discretize(p: WeightedPoly, cfg: EstimatorConfig) -> DiscreteKernel:
 
     weights = np.full(m + 1, 1.0 / m)
     weights[0] = weights[-1] = 0.5 / m
-    taps = weights * values / p.scale_divisor()
+    with np.errstate(all="ignore"):  # the Beta divisor underflows to 0 for large exponents
+        taps = weights * values / p.scale_divisor()
+    if not np.all(np.isfinite(taps)):
+        raise ValueError(f"mu = {cfg.mu!r} and kappa = {cfg.kappa!r} give taps that are not finite")
     return DiscreteKernel(taps, cfg)
 
 

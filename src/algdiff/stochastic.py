@@ -31,7 +31,6 @@ __all__ = [
     "gen_path",
     "calibrate_snr",
     "mc_noise_samples",
-    "mc_noise_error",
 ]
 
 _U64 = 1 << 64
@@ -300,23 +299,15 @@ def mc_noise_samples(
     return out
 
 
-def mc_noise_error(
-    cfg: EstimatorConfig, model: NoiseModel, t0: float, trials: int, seed: RngSeed
-) -> tuple[float, float, float]:
-    """Empirical (mean, variance, stderr-of-variance) of the noise error.
-
-    The variance is the unbiased sample variance; its standard error uses the
-    distribution-free fourth-moment estimate sqrt((m4 - s^4)/trials).
-    """
-    if trials < 100:
-        raise ValueError("trials must be at least 100")
-    return _sample_moments(mc_noise_samples(cfg, model, t0, trials, seed))
-
-
 def _sample_moments(e: np.ndarray) -> tuple[float, float, float]:
+    """Empirical (mean, unbiased variance s^2, stderr-of-variance) of ``e``.
+
+    The stderr is the distribution-free sqrt((m4 - s^4)/N), taken as
+    s^2 sqrt((mean(z^4) - 1)/N) with z = (e - mean)/s so that it cannot overflow.
+    """
     mean = float(np.mean(e))
     var = float(np.var(e, ddof=1))
-    centered = e - mean
-    m4 = float(np.mean(centered**4))
-    stderr_var = math.sqrt(max(m4 - var**2, 0.0) / len(e))
-    return mean, var, stderr_var
+    if var == 0.0:
+        return mean, var, 0.0
+    z4 = float(np.mean(((e - mean) / math.sqrt(var)) ** 4))
+    return mean, var, var * math.sqrt(max(z4 - 1.0, 0.0) / len(e))

@@ -16,6 +16,16 @@ from algdiff.kernel import EstimatorConfig, WeightedPoly, _series_derivative, wp
 from algdiff.specfun import JacobiIndex, _jacobi_coeffs, beta_fn
 
 
+def wpoly(mu_exp, kappa_exp, coeffs, beta_divisor=None) -> WeightedPoly:
+    """A `WeightedPoly` from ints, floats or fractions, each taken exactly,
+    with trailing zero coefficients trimmed as the package's kernels are."""
+    cs = [Fraction(c) for c in coeffs]
+    while len(cs) > 1 and cs[-1] == 0:
+        cs.pop()
+    div = None if beta_divisor is None else tuple(Fraction(d) for d in beta_divisor)
+    return WeightedPoly(Fraction(mu_exp), Fraction(kappa_exp), tuple(cs), div)
+
+
 def jacobi_coefficients(idx: JacobiIndex) -> tuple[Fraction, ...]:
     """Exact ascending-power coefficients of the shifted Jacobi polynomial."""
     return _jacobi_coeffs(idx.degree, Fraction(idx.mu), Fraction(idx.kappa))

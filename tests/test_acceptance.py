@@ -24,7 +24,6 @@ from algdiff.cli import run_preset_pair
 from algdiff.estimator import SampledSignal, estimate_at
 from algdiff.kernel import (
     EstimatorConfig,
-    WeightedPoly,
     affine_kernel,
     discretize,
     minimal_kernel,
@@ -36,10 +35,10 @@ from algdiff.stochastic import (
     RngSeed,
     Wiener,
     WhiteGaussian,
-    mc_noise_error,
+    _sample_moments,
     mc_noise_samples,
 )
-from oracles import jacobi_eval, wpoly_derivative, wpoly_eval
+from oracles import jacobi_eval, wpoly, wpoly_derivative, wpoly_eval
 
 
 def make_kernel(cfg: EstimatorConfig):
@@ -137,7 +136,7 @@ def test_04_weight_derivative_identity():
     for n in (1, 2, 3):
         for mu in grid:
             for kappa in grid:
-                p = WeightedPoly.of(mu + n, kappa + n, [1])
+                p = wpoly(mu + n, kappa + n, [1])
                 for _ in range(n):
                     p = wpoly_derivative(p)
                 sign = (-1) ** n * math.factorial(n)
@@ -177,7 +176,7 @@ def test_05_closed_form_variance_vs_monte_carlo():
     start = time.perf_counter()
     report = []
     for label, cfg, target, seed in runs:
-        _, var, _ = mc_noise_error(cfg, Wiener(1.0), t0, trials, seed)
+        _, var, _ = _sample_moments(mc_noise_samples(cfg, Wiener(1.0), t0, trials, seed))
         rel = abs(var - target) / target
         assert rel <= 0.05, (label, var, target)
         report.append(f"{label} {var:.4f} vs {target:.4f} ({rel * 100:.1f}%)")
@@ -192,12 +191,12 @@ def test_06_counting_noise_mean():
     trials, t0, nu = 10_000, 2.0, 1.5
     start = time.perf_counter()
     cfg1 = EstimatorConfig(n=1, mu=0.0, kappa=0.0, beta=-1, T=1.0, m=400)
-    mean1, var1, _ = mc_noise_error(cfg1, Poisson(nu), t0, trials, RngSeed(13))
+    mean1, var1, _ = _sample_moments(mc_noise_samples(cfg1, Poisson(nu), t0, trials, RngSeed(13)))
     se1 = math.sqrt(var1 / trials)
     assert abs(mean1 - nu) <= 4 * se1, (mean1, nu, se1)
 
     cfg2 = EstimatorConfig(n=2, mu=0.0, kappa=0.0, beta=-1, T=1.0, m=400)
-    mean2, var2, _ = mc_noise_error(cfg2, Poisson(nu), t0, trials, RngSeed(14))
+    mean2, var2, _ = _sample_moments(mc_noise_samples(cfg2, Poisson(nu), t0, trials, RngSeed(14)))
     se2 = math.sqrt(var2 / trials)
     assert abs(mean2) <= 4 * se2, (mean2, se2)
     elapsed = time.perf_counter() - start
@@ -330,7 +329,7 @@ def test_11_extended_exponents_beat_integer_presets():
     for preset in ("table1-a", "table1-b", "table2-a", "table2-b"):
         ratios = []
         for seed in range(10):
-            pair = run_preset_pair(preset, RngSeed(seed))
+            pair = run_preset_pair(preset, {"seed": seed})
             ratios.append(pair["error_ratio"])
         wins = sum(r >= 5.0 for r in ratios)
         assert wins >= 9, (preset, sorted(ratios))

@@ -39,7 +39,7 @@ from algdiff.specfun import (
     smallest_root,
 )
 from algdiff.stochastic import Poisson, PolyMean, WhiteGaussian, Wiener
-from oracles import dense_increment_covariance, exact_variance_continuous, wpoly_derivative
+from oracles import dense_increment_covariance, exact_variance_continuous, wpoly, wpoly_derivative
 
 EPS = np.finfo(float).eps
 
@@ -160,6 +160,14 @@ class TestTheoreticalDelay:
         assert theoretical_delay(n, kappa, mu, T) == pytest.approx(expect, rel=1e-14)
 
     @pytest.mark.parametrize(
+        "kappa,mu,expect",
+        [(1e308, 1e308, 0.5), (1e308, 0.0, 1.0), (0.0, 1e308, 2 / 1e308), (1.7e308, 1.7e308, 0.5)],
+    )
+    def test_extreme_exponents_stay_in_range(self, kappa, mu, expect):
+        # the sum mu + kappa overflows; the delay itself does not
+        assert theoretical_delay(1, kappa, mu, 1.0) == pytest.approx(expect, rel=1e-15)
+
+    @pytest.mark.parametrize(
         "kwargs",
         [
             dict(n=0, kappa=0.0, mu=0.0, T=1.0),
@@ -262,7 +270,7 @@ class TestIIntegral:
     def test_matches_direct_quadrature(self, mu, kappa, n):
         # the defining double integral, with the inner part integrated
         # analytically (the order-(n-1) derivative vanishes at both ends)
-        w = WeightedPoly.of(Fraction(mu) + n, Fraction(kappa) + n, [1])
+        w = wpoly(Fraction(mu) + n, Fraction(kappa) + n, [1])
         lower = w
         for _ in range(n - 1):
             lower = wpoly_derivative(lower)

@@ -410,20 +410,43 @@ class TestErrorHandling:
              "--mu-hi must be finite, got -inf"),
             (["surface", "delay", "--points", "2", "--kappa-lo", "1", "--kappa-hi", "-3"],
              "--kappa-lo 1.0 and --kappa-hi -3.0 give kappa = -1.0"),
+            (["surface", "variance_affine", "--points", "2", "--n", "2", "--q", "2",
+              "--kappa-hi", "1e60", "--mu-hi", "1e60"],
+             "variance_affine leaves the float range for --kappa-hi 1e+60, --mu-hi 1e+60"),
+            (["kernel", "--m", "4", "--mu", "800", "--kappa", "800"],
+             "mu = 800.0 and kappa = 800.0 give taps that are not finite"),
+            (["mc", "--trials", "100", "--m", "40", "--mu", "1e60", "--kappa", "1e60"],
+             "mu = 1e+60 and kappa = 1e+60 give taps that are not finite"),
         ],
         ids=["points-0", "mu-inf", "T-inf", "xi-nan", "sigma2-nan", "nu-inf", "gamma-inf",
              "t0-nan", "t0-inf", "t0-huge", "t0-path-too-long", "surface-T-negative",
              "surface-eta-negative", "surface-kappa-lo-nan", "surface-mu-hi-inf",
-             "surface-kappa-grid-reaches-minus-one"],
+             "surface-kappa-grid-reaches-minus-one", "surface-variance-overflow",
+             "kernel-taps-not-finite", "mc-taps-not-finite"],
     )
     def test_rejected_input(self, capsys, argv, fragment):
         assert_one_line_error(capsys, argv, fragment)
 
+    def test_extreme_exponents_keep_the_delay(self):
+        # every delay cell on this grid is finite and the far corner is T/2
+        rc, out, err = run_captured(
+            ["surface", "delay", "--points", "2", "--kappa-hi", "1e308", "--mu-hi", "1e308"]
+        )
+        assert (rc, err) == (0, "")
+        rows = [[float(c) for c in line.split(",")[1:]] for line in out.splitlines()[1:]]
+        assert rows == [[0.5, pytest.approx(1 / 3)], [pytest.approx(2 / 3), 0.5]]
+
+    def test_huge_noise_intensity_reports_a_finite_stderr(self):
+        rc, out, err = run_captured(["mc", "--trials", "100", "--m", "40", "--sigma2", "1e300"])
+        assert (rc, err) == (0, "")
+        report = json.loads(out)
+        assert 0.0 < report["stderr_var"] < report["emp_var"] < math.inf
+
     def test_arithmetic_error_exits_2(self, capsys, monkeypatch):
-        def overflow(cfg, out):
+        def overflow(cfg):
             raise OverflowError("too large")
 
-        monkeypatch.setattr(cli, "dump_kernel", overflow)
+        monkeypatch.setattr(cli, "kernel_taps", overflow)
         assert_one_line_error(capsys, ["kernel"], "too large")
 
     @pytest.mark.parametrize(
@@ -433,10 +456,10 @@ class TestErrorHandling:
         ids=["message", "bare"],
     )
     def test_memory_error_exits_2(self, capsys, monkeypatch, exc, fragment):
-        def exhausted(cfg, out):
+        def exhausted(cfg):
             raise exc
 
-        monkeypatch.setattr(cli, "dump_kernel", exhausted)
+        monkeypatch.setattr(cli, "kernel_taps", exhausted)
         assert_one_line_error(capsys, ["kernel"], fragment)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algdiff.kernel import WeightedPoly, wpoly_moment
+from algdiff.kernel import wpoly_moment
 from algdiff.specfun import (
     _JACOBI_CACHE_SIZE,
     JacobiIndex,
@@ -19,7 +19,7 @@ from algdiff.specfun import (
     beta_fn,
     smallest_root,
 )
-from oracles import jacobi_coefficients, jacobi_eval, jacobi_norm_sq, scan_root
+from oracles import jacobi_coefficients, jacobi_eval, jacobi_norm_sq, scan_root, wpoly
 
 GRID = np.linspace(0.0, 1.0, 21)
 EXPONENT_PAIRS = [(0.0, 0.0), (0.5, -0.25), (-0.78, -0.6), (1.0, 2.0)]
@@ -27,7 +27,7 @@ EXPONENT_PAIRS = [(0.0, 0.0), (0.5, -0.25), (-0.78, -0.6), (1.0, 2.0)]
 
 def jacobi_weighted_moment(idx: JacobiIndex, j: int) -> float:
     """``integral of w(t) P(t) t**j over [0, 1]``: a one-term weighted polynomial."""
-    return wpoly_moment(WeightedPoly.of(idx.mu, idx.kappa, jacobi_coefficients(idx)), j)
+    return wpoly_moment(wpoly(idx.mu, idx.kappa, jacobi_coefficients(idx)), j)
 
 
 class TestBeta:

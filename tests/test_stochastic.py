@@ -21,10 +21,9 @@ from algdiff.stochastic import (
     Wiener,
     calibrate_snr,
     gen_path,
-    mc_noise_error,
     mc_noise_samples,
 )
-from algdiff.stochastic import _MAX_PATH_SAMPLES, _draws, _window_indices
+from algdiff.stochastic import _MAX_PATH_SAMPLES, _draws, _sample_moments, _window_indices
 from oracles import bisection_calibrate_snr, snr_db
 
 U64 = 2**64
@@ -423,46 +422,69 @@ class TestMcNoiseSamples:
             _window_indices(cfg, (last + 1) / 8)
 
 
+def noise_moments(cfg, model, t0, trials, seed):
+    """Empirical (mean, variance, stderr-of-variance) of the noise error."""
+    return _sample_moments(mc_noise_samples(cfg, model, t0, trials, seed))
+
+
 class TestMcNoiseError:
     def test_white_noise_variance_matches_closed_form(self):
         cfg = EstimatorConfig(n=1, mu=0.25, kappa=0.5, beta=-1, T=1.0, m=200)
         k = discretize(minimal_kernel(cfg), cfg)
         target = 0.8 * float(np.sum(k.taps**2))
-        mean, var, stderr = mc_noise_error(cfg, WhiteGaussian(0.8), 2.0, 10_000, RngSeed(31))
+        mean, var, stderr = noise_moments(cfg, WhiteGaussian(0.8), 2.0, 10_000, RngSeed(31))
         assert abs(mean) <= 4.0 * math.sqrt(var / 10_000)
         assert abs(var - target) <= 4.0 * stderr
 
     def test_brownian_variance_matches_continuous_form(self):
         cfg = EstimatorConfig(n=1, beta=-1, T=1.0, m=400)
-        _, var, _ = mc_noise_error(cfg, Wiener(1.0), 2.0, 10_000, RngSeed(11))
+        _, var, _ = noise_moments(cfg, Wiener(1.0), 2.0, 10_000, RngSeed(11))
         assert abs(var - 1.2) <= 0.05 * 1.2
 
     def test_counting_mean_matches_rate_first_order(self):
         cfg = EstimatorConfig(n=1, beta=-1, T=1.0, m=400)
-        mean, var, _ = mc_noise_error(cfg, Poisson(1.0), 2.0, 10_000, RngSeed(13))
+        mean, var, _ = noise_moments(cfg, Poisson(1.0), 2.0, 10_000, RngSeed(13))
         assert abs(mean - 1.0) <= 4.0 * math.sqrt(var / 10_000)
 
     def test_counting_mean_vanishes_second_order(self):
         cfg = EstimatorConfig(n=2, beta=-1, T=1.0, m=400)
-        mean, var, _ = mc_noise_error(cfg, Poisson(1.5), 2.0, 10_000, RngSeed(14))
+        mean, var, _ = noise_moments(cfg, Poisson(1.5), 2.0, 10_000, RngSeed(14))
         assert abs(mean) <= 4.0 * math.sqrt(var / 10_000)
 
     def test_low_degree_polynomial_mean_annihilated(self):
         cfg = EstimatorConfig(n=2, beta=-1, T=1.0, m=200)
         model = PolyMean((0.7, -0.4), WhiteGaussian(0.5))
-        mean, var, _ = mc_noise_error(cfg, model, 2.0, 10_000, RngSeed(15))
+        mean, var, _ = noise_moments(cfg, model, 2.0, 10_000, RngSeed(15))
         assert abs(mean) <= 4.0 * math.sqrt(var / 10_000)
 
     def test_deterministic(self):
         cfg = EstimatorConfig(n=1, beta=-1, T=1.0, m=100)
-        a = mc_noise_error(cfg, Wiener(1.0), 2.0, 500, RngSeed(21))
-        b = mc_noise_error(cfg, Wiener(1.0), 2.0, 500, RngSeed(21))
+        a = noise_moments(cfg, Wiener(1.0), 2.0, 500, RngSeed(21))
+        b = noise_moments(cfg, Wiener(1.0), 2.0, 500, RngSeed(21))
         assert a == b
 
-    def test_requires_enough_trials(self):
-        cfg = EstimatorConfig(n=1, beta=-1, T=1.0, m=100)
-        with pytest.raises(ValueError):
-            mc_noise_error(cfg, Wiener(1.0), 2.0, 99, RngSeed(1))
+
+class TestSampleMoments:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 500), st.floats(1e-6, 1e6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fourth_moment_form(self, seed, count, scale):
+        # stderr^2 = (m4 - s^4)/N, up to rounding of the fourth moment m4
+        e = scale * np.random.default_rng(seed).standard_normal(count) + 3.0 * scale
+        mean, var, stderr = _sample_moments(e)
+        assert mean == float(np.mean(e)) and var == float(np.var(e, ddof=1))
+        m4 = float(np.mean((e - mean) ** 4))
+        assert abs(stderr**2 - max(m4 - var**2, 0.0) / count) <= 1e-13 * m4 / count
+
+    def test_huge_samples_keep_a_finite_stderr(self):
+        e = np.random.default_rng(3).standard_normal(1000)
+        _, var, stderr = _sample_moments(1e150 * e)
+        _, var1, stderr1 = _sample_moments(e)
+        assert var == pytest.approx(1e300 * var1, rel=1e-14)
+        assert math.isfinite(stderr)
+        assert stderr == pytest.approx(1e300 * stderr1, rel=1e-14)
+
+    def test_constant_samples_have_zero_stderr(self):
+        assert _sample_moments(np.full(100, 0.25)) == (0.25, 0.0, 0.0)
 
 
 class TestModelValidation:
