@@ -17,13 +17,13 @@ makes both the annihilation moments (exact 0.0) and the normalization moment
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .specfun import _jacobi_coeffs, _moment_rational_sum, beta_fn
+from .specfun import _jacobi_numerators, _moment_rational_sum, beta_fn
 
 __all__ = [
     "WeightedPoly",
@@ -215,38 +215,54 @@ def _series_derivative(cfg: EstimatorConfig, k: int) -> WeightedPoly:
     that polynomial's value at ``xi`` over its norm and by ``1/(beta*T)**n``.
     By Rodrigues' formula the k-th derivative of the term is
     ``(-1)**k (i+k)!/i! * w^{a-k,b-k} P_{i+k}^{(a-k,b-k)}``, which is built
-    directly.  One common symbolic Beta divisor ``B(b+1, a+1)`` is kept and
-    every per-term norm is reduced against it exactly.
+    directly.  One common symbolic Beta divisor ``B(b+1, a+1)`` is kept; the
+    inverse norm relative to it is ``i! (a+b+2)_{i-1} (a+b+2i+1) / ((a+1)_i
+    (b+1)_i)`` for i >= 1.
+
+    The arithmetic is in integers over the exponents' common denominator
+    ``den``: the code's ``a`` and ``b`` are ``(mu+n)*den`` and
+    ``(kappa+n)*den``.  Term i's denominator, ``xi_den**i (a+den)...(a+i*den)
+    (b+den)...(b+i*den) i! den**(i+k)``, divides the last term's, so every
+    term is lifted to that one denominator and each coefficient is reduced
+    once, at the end.
     """
     n, q = cfg.n, cfg.q
     mu, kappa = Fraction(cfg.mu), Fraction(cfg.kappa)
-    a, b = mu + n, kappa + n  # raised exponents: (1-t)**a * t**b
-    xi = Fraction(cfg.xi)  # 0 when q = 0, where it is unused
-    window = (Fraction(cfg.beta) * Fraction(cfg.T)) ** n
-    divisor = (b + 1, a + 1)  # B(kappa+n+1, mu+n+1), shared by all terms
+    den = math.lcm(mu.denominator, kappa.denominator)
+    a = mu.numerator * (den // mu.denominator) + n * den  # (mu + n) * den
+    b = kappa.numerator * (den // kappa.denominator) + n * den
+    x, x_den = Fraction(cfg.xi).as_integer_ratio()  # 0 when q = 0, where it is unused
+    t, t_den = Fraction(cfg.T).as_integer_ratio()
 
-    total = [Fraction(0)] * (k + q + 1)
+    # lift[i] = denominator of term q / denominator of term i
+    lift = [1] * (q + 1)
+    for i in range(q - 1, -1, -1):
+        lift[i] = lift[i + 1] * x_den * den * (i + 1) * (a + (i + 1) * den) * (b + (i + 1) * den)
+
+    total = [0] * (k + q + 1)
+    rising = 1  # (a+b+2*den)...(a+b+i*den)
     for i in range(q + 1):
-        # value at xi of the raised-exponent polynomial, exact
-        p_at_xi = Fraction(0)
-        power = Fraction(1)
-        for c in _jacobi_coeffs(i, a, b):
-            p_at_xi += c * power
-            power *= xi
-        # 1 / norm_sq = (i! / prod_{l<i}(i+a+b+1+l)) / B(a+i+1, b+i+1);
-        # express relative to the shared divisor B(a+1, b+1) exactly.
-        norm_rational = Fraction(math.factorial(i)) / _pochhammer(a + b + i + 1, i)
-        ratio = _beta_ratio_exact((b + 1, a + 1), (b + i + 1, a + i + 1))
-        weight = p_at_xi * norm_rational * ratio / window
-        if weight == 0:
+        p_at_xi, x_power = 0, 1  # P_i(xi) * den**i * i! * x_den**i
+        for c in reversed(_jacobi_numerators(i, a, b, den)):
+            p_at_xi = p_at_xi * x + c * x_power
+            x_power *= x_den
+        if i >= 2:
+            rising *= a + b + i * den
+        if p_at_xi == 0:
             continue
-        weight *= math.factorial(i + k) // math.factorial(i)
-        for j, c in enumerate(_jacobi_coeffs(i + k, a - k, b - k)):
+        weight = p_at_xi * lift[i] * (rising * (a + b + (2 * i + 1) * den) if i else 1)
+        for j, c in enumerate(_jacobi_numerators(i + k, a - k * den, b - k * den, den)):
             total[j] += weight * c
 
     while len(total) > 1 and total[-1] == 0:
         total.pop()
-    return WeightedPoly(a - k, b - k, tuple(total), divisor)
+    num, common = cfg.beta**n * t_den**n, lift[0] * den**k * t**n
+    return WeightedPoly(
+        Fraction(a - k * den, den),
+        Fraction(b - k * den, den),
+        tuple(Fraction(c * num, common) for c in total),
+        (Fraction(b + den, den), Fraction(a + den, den)),  # B(kappa+n+1, mu+n+1)
+    )
 
 
 def affine_kernel(cfg: EstimatorConfig) -> WeightedPoly:
@@ -268,12 +284,18 @@ def discretize(p: WeightedPoly, cfg: EstimatorConfig) -> DiscreteKernel:
     exponent at its own end) is handled per ``cfg.endpoint``: the "f-rule"
     replaces only the singular power factor by ``(F/m)**exponent``, keeping
     every other factor at the true abscissa; "suppress" zeroes the tap.
-    Exponents whose taps leave the float range are rejected.
+    Taps that leave the float range, or that underflow to all zero, are
+    rejected with an error naming mu and kappa, or T when the window factor
+    alone does it.
     """
     m = cfg.m
     a, b = float(p.mu_exp), float(p.kappa_exp)
     t = np.arange(m + 1) / m
-    poly = np.polynomial.polynomial.polyval(t, np.array([float(c) for c in p.coeffs]))
+    try:
+        coeffs = np.array([float(c) for c in p.coeffs])
+    except OverflowError:
+        raise _out_of_range(p, cfg, "kernel coefficients beyond the float range") from None
+    poly = np.polynomial.polynomial.polyval(t, coeffs)
 
     values = np.empty(m + 1)
     values[1:-1] = (1.0 - t[1:-1]) ** a * t[1:-1] ** b * poly[1:-1]
@@ -294,8 +316,33 @@ def discretize(p: WeightedPoly, cfg: EstimatorConfig) -> DiscreteKernel:
     with np.errstate(all="ignore"):  # the Beta divisor underflows to 0 for large exponents
         taps = weights * values / p.scale_divisor()
     if not np.all(np.isfinite(taps)):
-        raise ValueError(f"mu = {cfg.mu!r} and kappa = {cfg.kappa!r} give taps that are not finite")
+        raise _out_of_range(p, cfg, "taps that are not finite")
+    # zero taps are exact only where the polynomial is 0 at every interior
+    # sample (say, its root at the one interior sample of m = 2); otherwise
+    # they underflowed, and every moment, the normalizing one too, reads 0
+    if not taps.any() and (poly[1:-1].any() or (any(p.coeffs) and not coeffs.any())):
+        raise _out_of_range(p, cfg, "taps that are all zero")
     return DiscreteKernel(taps, cfg)
+
+
+def _out_of_range(p: WeightedPoly, cfg: EstimatorConfig, what: str) -> ValueError:
+    """The error for taps that leave the float range, naming the inputs at fault.
+
+    The kernel scales as 1/(beta*T)**n, so T is at fault when the same kernel
+    at T = 1 discretizes in range; otherwise the exponents are.
+    """
+    if cfg.T != 1:
+        window = Fraction(cfg.T) ** cfg.n
+        at_unit = WeightedPoly(
+            p.mu_exp, p.kappa_exp, tuple(c * window for c in p.coeffs), p.beta_divisor
+        )
+        try:
+            discretize(at_unit, replace(cfg, T=1.0))
+        except ValueError:
+            pass
+        else:
+            return ValueError(f"T = {cfg.T!r} gives {what} at n = {cfg.n}")
+    return ValueError(f"mu = {cfg.mu!r} and kappa = {cfg.kappa!r} give {what}")
 
 
 @lru_cache(maxsize=_TAPS_CACHE_SIZE)

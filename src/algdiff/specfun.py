@@ -5,8 +5,8 @@ Gamma/Beta functions and on shifted Jacobi polynomials, i.e. polynomials
 orthogonal on [0, 1] under the weight ``(1 - t)**mu * t**kappa`` with
 ``mu, kappa > -1``.
 
-Kernel coefficients are generated in exact rational arithmetic
-(`fractions.Fraction`) so that orthogonality-based cancellations hold
+Kernel coefficients are generated exactly, as integer numerators over one
+shared denominator, so that orthogonality-based cancellations hold
 *exactly*.  Quantities that need no exact cancellation (polynomial zeros and
 the Gauss-Jacobi rules of the continuous variance) come from the float
 Jacobi matrix of the weight, broadcast over arrays of exponents.
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -60,26 +59,26 @@ class JacobiIndex:
             raise ValueError(f"kappa must exceed -1, got {self.kappa!r}")
 
 
-# Bounds the memory of the coefficient cache: every kernel built for a fresh
-# float exponent pair adds entries, so an unbounded cache grows for the life
-# of the process.
-_JACOBI_CACHE_SIZE = 1024
+def _jacobi_numerators(degree: int, mu: int, kappa: int, den: int) -> list[int]:
+    """Integer numerators of the shifted Jacobi coefficients, ascending in t.
 
-
-@lru_cache(maxsize=_JACOBI_CACHE_SIZE)
-def _jacobi_coeffs(degree: int, mu: Fraction, kappa: Fraction) -> tuple[Fraction, ...]:
-    # ascending powers of t: c_0 = (-1)^deg C(deg+kappa, deg), and consecutive
-    # coefficients have the ratio
-    # c_{k+1}/c_k = (k-deg)(deg+mu+kappa+1+k) / ((kappa+1+k)(k+1)),
-    # which never vanishes below k = deg for mu, kappa > -1
-    c = Fraction((-1) ** degree)
-    for i in range(1, degree + 1):
-        c *= (kappa + i) / i
-    coeffs = [c]
-    for k in range(degree):
-        c *= (k - degree) * (degree + mu + kappa + 1 + k) / ((kappa + 1 + k) * (k + 1))
-        coeffs.append(c)
-    return tuple(coeffs)
+    The exponents are ``mu/den`` and ``kappa/den``; coefficient j is the
+    returned N_j over the common denominator ``den**degree * degree!``, with
+    N_j = (-1)**(degree+j) C(degree, j) prod_{i=j+1..degree}(kappa + i*den)
+    * prod_{l<j}(mu + kappa + (degree+1+l)*den).  This is the ratio
+    recurrence c_{j+1}/c_j = (j-degree)(degree+mu+kappa+1+j) /
+    ((kappa+1+j)(j+1)) with its (kappa+1+j) denominators telescoped away, so
+    no step divides.
+    """
+    suffix = [1] * (degree + 1)  # prod_{i=j+1..degree}(kappa + i*den)
+    for j in range(degree - 1, -1, -1):
+        suffix[j] = suffix[j + 1] * (kappa + (j + 1) * den)
+    out = []
+    prefix = 1  # prod_{l<j}(mu + kappa + (degree+1+l)*den)
+    for j in range(degree + 1):
+        out.append((-1) ** (degree + j) * math.comb(degree, j) * suffix[j] * prefix)
+        prefix *= mu + kappa + (degree + 1 + j) * den
+    return out
 
 
 def _moment_rational_sum(
@@ -162,7 +161,7 @@ def _gauss_rule(size: int, mu, kappa) -> tuple[np.ndarray, np.ndarray]:
 def _jacobi_values(degree: int, mu, kappa, t) -> list[np.ndarray]:
     """Values of the polynomials of degree 0..``degree`` at ``t``, in floats.
 
-    Same normalization as `_jacobi_coeffs`: P_d(0) = (-1)**d C(d + kappa, d).
+    Same normalization as `_jacobi_numerators`: P_d(0) = (-1)**d C(d + kappa, d).
     Evaluated by the three-term recurrence in x = 2t - 1; ``mu``, ``kappa``
     and ``t`` broadcast.
     """

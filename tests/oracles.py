@@ -12,8 +12,15 @@ from fractions import Fraction
 import numpy as np
 
 from algdiff.estimator import SampledSignal
-from algdiff.kernel import EstimatorConfig, WeightedPoly, _series_derivative, wpoly_moment
-from algdiff.specfun import JacobiIndex, _jacobi_coeffs, beta_fn
+from algdiff.kernel import (
+    EstimatorConfig,
+    WeightedPoly,
+    _beta_ratio_exact,
+    _pochhammer,
+    _series_derivative,
+    wpoly_moment,
+)
+from algdiff.specfun import JacobiIndex, beta_fn
 
 
 def wpoly(mu_exp, kappa_exp, coeffs, beta_divisor=None) -> WeightedPoly:
@@ -26,9 +33,58 @@ def wpoly(mu_exp, kappa_exp, coeffs, beta_divisor=None) -> WeightedPoly:
     return WeightedPoly(Fraction(mu_exp), Fraction(kappa_exp), tuple(cs), div)
 
 
+def jacobi_coeffs(degree: int, mu: Fraction, kappa: Fraction) -> tuple[Fraction, ...]:
+    """Ascending-power coefficients of the shifted Jacobi polynomial, one
+    `Fraction` step per coefficient: the route `_jacobi_numerators` replaced."""
+    # c_0 = (-1)^deg C(deg+kappa, deg), and consecutive coefficients have the
+    # ratio c_{k+1}/c_k = (k-deg)(deg+mu+kappa+1+k) / ((kappa+1+k)(k+1)),
+    # which never vanishes below k = deg for mu, kappa > -1
+    c = Fraction((-1) ** degree)
+    for i in range(1, degree + 1):
+        c *= (kappa + i) / i
+    coeffs = [c]
+    for k in range(degree):
+        c *= (k - degree) * (degree + mu + kappa + 1 + k) / ((kappa + 1 + k) * (k + 1))
+        coeffs.append(c)
+    return tuple(coeffs)
+
+
 def jacobi_coefficients(idx: JacobiIndex) -> tuple[Fraction, ...]:
     """Exact ascending-power coefficients of the shifted Jacobi polynomial."""
-    return _jacobi_coeffs(idx.degree, Fraction(idx.mu), Fraction(idx.kappa))
+    return jacobi_coeffs(idx.degree, Fraction(idx.mu), Fraction(idx.kappa))
+
+
+def fraction_series_derivative(cfg: EstimatorConfig, k: int) -> WeightedPoly:
+    """`kernel._series_derivative` in `Fraction` arithmetic, one reduction per step.
+
+    Each term's weight P_i(xi) * i!/(a+b+i+1)_i * B(b+1, a+1)/B(b+i+1, a+i+1)
+    / (beta*T)**n is built as a `Fraction`, scaled by (i+k)!/i!, and added
+    into the coefficients of P_{i+k}^{(a-k, b-k)}.
+    """
+    n, q = cfg.n, cfg.q
+    mu, kappa = Fraction(cfg.mu), Fraction(cfg.kappa)
+    a, b = mu + n, kappa + n
+    xi = Fraction(cfg.xi)
+    window = (Fraction(cfg.beta) * Fraction(cfg.T)) ** n
+    divisor = (b + 1, a + 1)
+    total = [Fraction(0)] * (k + q + 1)
+    for i in range(q + 1):
+        p_at_xi = Fraction(0)
+        power = Fraction(1)
+        for c in jacobi_coeffs(i, a, b):
+            p_at_xi += c * power
+            power *= xi
+        norm_rational = Fraction(math.factorial(i)) / _pochhammer(a + b + i + 1, i)
+        ratio = _beta_ratio_exact((b + 1, a + 1), (b + i + 1, a + i + 1))
+        weight = p_at_xi * norm_rational * ratio / window
+        if weight == 0:
+            continue
+        weight *= math.factorial(i + k) // math.factorial(i)
+        for j, c in enumerate(jacobi_coeffs(i + k, a - k, b - k)):
+            total[j] += weight * c
+    while len(total) > 1 and total[-1] == 0:
+        total.pop()
+    return WeightedPoly(a - k, b - k, tuple(total), divisor)
 
 
 def jacobi_eval(idx: JacobiIndex, t: float) -> float:

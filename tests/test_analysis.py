@@ -31,15 +31,15 @@ from algdiff.kernel import (
     kernel_taps,
     minimal_kernel,
 )
-from algdiff.specfun import (
-    JacobiIndex,
-    _jacobi_coeffs,
-    _moment_rational_sum,
-    beta_fn,
-    smallest_root,
-)
+from algdiff.specfun import JacobiIndex, _moment_rational_sum, beta_fn, smallest_root
 from algdiff.stochastic import Poisson, PolyMean, WhiteGaussian, Wiener
-from oracles import dense_increment_covariance, exact_variance_continuous, wpoly, wpoly_derivative
+from oracles import (
+    dense_increment_covariance,
+    exact_variance_continuous,
+    jacobi_coeffs,
+    wpoly,
+    wpoly_derivative,
+)
 
 EPS = np.finfo(float).eps
 
@@ -74,8 +74,8 @@ def i_integral_expansion(mu: float, kappa: float, n: int) -> float:
     part carried exactly.
     """
     mu_f, kappa_f = Fraction(mu), Fraction(kappa)
-    p1 = _jacobi_coeffs(n, mu_f, kappa_f)
-    p2 = _jacobi_coeffs(n - 1, mu_f + 1, kappa_f + 1)
+    p1 = jacobi_coeffs(n, mu_f, kappa_f)
+    p2 = jacobi_coeffs(n - 1, mu_f + 1, kappa_f + 1)
     product = [Fraction(0)] * (2 * n)
     for i, a in enumerate(p1):
         for j, b in enumerate(p2):

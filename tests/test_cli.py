@@ -417,12 +417,23 @@ class TestErrorHandling:
              "mu = 800.0 and kappa = 800.0 give taps that are not finite"),
             (["mc", "--trials", "100", "--m", "40", "--mu", "1e60", "--kappa", "1e60"],
              "mu = 1e+60 and kappa = 1e+60 give taps that are not finite"),
+            (["kernel", "--m", "4", "--mu", "1e300", "--kappa", "1"],
+             "mu = 1e+300 and kappa = 1.0 give taps that are all zero"),
+            (["kernel", "--m", "4", "--n", "2", "--q", "1", "--xi", "0.5", "--mu", "1e20",
+              "--kappa", "3"],
+             "mu = 1e+20 and kappa = 3.0 give taps that are all zero"),
+            (["kernel", "--m", "4", "--n", "3", "--mu", "1e200", "--kappa", "1e200"],
+             "mu = 1e+200 and kappa = 1e+200 give kernel coefficients beyond the float range"),
+            (["kernel", "--m", "4", "--n", "3", "--T", "1e-300"],
+             "T = 1e-300 gives kernel coefficients beyond the float range at n = 3"),
         ],
         ids=["points-0", "mu-inf", "T-inf", "xi-nan", "sigma2-nan", "nu-inf", "gamma-inf",
              "t0-nan", "t0-inf", "t0-huge", "t0-path-too-long", "surface-T-negative",
              "surface-eta-negative", "surface-kappa-lo-nan", "surface-mu-hi-inf",
              "surface-kappa-grid-reaches-minus-one", "surface-variance-overflow",
-             "kernel-taps-not-finite", "mc-taps-not-finite"],
+             "kernel-taps-not-finite", "mc-taps-not-finite", "kernel-taps-all-zero",
+             "affine-kernel-taps-all-zero", "coefficients-overflow-exponents",
+             "coefficients-overflow-T"],
     )
     def test_rejected_input(self, capsys, argv, fragment):
         assert_one_line_error(capsys, argv, fragment)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import inspect
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from algdiff.kernel import (
     _TAPS_CACHE_SIZE,
     EstimatorConfig,
     WeightedPoly,
+    _series_derivative,
     affine_kernel,
     discretize,
     kernel_taps,
@@ -25,7 +28,15 @@ from algdiff.kernel import (
     wpoly_moment,
 )
 from algdiff.specfun import JacobiIndex, beta_fn
-from oracles import jacobi_coefficients, jacobi_eval, poly_at, wpoly, wpoly_derivative, wpoly_eval
+from oracles import (
+    fraction_series_derivative,
+    jacobi_coefficients,
+    jacobi_eval,
+    poly_at,
+    wpoly,
+    wpoly_derivative,
+    wpoly_eval,
+)
 
 INTERIOR = np.linspace(0.05, 0.95, 19)
 
@@ -94,6 +105,24 @@ def configs(q=st.integers(0, 4)):
 
 
 class TestConstructionOracles:
+    @given(
+        st.builds(
+            EstimatorConfig,
+            n=st.integers(1, 5),
+            q=st.integers(0, 4),
+            mu=st.floats(min_value=-1.0, max_value=3.0, exclude_min=True, exclude_max=True),
+            kappa=st.floats(min_value=-1.0, max_value=3.0, exclude_min=True, exclude_max=True),
+            beta=st.sampled_from((-1, 1)),
+            T=st.floats(min_value=0.0, max_value=1e6, exclude_min=True),
+            xi=st.floats(min_value=0.0, max_value=1.0),
+        ),
+        st.sampled_from((-1, 0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_integer_route_equals_fraction_route(self, cfg, shift):
+        k = cfg.n + shift  # k = n builds the kernel, k = n - 1 the variance's G
+        assert _series_derivative(cfg, k) == fraction_series_derivative(cfg, k)
+
     @given(configs())
     @settings(max_examples=60, deadline=None)
     def test_affine_equals_derivative_loop(self, cfg):
@@ -325,6 +354,36 @@ class TestDiscretize:
         with pytest.raises(ValueError, match=re.escape(f"mu = {mu!r} and kappa = {kappa!r}")):
             discretize(affine_kernel(cfg), cfg)
 
+    @pytest.mark.parametrize(
+        "fields,what",
+        [
+            # the weight underflows at every interior tap and vanishes at both ends
+            (dict(mu=1e300, kappa=1.0), "taps that are all zero"),
+            (dict(n=2, q=1, xi=0.5, mu=1e20, kappa=3.0), "taps that are all zero"),
+            (dict(n=3, mu=1e200, kappa=1e200), "kernel coefficients beyond the float range"),
+        ],
+    )
+    def test_exponents_out_of_float_range_are_named(self, fields, what):
+        cfg = EstimatorConfig(**{"n": 1, "m": 4, **fields})
+        message = f"mu = {cfg.mu!r} and kappa = {cfg.kappa!r} give {what}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            discretize(affine_kernel(cfg), cfg)
+
+    def test_exactly_zero_taps_are_kept(self):
+        # P_1 of a symmetric weight has its root at the one interior sample
+        cfg = EstimatorConfig(n=1, mu=0.5, kappa=0.5, m=2)
+        assert not discretize(affine_kernel(cfg), cfg).taps.any()
+
+    @pytest.mark.parametrize(
+        "T,what",
+        [(1e-300, "kernel coefficients beyond the float range"), (1e300, "taps that are all zero")],
+    )
+    def test_window_out_of_float_range_names_T(self, T, what):
+        # 1/T**3 leaves the float range although the kernel at T = 1 is fine
+        cfg = EstimatorConfig(n=3, T=T, m=4)
+        with pytest.raises(ValueError, match=re.escape(f"T = {T!r} gives {what} at n = 3")):
+            discretize(affine_kernel(cfg), cfg)
+
     def test_interior_taps_are_trapezoid_samples(self):
         cfg = EstimatorConfig(n=1, mu=0.5, kappa=0.25, beta=1, T=1.0, m=50)
         p = minimal_kernel(cfg)
@@ -418,6 +477,31 @@ class TestKernelTaps:
         info = kernel_taps.cache_info()
         assert info.maxsize == _TAPS_CACHE_SIZE
         assert info.currsize <= _TAPS_CACHE_SIZE
+
+    def test_fresh_exponents_grow_no_other_cache(self):
+        # every float exponent pair is new to the construction; only the
+        # bounded taps cache may keep anything once it is full
+        path = (algdiff.kernel, algdiff.specfun, algdiff.analysis)
+        cached = [name for mod in path for name, v in vars(mod).items() if hasattr(v, "cache_info")]
+        assert cached == ["kernel_taps"]
+
+        def build(start):
+            for k in range(start, start + 1000):
+                kernel_taps(EstimatorConfig(n=2, q=1, mu=k / 2003 - 0.5, kappa=0.25 - k / 4001,
+                                            xi=0.3, m=4))
+
+        build(0)  # fills the taps cache
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            build(1000)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kernel_taps.cache_info().currsize == _TAPS_CACHE_SIZE == 32
+        assert grown < 64 * 1024
 
     @pytest.mark.parametrize(
         "cfg",
