@@ -11,14 +11,13 @@ plus reproducible noise generators and a Monte-Carlo/benchmark harness.
 from .analysis import (
     BiasBounds,
     NoiseMomentReport,
-    affine_delay,
     bias_bounds,
     chebyshev_band,
+    continuous_moments,
+    delay,
     discrete_covariance,
     discrete_moments,
-    poisson_mean,
     sweep_surface,
-    theoretical_delay,
     variance_continuous,
 )
 from .estimator import EstimateSeries, SampledSignal, estimate_at, estimate_series
@@ -74,11 +73,10 @@ __all__ = [
     # analysis
     "BiasBounds",
     "NoiseMomentReport",
-    "theoretical_delay",
-    "affine_delay",
+    "delay",
     "bias_bounds",
     "variance_continuous",
-    "poisson_mean",
+    "continuous_moments",
     "discrete_moments",
     "discrete_covariance",
     "chebyshev_band",

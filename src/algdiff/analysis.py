@@ -15,16 +15,15 @@ import numpy as np
 
 from .kernel import DiscreteKernel, EstimatorConfig
 from .specfun import _gauss_rule, _jacobi_values, _least_zero, _log_beta
-from .stochastic import NoiseModel
+from .stochastic import NoiseModel, Poisson, Wiener
 
 __all__ = [
     "BiasBounds",
     "NoiseMomentReport",
-    "theoretical_delay",
-    "affine_delay",
+    "delay",
     "bias_bounds",
     "variance_continuous",
-    "poisson_mean",
+    "continuous_moments",
     "discrete_moments",
     "discrete_covariance",
     "chebyshev_band",
@@ -32,38 +31,18 @@ __all__ = [
 ]
 
 
-def _check_exponents(kappa, mu) -> None:
-    # np.all: `sweep_surface` passes whole grids, checked beforehand
-    if not np.all(kappa > -1):
-        raise ValueError(f"kappa must exceed -1, got {kappa!r}")
-    if not np.all(mu > -1):
-        raise ValueError(f"mu must exceed -1, got {mu!r}")
-
-
-def _check_order(n: int) -> None:
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-
-
-def theoretical_delay(n: int, kappa: float, mu: float, T: float) -> float:
-    """Delay of the single-term causal estimator: T*(kappa+n+1)/(mu+kappa+2n+2),
-    evaluated as T/(1 + (mu+n+1)/(kappa+n+1)), which cannot overflow."""
-    _check_order(n)
-    _check_exponents(kappa, mu)
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T!r}")
+def _single_term_delay(n: int, mu, kappa, T: float):
+    """T*(kappa+n+1)/(mu+kappa+2n+2), evaluated as T/(1 + (mu+n+1)/(kappa+n+1)),
+    which cannot overflow; elementwise over arrays."""
     return T / (1 + (mu + n + 1) / (kappa + n + 1))
 
 
-def affine_delay(n: int, kappa: float, mu: float, T: float, xi: float) -> float:
-    """Delay of the series estimator evaluated at abscissa xi: simply T*xi."""
-    _check_order(n)
-    _check_exponents(kappa, mu)
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T!r}")
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"xi must lie in [0, 1], got {xi!r}")
-    return T * xi
+def delay(cfg: EstimatorConfig) -> float:
+    """Delay of the estimator: T*(kappa+n+1)/(mu+kappa+2n+2) for the single
+    term (q = 0), T*xi for the series evaluated at abscissa xi."""
+    if cfg.q >= 1:
+        return cfg.T * cfg.xi
+    return _single_term_delay(cfg.n, cfg.mu, cfg.kappa, cfg.T)
 
 
 @dataclass(frozen=True)
@@ -75,20 +54,20 @@ class BiasBounds:
     c_factor: float  # signed delay coefficient, seconds
 
 
-def bias_bounds(
-    n: int, kappa: float, mu: float, T: float, beta: int, inf_d: float, sup_d: float
-) -> BiasBounds:
-    """Bias range when the (n+1)-th derivative stays within [inf_d, sup_d].
+def bias_bounds(cfg: EstimatorConfig, inf_d: float, sup_d: float) -> BiasBounds:
+    """Bias range of the single-term estimator (q = 0) when the (n+1)-th
+    derivative stays within [inf_d, sup_d].
 
-    The bias is the signed delay coefficient C = beta*T*(kappa+n+1)/(mu+kappa+2n+2)
-    times a value in the derivative's range, so the bounds are C*inf_d and
-    C*sup_d, ordered ascending (beta = -1 flips the interval).
+    That kernel is a positive weighted average of x^(n), so the bias is
+    C = beta*delay(cfg) times a value in the derivative's range: the bounds are
+    C*inf_d and C*sup_d, ordered ascending (beta = -1 flips the interval).  The
+    series kernel changes sign, so it has no such bound.
     """
-    if beta not in (-1, 1):
-        raise ValueError(f"beta must be -1 or +1, got {beta!r}")
+    if cfg.q != 0:
+        raise ValueError(f"bias_bounds needs the single-term estimator, q = 0; got q = {cfg.q}")
     if inf_d > sup_d:
         raise ValueError("inf_d must not exceed sup_d")
-    c = beta * theoretical_delay(n, kappa, mu, T)
+    c = cfg.beta * delay(cfg)
     lo, hi = sorted((c * inf_d, c * sup_d))
     return BiasBounds(lo, hi, c)
 
@@ -143,24 +122,29 @@ def _continuous_variance(n: int, q: int, mu, kappa, T: float, xi, eta: float) ->
     return eta * T * total * np.exp(log_ratio) / T ** (2 * n)
 
 
-def poisson_mean(n: int, nu: float) -> float:
-    """Mean noise error under a rate-nu counting process: nu for n=1, else 0."""
-    _check_order(n)
-    if nu < 0:
-        raise ValueError(f"nu must be nonnegative, got {nu!r}")
-    return float(nu) if n == 1 else 0.0
-
-
 @dataclass(frozen=True)
 class NoiseMomentReport:
-    """First two moments of the noise error plus its Chebyshev band."""
+    """Mean and variance of the noise error."""
 
     mean: float
     variance: float
-    cheb_low: float
-    cheb_high: float
-    gamma: float
-    regime: str  # "continuous" | "discrete"
+
+
+def continuous_moments(cfg: EstimatorConfig, noise: NoiseModel) -> NoiseMomentReport | None:
+    """Continuous-limit mean and variance of the noise error under a Wiener or
+    Poisson process; None for any other model.
+
+    The variance is `variance_continuous` at the process intensity.  The mean
+    is 0, except under a rate-nu Poisson process at n = 1, where the kernel
+    returns the slope nu of E[N(t)] = nu*t.
+    """
+    if isinstance(noise, Wiener):
+        mean = 0.0
+    elif isinstance(noise, Poisson):
+        mean = float(noise.nu) if cfg.n == 1 else 0.0
+    else:
+        return None
+    return NoiseMomentReport(mean, variance_continuous(cfg, noise.increment_part()))
 
 
 def _tap_times(k: DiscreteKernel, t0: float) -> np.ndarray:
@@ -168,9 +152,7 @@ def _tap_times(k: DiscreteKernel, t0: float) -> np.ndarray:
     return t0 + cfg.beta * cfg.T * np.arange(cfg.m + 1) / cfg.m
 
 
-def discrete_moments(
-    k: DiscreteKernel, noise: NoiseModel, t0: float, gamma: float = 2.0
-) -> NoiseMomentReport:
+def discrete_moments(k: DiscreteKernel, noise: NoiseModel, t0: float) -> NoiseMomentReport:
     """Exact sampled-case mean and variance of the noise error at ``t0``.
 
     The mean is the tap sum against the model's mean function; the variance is
@@ -178,9 +160,7 @@ def discrete_moments(
     window lies where the process is defined.
     """
     mean = float(np.dot(k.taps, noise.mean_at(_tap_times(k, t0))))
-    variance = max(discrete_covariance(k, k, noise, t0), 0.0)
-    low, high = chebyshev_band(mean, variance, gamma)
-    return NoiseMomentReport(mean, variance, low, high, gamma, "discrete")
+    return NoiseMomentReport(mean, max(discrete_covariance(k, k, noise, t0), 0.0))
 
 
 def discrete_covariance(
@@ -229,12 +209,19 @@ def discrete_covariance(
 
 def chebyshev_band(mean: float, variance: float, gamma: float) -> tuple[float, float]:
     """Band mean -/+ gamma*sqrt(variance); coverage exceeds 1 - 1/gamma^2."""
-    if variance < 0:
-        raise ValueError(f"variance must be nonnegative, got {variance!r}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    if not (math.isfinite(variance) and variance >= 0):
+        raise ValueError(f"variance must be finite and nonnegative, got {variance!r}")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
     half = gamma * math.sqrt(variance)
-    return mean - half, mean + half
+    low, high = mean - half, mean + half
+    # a non-finite mean, or a band end beyond the float range
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ValueError(
+            f"gamma = {gamma!r} and variance = {variance!r} give a band "
+            f"{mean!r} -/+ gamma*sqrt(variance) that is not finite"
+        )
+    return low, high
 
 
 _QUANTITIES = ("delay", "xi", "variance_minimal", "variance_affine")
@@ -267,7 +254,7 @@ def sweep_surface(
     continuous variance at q = 0), or "variance_affine" (the continuous
     variance with q terms, evaluated at each cell's root).  The whole grid is
     one batched evaluation, and each cell equals the scalar call
-    (`theoretical_delay`, `smallest_root`, `variance_continuous`) bit for bit.
+    (`delay`, `smallest_root`, `variance_continuous`) bit for bit.
     Every input is checked up front, whether or not the quantity reads it:
     n, q and T as a config checks them, eta >= 0, and each grid value finite
     and above -1.
@@ -281,7 +268,7 @@ def sweep_surface(
     mu_grid = _exponent_grid("mu_grid", mu_grid)
     kappa, mu = np.meshgrid(kappa_grid, mu_grid, indexing="ij")
     if quantity == "delay":
-        return theoretical_delay(n, kappa, mu, T)
+        return _single_term_delay(n, mu, kappa, T)
     if quantity == "variance_minimal":
         return _continuous_variance(n, 0, mu, kappa, T, 0.0, eta)
     xi = _least_zero(q + 1, mu + n, kappa + n)

@@ -22,13 +22,11 @@ from typing import Callable, TextIO, get_type_hints
 import numpy as np
 
 from .analysis import (
-    affine_delay,
     chebyshev_band,
+    continuous_moments,
+    delay,
     discrete_moments,
-    poisson_mean,
     sweep_surface,
-    theoretical_delay,
-    variance_continuous,
 )
 from .estimator import SampledSignal, estimate_series
 from .kernel import EstimatorConfig, kernel_taps
@@ -183,16 +181,11 @@ def run_experiment(values: dict, out_dir: str | None = None) -> dict:
         if denom > 0.0:
             snr_db = float(10.0 * math.log10(float(signal_part @ signal_part) / denom))
 
-    delay = (
-        theoretical_delay(cfg.n, cfg.kappa, cfg.mu, cfg.T)
-        if cfg.q == 0
-        else affine_delay(cfg.n, cfg.kappa, cfg.mu, cfg.T, cfg.xi)
-    )
-
-    band_low = band_high = 0.0
+    mean = variance = 0.0
     if noise is not None:
-        base = discrete_moments(kernel_taps(cfg), noise, window[0], gamma)
-        band_low, band_high = chebyshev_band(scale * base.mean, scale**2 * base.variance, gamma)
+        base = discrete_moments(kernel_taps(cfg), noise, window[0])
+        mean, variance = scale * base.mean, scale**2 * base.variance
+    band_low, band_high = chebyshev_band(mean, variance, gamma)
 
     series_paths: dict[str, str] = {}
     if out_dir is not None:
@@ -210,9 +203,9 @@ def run_experiment(values: dict, out_dir: str | None = None) -> dict:
     return {
         "total_error": total_error,
         "snr_db": snr_db,
-        "delay_s": delay,
-        "band_low": float(band_low),
-        "band_high": float(band_high),
+        "delay_s": delay(cfg),
+        "band_low": band_low,
+        "band_high": band_high,
         "gamma": gamma,
         "config": asdict(cfg),
         "seed": asdict(seed),
@@ -328,13 +321,12 @@ def mc_report(
             "fraction_inside": float(np.mean((samples > low) & (samples < high))),
         }
 
-    continuous = None
-    if isinstance(model, Wiener):
-        continuous = band(0.0, variance_continuous(cfg, model.sigma2))
-    elif isinstance(model, Poisson):
-        continuous = band(poisson_mean(cfg.n, model.nu), variance_continuous(cfg, model.nu))
-    rep = discrete_moments(kernel_taps(cfg), model, t0, gamma)
-    bands = {"continuous": continuous, "discrete": band(rep.mean, rep.variance)}
+    continuous = continuous_moments(cfg, model)
+    discrete = discrete_moments(kernel_taps(cfg), model, t0)
+    bands = {
+        "continuous": None if continuous is None else band(continuous.mean, continuous.variance),
+        "discrete": band(discrete.mean, discrete.variance),
+    }
 
     return {
         "emp_mean": emp_mean,
@@ -453,7 +445,10 @@ def _signal(values: dict) -> tuple[SampledSignal, _Derivative | None]:
         ts, count = values["ts"], values["count"]
     else:
         raise ValueError(f"unknown signal kind {kind!r}")
-    return SampledSignal(0.0, ts, derivative(np.arange(count) * ts, 0)), derivative
+    # SampledSignal names a non-finite ts or sample, so NumPy's warnings add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = derivative(np.arange(count) * ts, 0)
+    return SampledSignal(0.0, ts, values), derivative
 
 
 _FLAG_HELP = {

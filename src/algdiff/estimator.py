@@ -10,6 +10,7 @@ taps (`_apply`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +29,10 @@ class SampledSignal:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if not self.ts > 0:
-            raise ValueError(f"ts must be positive, got {self.ts!r}")
+        if not (math.isfinite(self.ts) and self.ts > 0):
+            raise ValueError(f"ts must be finite and positive, got {self.ts!r}")
+        if not math.isfinite(self.t_start):
+            raise ValueError(f"t_start must be finite, got {self.t_start!r}")
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a nonempty 1-D sequence")

@@ -153,8 +153,8 @@ def gen_path(model: NoiseModel, ts: float, count: int, seed: RngSeed) -> Sampled
     """One realization sampled at 0, ts, 2*ts, ...; deterministic in ``seed``."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    if not ts > 0:
-        raise ValueError("ts must be positive")
+    if not (math.isfinite(ts) and ts > 0):
+        raise ValueError(f"ts must be finite and positive, got {ts!r}")
     values = _draws(model, ts, count, seed.generator())
     if model.increment_part() is not None:
         values = np.concatenate(([0.0], np.cumsum(values)))

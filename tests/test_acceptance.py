@@ -13,11 +13,11 @@ import time
 import numpy as np
 
 from algdiff.analysis import (
-    affine_delay,
+    bias_bounds,
     chebyshev_band,
+    delay,
     discrete_moments,
     sweep_surface,
-    theoretical_delay,
     variance_continuous,
 )
 from algdiff.cli import run_preset_pair
@@ -49,20 +49,21 @@ def make_kernel(cfg: EstimatorConfig):
 def test_01_benchmark_delays_to_four_decimals():
     """The eight benchmark delay figures, deterministic and instant."""
     ts1, ts2 = 1.0 / 200.0, math.pi / 100.0
-    cases = [
-        (lambda: theoretical_delay(1, 0.0, 0.0, 18 * ts1), 0.045),
-        (lambda: theoretical_delay(1, -0.79, 0.0, 30 * ts1), 0.0565),
-        (lambda: affine_delay(1, 0.0, 0.0, 30 * ts1, 0.276), 0.0414),
-        (lambda: affine_delay(1, -0.78, -0.6, 46 * ts1, 0.218), 0.0501),
-        (lambda: theoretical_delay(1, 0.0, 0.0, 25 * ts2), 0.3927),
-        (lambda: theoretical_delay(1, -0.75, 0.0, 25 * ts2), 0.3021),
-        (lambda: affine_delay(1, 0.0, 0.0, 38 * ts2, 0.276), 0.3295),
-        (lambda: affine_delay(1, -0.7, -0.66, 32 * ts2, 0.234), 0.2352),
+    configs = [
+        (dict(T=18 * ts1), 0.045),
+        (dict(kappa=-0.79, T=30 * ts1), 0.0565),
+        (dict(q=1, T=30 * ts1, xi=0.276), 0.0414),
+        (dict(q=1, mu=-0.6, kappa=-0.78, T=46 * ts1, xi=0.218), 0.0501),
+        (dict(T=25 * ts2), 0.3927),
+        (dict(kappa=-0.75, T=25 * ts2), 0.3021),
+        (dict(q=1, T=38 * ts2, xi=0.276), 0.3295),
+        (dict(q=1, mu=-0.66, kappa=-0.7, T=32 * ts2, xi=0.234), 0.2352),
     ]
-    for fn, _ in cases:  # warm-up pass
-        fn()
+    cases = [(EstimatorConfig(n=1, **fields), expected) for fields, expected in configs]
+    for cfg, _ in cases:  # warm-up pass
+        delay(cfg)
     start = time.perf_counter()
-    values = [fn() for fn, _ in cases]
+    values = [delay(cfg) for cfg, _ in cases]
     elapsed = time.perf_counter() - start
     worst = 0.0
     for value, expected in zip(values, (c[1] for c in cases)):
@@ -219,8 +220,9 @@ def test_07_probabilistic_band_coverage():
     frac_c = float(np.mean((samples > lo_c) & (samples < hi_c)))
     assert frac_c >= 0.75, frac_c
 
-    rep = discrete_moments(make_kernel(cfg), Wiener(1.0), t0, gamma)
-    frac_d = float(np.mean((samples > rep.cheb_low) & (samples < rep.cheb_high)))
+    rep = discrete_moments(make_kernel(cfg), Wiener(1.0), t0)
+    lo_d, hi_d = chebyshev_band(rep.mean, rep.variance, gamma)
+    frac_d = float(np.mean((samples > lo_d) & (samples < hi_d)))
     assert frac_d >= 0.75, frac_d
     print(
         f"PASS 07 band coverage at width factor 2: continuous {frac_c:.4f}, "
@@ -238,7 +240,7 @@ def test_08_white_noise_variance_halves_with_m():
             var = {}
             for mm in (m, 2 * m):
                 cfg = EstimatorConfig(n=1, mu=mu, kappa=kappa, beta=-1, T=1.0, m=mm)
-                var[mm] = discrete_moments(make_kernel(cfg), WhiteGaussian(1.0), 2.0, 2.0).variance
+                var[mm] = discrete_moments(make_kernel(cfg), WhiteGaussian(1.0), 2.0).variance
             ratio = var[2 * m] / var[m]
             ratios.append(ratio)
             assert 0.4 <= ratio <= 0.6, (kappa, mu, m, ratio)
@@ -281,7 +283,7 @@ def test_09_polynomial_exactness_and_delay_bias_law():
         t0 = 2.0
         dn = math.factorial(power) / math.factorial(power - n) * t0 ** (power - n)
         dn1 = math.factorial(power)  # constant next derivative
-        predicted_bias = cfg.beta * theoretical_delay(n, 0.0, 0.0, 1.0) * dn1
+        predicted_bias = bias_bounds(cfg, dn1, dn1).lower
         rel = abs((est - dn) - predicted_bias) / abs(predicted_bias)
         worst_rel = max(worst_rel, rel)
         assert rel <= 1e-4, (n, rel)

@@ -12,14 +12,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from algdiff.analysis import (
-    affine_delay,
+    NoiseMomentReport,
     bias_bounds,
     chebyshev_band,
+    continuous_moments,
+    delay,
     discrete_covariance,
     discrete_moments,
-    poisson_mean,
     sweep_surface,
-    theoretical_delay,
     variance_continuous,
 )
 from algdiff.kernel import (
@@ -62,6 +62,14 @@ def variance_minimal(n, kappa, mu, T, eta):
 
 def variance_affine_n1(kappa, mu, xi, T, eta):
     return variance_continuous(EstimatorConfig(n=1, q=1, mu=mu, kappa=kappa, T=T, xi=xi), eta)
+
+
+def single_term_delay(n, kappa, mu, T):
+    return delay(EstimatorConfig(n=n, mu=mu, kappa=kappa, T=T))
+
+
+def poisson_mean(n, nu):
+    return continuous_moments(EstimatorConfig(n=n), Poisson(nu)).mean
 
 
 # -- reference routes: the closed forms `variance_continuous` replaced --------
@@ -147,17 +155,17 @@ class TestTheoreticalDelay:
         ],
     )
     def test_reference_values(self, n, kappa, mu, T, expect):
-        assert theoretical_delay(n, kappa, mu, T) == pytest.approx(expect, abs=5e-5)
+        assert single_term_delay(n, kappa, mu, T) == pytest.approx(expect, abs=5e-5)
 
     @pytest.mark.parametrize("kappa", [-0.5, 0.0, 0.7, 2.0])
     def test_equal_exponents_give_half_window(self, kappa):
-        assert theoretical_delay(1, kappa, kappa, 2.0) == pytest.approx(1.0, rel=1e-14)
-        assert theoretical_delay(3, kappa, kappa, 2.0) == pytest.approx(1.0, rel=1e-14)
+        assert single_term_delay(1, kappa, kappa, 2.0) == pytest.approx(1.0, rel=1e-14)
+        assert single_term_delay(3, kappa, kappa, 2.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_closed_form(self):
         n, kappa, mu, T = 2, 0.4, -0.3, 1.7
         expect = T * (kappa + n + 1) / (mu + kappa + 2 * n + 2)
-        assert theoretical_delay(n, kappa, mu, T) == pytest.approx(expect, rel=1e-14)
+        assert single_term_delay(n, kappa, mu, T) == pytest.approx(expect, rel=1e-14)
 
     @pytest.mark.parametrize(
         "kappa,mu,expect",
@@ -165,7 +173,7 @@ class TestTheoreticalDelay:
     )
     def test_extreme_exponents_stay_in_range(self, kappa, mu, expect):
         # the sum mu + kappa overflows; the delay itself does not
-        assert theoretical_delay(1, kappa, mu, 1.0) == pytest.approx(expect, rel=1e-15)
+        assert single_term_delay(1, kappa, mu, 1.0) == pytest.approx(expect, rel=1e-15)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -177,8 +185,9 @@ class TestTheoreticalDelay:
         ],
     )
     def test_validation(self, kwargs):
+        # the config refuses these, so no delay can be asked for
         with pytest.raises(ValueError):
-            theoretical_delay(**kwargs)
+            single_term_delay(**kwargs)
 
 
 class TestAffineDelay:
@@ -192,44 +201,63 @@ class TestAffineDelay:
         ],
     )
     def test_reference_values(self, T, xi, expect):
-        assert affine_delay(1, 0.0, 0.0, T, xi) == pytest.approx(expect, abs=5e-5)
+        assert delay(EstimatorConfig(n=1, q=1, T=T, xi=xi)) == pytest.approx(expect, abs=5e-5)
 
     def test_zero_abscissa(self):
-        assert affine_delay(1, 0.3, -0.4, 2.0, 0.0) == 0.0
+        assert delay(EstimatorConfig(n=1, q=1, mu=-0.4, kappa=0.3, T=2.0, xi=0.0)) == 0.0
 
     def test_rejects_abscissa_outside_unit_interval(self):
         with pytest.raises(ValueError):
-            affine_delay(1, 0.0, 0.0, 1.0, 1.2)
+            delay(EstimatorConfig(n=1, q=1, T=1.0, xi=1.2))
+
+    @given(
+        n=st.integers(1, 4),
+        q=st.integers(1, 3),
+        mu=st.floats(-0.99, 5.0),
+        kappa=st.floats(-0.99, 5.0),
+        T=st.floats(1e-3, 1e3),
+        xi=st.floats(0.0, 1.0),
+    )
+    def test_series_delay_is_window_times_abscissa(self, n, q, mu, kappa, T, xi):
+        cfg = EstimatorConfig(n=n, q=q, mu=mu, kappa=kappa, T=T, xi=xi)
+        assert delay(cfg) == cfg.T * cfg.xi
 
 
 class TestBiasBounds:
     def test_degenerate_extrema(self):
         # constant (n+1)-th derivative: both bounds collapse onto the delay bias
-        b = bias_bounds(1, 0.0, 0.0, 0.2, 1, 2.0, 2.0)
+        b = bias_bounds(EstimatorConfig(n=1, beta=1, T=0.2), 2.0, 2.0)
         assert b.lower == pytest.approx(b.upper, rel=1e-14)
         assert b.lower == pytest.approx(b.c_factor * 2.0, rel=1e-14)
 
     def test_first_order_window(self):
-        b = bias_bounds(1, 0.0, 0.0, 0.2, 1, 1.9, 2.1)
+        b = bias_bounds(EstimatorConfig(n=1, beta=1, T=0.2), 1.9, 2.1)
         assert b.c_factor == pytest.approx(0.1, rel=1e-14)
         assert b.lower == pytest.approx(0.19, rel=1e-12)
         assert b.upper == pytest.approx(0.21, rel=1e-12)
 
     def test_causal_window_flips_interval(self):
-        b = bias_bounds(1, 0.0, 0.0, 0.2, -1, 1.9, 2.1)
+        b = bias_bounds(EstimatorConfig(n=1, beta=-1, T=0.2), 1.9, 2.1)
         assert b.c_factor == pytest.approx(-0.1, rel=1e-14)
         assert b.lower == pytest.approx(-0.21, rel=1e-12)
         assert b.upper == pytest.approx(-0.19, rel=1e-12)
 
     def test_ordering_invariant(self):
         for beta in (-1, 1):
+            cfg = EstimatorConfig(n=2, mu=0.6, kappa=0.3, beta=beta, T=1.5)
             for lo, hi in [(-3.0, -1.0), (-1.0, 2.0), (0.5, 0.5)]:
-                b = bias_bounds(2, 0.3, 0.6, 1.5, beta, lo, hi)
+                b = bias_bounds(cfg, lo, hi)
                 assert b.lower <= b.upper
 
     def test_rejects_inverted_extrema(self):
         with pytest.raises(ValueError):
-            bias_bounds(1, 0.0, 0.0, 1.0, 1, 2.0, 1.0)
+            bias_bounds(EstimatorConfig(n=1, beta=1), 2.0, 1.0)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_rejects_series_estimator(self, q):
+        # the series kernel is not a positive average of x^(n), so no bound holds
+        with pytest.raises(ValueError, match=f"q = {q}"):
+            bias_bounds(EstimatorConfig(n=1, q=q, xi=0.3), 1.9, 2.1)
 
 
 class TestIIntegral:
@@ -489,10 +517,29 @@ class TestPoissonMean:
         assert poisson_mean(1, 0.0) == 0.0
 
     def test_validation(self):
+        # refused by the config and by the noise model
         with pytest.raises(ValueError):
             poisson_mean(0, 0.3)
         with pytest.raises(ValueError):
             poisson_mean(1, -0.1)
+
+
+class TestContinuousMoments:
+    @pytest.mark.parametrize("n,q,xi", [(1, 0, 0.0), (2, 1, 0.3)])
+    def test_wiener_and_poisson_variance_is_the_closed_form(self, n, q, xi):
+        cfg = EstimatorConfig(n=n, q=q, mu=0.2, kappa=-0.4, T=1.5, xi=xi)
+        wiener = continuous_moments(cfg, Wiener(0.7))
+        assert wiener == NoiseMomentReport(0.0, variance_continuous(cfg, 0.7))
+        poisson = continuous_moments(cfg, Poisson(2.5))
+        assert poisson.variance == variance_continuous(cfg, 2.5)
+
+    @pytest.mark.parametrize(
+        "noise",
+        [WhiteGaussian(1.0), PolyMean((1.0, 2.0), Wiener(1.0)), PolyMean((0.5,), Poisson(1.0))],
+        ids=["white", "polymean-wiener", "polymean-poisson"],
+    )
+    def test_no_continuous_limit_for_other_models(self, noise):
+        assert continuous_moments(EstimatorConfig(n=1), noise) is None
 
 
 class TestDiscreteMoments:
@@ -502,7 +549,6 @@ class TestDiscreteMoments:
         rep = discrete_moments(k, WhiteGaussian(0.7), 3.0)
         assert rep.mean == 0.0
         assert rep.variance == pytest.approx(0.7 * float(np.sum(k.taps**2)), rel=1e-14)
-        assert rep.regime == "discrete"
 
     def test_wiener_variance_approaches_continuous_value(self):
         cfg = EstimatorConfig(n=1, beta=-1, T=1.0, m=400)
@@ -540,10 +586,12 @@ class TestDiscreteMoments:
     def test_band_attached(self):
         cfg = EstimatorConfig(n=1, beta=-1, T=1.0, m=100)
         k = make_kernel(cfg)
-        rep = discrete_moments(k, Wiener(2.0), 1.5, gamma=3.0)
-        assert rep.gamma == 3.0
-        assert rep.cheb_low == pytest.approx(rep.mean - 3.0 * math.sqrt(rep.variance))
-        assert rep.cheb_high == pytest.approx(rep.mean + 3.0 * math.sqrt(rep.variance))
+        rep = discrete_moments(k, Wiener(2.0), 1.5)
+        # the report holds the moments alone; `chebyshev_band` is the one route to a band
+        assert list(vars(rep)) == ["mean", "variance"]
+        low, high = chebyshev_band(rep.mean, rep.variance, 3.0)
+        assert low == pytest.approx(rep.mean - 3.0 * math.sqrt(rep.variance))
+        assert high == pytest.approx(rep.mean + 3.0 * math.sqrt(rep.variance))
 
     def test_time_restricted_process_needs_valid_window(self):
         cfg = EstimatorConfig(n=1, beta=-1, T=1.0, m=50)
@@ -728,6 +776,26 @@ class TestChebyshevBand:
         with pytest.raises(ValueError):
             chebyshev_band(0.0, -1.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "mean,variance,gamma,fragment",
+        [
+            (0.0, 0.0, math.inf, "gamma must be finite and positive, got inf"),
+            (0.0, 1.0, math.nan, "gamma must be finite and positive, got nan"),
+            (0.0, math.nan, 2.0, "variance must be finite and nonnegative, got nan"),
+            (0.0, math.inf, 2.0, "variance must be finite and nonnegative, got inf"),
+            (math.nan, 1.0, 2.0, "band nan -/+ gamma*sqrt(variance) that is not finite"),
+            (-math.inf, 1.0, 2.0, "band -inf -/+ gamma*sqrt(variance) that is not finite"),
+            (0.0, 100.0, 1e308, "gamma = 1e+308 and variance = 100.0 give a band"),
+            (1e308, 1e308, 1e154, "gamma = 1e+154 and variance = 1e+308 give a band"),
+        ],
+        ids=["gamma-inf", "gamma-nan", "variance-nan", "variance-inf", "mean-nan",
+             "mean-inf", "half-width-overflows", "end-overflows"],
+    )
+    def test_refuses_a_band_beyond_the_float_range(self, mean, variance, gamma, fragment):
+        with pytest.raises(ValueError) as exc:
+            chebyshev_band(mean, variance, gamma)
+        assert fragment in str(exc.value)
+
 
 class TestSweepSurface:
     KGRID = np.linspace(-0.95, 1.0, 14)
@@ -819,7 +887,7 @@ class TestSweepSurface:
         for i, kappa in enumerate(kappas):
             for j, mu in enumerate(mus):
                 want = {
-                    "delay": theoretical_delay(n, kappa, mu, T),
+                    "delay": single_term_delay(n, kappa, mu, T),
                     "xi": smallest_root(JacobiIndex(q + 1, mu + n, kappa + n)),
                     "variance_minimal": variance_minimal(n, kappa, mu, T, eta),
                 }[quantity]

@@ -397,7 +397,12 @@ class TestErrorHandling:
             (["kernel", "--xi", "nan"], "xi"),
             (["mc", "--sigma2", "nan", "--trials", "100", "--m", "50"], "sigma2"),
             (["mc", "--model", "poisson", "--nu", "inf", "--trials", "100", "--m", "50"], "nu"),
-            (["mc", "--gamma", "inf", "--trials", "100", "--m", "50"], "JSON"),
+            (["mc", "--gamma", "inf", "--trials", "100", "--m", "50"],
+             "gamma must be finite and positive, got inf"),
+            (["experiment", "table1-a", "--gamma", "inf"],
+             "gamma must be finite and positive, got inf"),
+            (["mc", "--trials", "100", "--m", "40", "--gamma", "1e308", "--sigma2", "100"],
+             "gamma = 1e+308 and variance ="),
             (["mc", "--trials", "100", "--m", "40", "--t0", "nan"], "t0"),
             (["mc", "--trials", "100", "--m", "40", "--t0", "inf"], "t0"),
             (["mc", "--trials", "100", "--m", "40", "--t0", "1e300"], "t0"),
@@ -428,6 +433,7 @@ class TestErrorHandling:
              "T = 1e-300 gives kernel coefficients beyond the float range at n = 3"),
         ],
         ids=["points-0", "mu-inf", "T-inf", "xi-nan", "sigma2-nan", "nu-inf", "gamma-inf",
+             "experiment-gamma-inf", "mc-band-overflows",
              "t0-nan", "t0-inf", "t0-huge", "t0-path-too-long", "surface-T-negative",
              "surface-eta-negative", "surface-kappa-lo-nan", "surface-mu-hi-inf",
              "surface-kappa-grid-reaches-minus-one", "surface-variance-overflow",
@@ -530,6 +536,20 @@ class TestConfigResolver:
     )
     def test_spec_value_checked_when_read(self, tmp_path, capsys, text, fragment):
         assert_one_line_error(capsys, ["experiment", self.write_spec(tmp_path, text)], fragment)
+
+    @pytest.mark.parametrize(
+        "grid,fragment",
+        [
+            ("coeffs = 1,2\nts = inf\n", "ts must be finite and positive, got inf"),
+            ("coeffs = 1,2\nts = nan\n", "ts must be finite and positive, got nan"),
+            ("coeffs = 1e308,1e308\nts = 0.01\n", "values must be finite; sample 80 is inf"),
+        ],
+        ids=["ts-inf", "ts-nan", "samples-overflow"],
+    )
+    def test_polynomial_grid_refused_without_a_warning(self, tmp_path, capsys, grid, fragment):
+        spec = tmp_path / "poly.spec"
+        spec.write_text("signal = polynomial\nm = 4\n" + grid)
+        assert_one_line_error(capsys, ["experiment", str(spec)], fragment)
 
     def test_csv_spec_with_nan_time_exits_2(self, tmp_path, capsys):
         src = tmp_path / "nan_t.csv"

@@ -35,10 +35,15 @@ class TestSampledSignal:
         sig = SampledSignal(0.5, 0.1, [1.0, 2.0, 3.0])
         np.testing.assert_allclose(sig.times, [0.5, 0.6, 0.7])
 
-    @pytest.mark.parametrize("ts", [0.0, -0.1])
+    @pytest.mark.parametrize("ts", [0.0, -0.1, math.inf, math.nan])
     def test_rejects_bad_period(self, ts):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ts must be finite and positive"):
             SampledSignal(0.0, ts, [1.0])
+
+    @pytest.mark.parametrize("t_start", [math.nan, -math.inf])
+    def test_rejects_non_finite_start(self, t_start):
+        with pytest.raises(ValueError, match=f"t_start must be finite, got {t_start!r}"):
+            SampledSignal(t_start, 0.1, [1.0])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -134,6 +134,12 @@ class TestGenPath:
         assert path.ts == 0.05
         assert path.values.shape == (30,)
 
+    @pytest.mark.parametrize("ts", [math.inf, math.nan, 0.0, -0.1])
+    def test_rejects_bad_period(self, ts):
+        # named before any draw: an infinite step would make every sample non-finite
+        with pytest.raises(ValueError, match=f"ts must be finite and positive, got {ts!r}"):
+            gen_path(Wiener(1.0), ts, 3, RngSeed(1))
+
     def test_silent_white_noise(self):
         path = gen_path(WhiteGaussian(0.0), 0.1, 20, RngSeed(1))
         np.testing.assert_array_equal(path.values, np.zeros(20))
