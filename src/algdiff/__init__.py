@@ -31,15 +31,10 @@ from .kernel import (
     minimal_kernel,
     wpoly_moment,
 )
-from .specfun import (
-    JacobiIndex,
-    beta_fn,
-    smallest_root,
-)
+from .specfun import beta_fn
 from .stochastic import (
     NoiseModel,
     Poisson,
-    PolyMean,
     RngSeed,
     WhiteGaussian,
     Wiener,
@@ -53,9 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # specfun
-    "JacobiIndex",
     "beta_fn",
-    "smallest_root",
     # kernel
     "WeightedPoly",
     "EstimatorConfig",
@@ -86,7 +79,6 @@ __all__ = [
     "WhiteGaussian",
     "Wiener",
     "Poisson",
-    "PolyMean",
     "RngSeed",
     "gen_path",
     "calibrate_snr",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .kernel import DiscreteKernel, EstimatorConfig
 from .specfun import _gauss_rule, _jacobi_values, _least_zero, _log_beta
-from .stochastic import NoiseModel, Poisson, Wiener
+from .stochastic import NoiseModel, Poisson, Wiener, _check_intensity
 
 __all__ = [
     "BiasBounds",
@@ -86,8 +86,7 @@ def variance_continuous(cfg: EstimatorConfig, eta: float) -> float:
     within 3e-14 relative of the exact rational route for n <= 4, q <= 3).
     Any n and q; scales as 1/T^(2n-1).
     """
-    if not eta >= 0:
-        raise ValueError(f"eta must be nonnegative, got {eta!r}")
+    _check_intensity("eta", eta)
     return float(_continuous_variance(cfg.n, cfg.q, cfg.mu, cfg.kappa, cfg.T, cfg.xi, eta))
 
 
@@ -98,7 +97,7 @@ def _continuous_variance(n: int, q: int, mu, kappa, T: float, xi, eta: float) ->
     R is sum_i c_i P_{i+n-1}^{(mu+1, kappa+1)}: term i of the series is
     weighted by P_i^{(a,b)}(xi) over its squared norm, relative to that of
     P_0, with (a, b) = (mu+n, kappa+n), and by (i+n-1)!/i! from the n-1
-    derivatives (see `kernel._series_derivative`); the window factor
+    derivatives (see `kernel.affine_kernel`); the window factor
     1/(beta*T)**n squares to 1/T**(2n).
     """
     mu, kappa = np.asarray(mu, dtype=float), np.asarray(kappa, dtype=float)
@@ -253,15 +252,14 @@ def sweep_surface(
     of the degree-(q+1) raised-exponent polynomial), "variance_minimal" (the
     continuous variance at q = 0), or "variance_affine" (the continuous
     variance with q terms, evaluated at each cell's root).  The whole grid is
-    one batched evaluation, and each cell equals the scalar call
-    (`delay`, `smallest_root`, `variance_continuous`) bit for bit.
+    one batched evaluation, and each cell equals the scalar call (`delay`,
+    `variance_continuous`) bit for bit.
     Every input is checked up front, whether or not the quantity reads it:
-    n, q and T as a config checks them, eta >= 0, and each grid value finite
-    and above -1.
+    n, q and T as a config checks them, eta finite and >= 0, and each grid
+    value finite and above -1.
     """
     EstimatorConfig(n=n, q=q, T=T, m=n + q + 1)
-    if not eta >= 0:
-        raise ValueError(f"eta must be nonnegative, got {eta!r}")
+    _check_intensity("eta", eta)
     if quantity not in _QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}; choose from {list(_QUANTITIES)}")
     kappa_grid = _exponent_grid("kappa_grid", kappa_grid)

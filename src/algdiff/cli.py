@@ -33,7 +33,6 @@ from .kernel import EstimatorConfig, kernel_taps
 from .stochastic import (
     NoiseModel,
     Poisson,
-    PolyMean,
     RngSeed,
     WhiteGaussian,
     Wiener,
@@ -343,8 +342,6 @@ def mc_report(
 
 
 def _model_dict(model: NoiseModel) -> dict:
-    if isinstance(model, PolyMean):
-        return {"kind": "polymean", "coeffs": list(model.coeffs), "base": _model_dict(model.base)}
     kind = next(k for k, cls in _NOISE_KINDS.items() if isinstance(model, cls))
     return {"kind": kind, **asdict(model)}
 
@@ -445,10 +442,16 @@ def _signal(values: dict) -> tuple[SampledSignal, _Derivative | None]:
         ts, count = values["ts"], values["count"]
     else:
         raise ValueError(f"unknown signal kind {kind!r}")
-    # SampledSignal names a non-finite ts or sample, so NumPy's warnings add nothing
+    # SampledSignal names a bad ts, and the check below the inputs behind
+    # samples that are not finite, so NumPy's warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        values = derivative(np.arange(count) * ts, 0)
-    return SampledSignal(0.0, ts, values), derivative
+        samples = derivative(np.arange(count) * ts, 0)
+    if 0 < ts < math.inf and not np.isfinite(samples).all():
+        raise ValueError(
+            f"coeffs = {values['coeffs']!r} with ts = {ts!r} and count = {count!r} "
+            "give samples that are not finite"
+        )
+    return SampledSignal(0.0, ts, samples), derivative
 
 
 _FLAG_HELP = {
@@ -554,10 +557,18 @@ def _cmd_mc(ns: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, so `main` reports it as one JSON line; its
+    subparsers are of this class too."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: parse_args keeps no state between calls
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="algdiff",
         description="Sliding-window derivative estimation for noisy signals",
     )
@@ -605,9 +616,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = _build_parser().parse_args(argv)
         return ns.func(ns)
     except (
         ValueError, IndexError, OSError, TypeError, ArithmeticError, MemoryError

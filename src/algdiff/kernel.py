@@ -207,30 +207,33 @@ def minimal_kernel(cfg: EstimatorConfig) -> WeightedPoly:
     return affine_kernel(cfg)
 
 
-def _series_derivative(cfg: EstimatorConfig, k: int) -> WeightedPoly:
-    """k-th derivative, times (-1)**k, of the raised-weight series of ``cfg``.
+def affine_kernel(cfg: EstimatorConfig) -> WeightedPoly:
+    """Truncated-series estimator kernel evaluated at abscissa ``xi``.
 
-    Term ``i`` of the series is the raised-exponent weight ``w^{a,b}``, with
-    ``(a, b) = (mu+n, kappa+n)``, times its degree-i polynomial, weighted by
-    that polynomial's value at ``xi`` over its norm and by ``1/(beta*T)**n``.
-    By Rodrigues' formula the k-th derivative of the term is
-    ``(-1)**k (i+k)!/i! * w^{a-k,b-k} P_{i+k}^{(a-k,b-k)}``, which is built
-    directly.  One common symbolic Beta divisor ``B(b+1, a+1)`` is kept; the
-    inverse norm relative to it is ``i! (a+b+2)_{i-1} (a+b+2i+1) / ((a+1)_i
-    (b+1)_i)`` for i >= 1.
+    The kernel is the n-th derivative, times (-1)**n, of the raised-weight
+    series.  Term ``i`` of the series is the raised-exponent weight
+    ``w^{a,b}``, with ``(a, b) = (mu+n, kappa+n)``, times its degree-i
+    polynomial, weighted by that polynomial's value at ``xi`` over its norm
+    and by ``1/(beta*T)**n``.  By Rodrigues' formula the n-th derivative of
+    the term is ``(-1)**n (i+n)!/i! * w^{mu,kappa} P_{i+n}^{(mu,kappa)}``,
+    which is built directly.  One common symbolic Beta divisor
+    ``B(kappa+n+1, mu+n+1)`` is kept; the inverse norm relative to it is
+    ``i! (a+b+2)_{i-1} (a+b+2i+1) / ((a+1)_i (b+1)_i)`` for i >= 1.  q = 0
+    gives the minimal kernel ``n!/(beta*T)**n * w P_n``.
 
     The arithmetic is in integers over the exponents' common denominator
     ``den``: the code's ``a`` and ``b`` are ``(mu+n)*den`` and
     ``(kappa+n)*den``.  Term i's denominator, ``xi_den**i (a+den)...(a+i*den)
-    (b+den)...(b+i*den) i! den**(i+k)``, divides the last term's, so every
+    (b+den)...(b+i*den) i! den**(i+n)``, divides the last term's, so every
     term is lifted to that one denominator and each coefficient is reduced
     once, at the end.
     """
     n, q = cfg.n, cfg.q
     mu, kappa = Fraction(cfg.mu), Fraction(cfg.kappa)
     den = math.lcm(mu.denominator, kappa.denominator)
-    a = mu.numerator * (den // mu.denominator) + n * den  # (mu + n) * den
-    b = kappa.numerator * (den // kappa.denominator) + n * den
+    mu_den = mu.numerator * (den // mu.denominator)  # mu * den
+    kappa_den = kappa.numerator * (den // kappa.denominator)
+    a, b = mu_den + n * den, kappa_den + n * den
     x, x_den = Fraction(cfg.xi).as_integer_ratio()  # 0 when q = 0, where it is unused
     t, t_den = Fraction(cfg.T).as_integer_ratio()
 
@@ -239,7 +242,7 @@ def _series_derivative(cfg: EstimatorConfig, k: int) -> WeightedPoly:
     for i in range(q - 1, -1, -1):
         lift[i] = lift[i + 1] * x_den * den * (i + 1) * (a + (i + 1) * den) * (b + (i + 1) * den)
 
-    total = [0] * (k + q + 1)
+    total = [0] * (n + q + 1)
     rising = 1  # (a+b+2*den)...(a+b+i*den)
     for i in range(q + 1):
         p_at_xi, x_power = 0, 1  # P_i(xi) * den**i * i! * x_den**i
@@ -251,30 +254,18 @@ def _series_derivative(cfg: EstimatorConfig, k: int) -> WeightedPoly:
         if p_at_xi == 0:
             continue
         weight = p_at_xi * lift[i] * (rising * (a + b + (2 * i + 1) * den) if i else 1)
-        for j, c in enumerate(_jacobi_numerators(i + k, a - k * den, b - k * den, den)):
+        for j, c in enumerate(_jacobi_numerators(i + n, mu_den, kappa_den, den)):
             total[j] += weight * c
 
     while len(total) > 1 and total[-1] == 0:
         total.pop()
-    num, common = cfg.beta**n * t_den**n, lift[0] * den**k * t**n
+    num, common = cfg.beta**n * t_den**n, lift[0] * den**n * t**n
     return WeightedPoly(
-        Fraction(a - k * den, den),
-        Fraction(b - k * den, den),
+        mu,
+        kappa,
         tuple(Fraction(c * num, common) for c in total),
         (Fraction(b + den, den), Fraction(a + den, den)),  # B(kappa+n+1, mu+n+1)
     )
-
-
-def affine_kernel(cfg: EstimatorConfig) -> WeightedPoly:
-    """Truncated-series estimator kernel evaluated at abscissa ``xi``.
-
-    The kernel is the n-fold derivative of the raised-weight series (see
-    `_series_derivative`), ``sum_i (i+n)!/i! * weight_i * w^{mu,kappa}
-    P_{i+n}^{(mu,kappa)}`` over the symbolic divisor
-    ``B(kappa+n+1, mu+n+1)``; q = 0 gives the minimal kernel
-    ``n!/(beta*T)**n * w P_n``.
-    """
-    return _series_derivative(cfg, cfg.n)
 
 
 def discretize(p: WeightedPoly, cfg: EstimatorConfig) -> DiscreteKernel:

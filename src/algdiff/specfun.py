@@ -7,24 +7,20 @@ orthogonal on [0, 1] under the weight ``(1 - t)**mu * t**kappa`` with
 
 Kernel coefficients are generated exactly, as integer numerators over one
 shared denominator, so that orthogonality-based cancellations hold
-*exactly*.  Quantities that need no exact cancellation (polynomial zeros and
-the Gauss-Jacobi rules of the continuous variance) come from the float
-Jacobi matrix of the weight, broadcast over arrays of exponents.
+*exactly*.  Quantities that need no exact cancellation (the least polynomial
+zero of the design surfaces and the Gauss-Jacobi rules of the continuous
+variance) come from the float Jacobi matrix of the weight, broadcast over
+arrays of exponents.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-__all__ = [
-    "JacobiIndex",
-    "beta_fn",
-    "smallest_root",
-]
+__all__ = ["beta_fn"]
 
 
 def beta_fn(a: float, b: float) -> float:
@@ -36,27 +32,6 @@ def beta_fn(a: float, b: float) -> float:
     if not (a > 0 and b > 0):
         raise ValueError(f"beta function requires positive arguments, got {a!r}, {b!r}")
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-
-
-@dataclass(frozen=True)
-class JacobiIndex:
-    """Degree and weight exponents of one shifted Jacobi polynomial.
-
-    ``mu`` is the exponent of (1 - t), ``kappa`` the exponent of t; both must
-    exceed -1 for the weight to be integrable.
-    """
-
-    degree: int
-    mu: float
-    kappa: float
-
-    def __post_init__(self) -> None:
-        if self.degree < 0 or int(self.degree) != self.degree:
-            raise ValueError(f"degree must be a nonnegative integer, got {self.degree!r}")
-        if not self.mu > -1:
-            raise ValueError(f"mu must exceed -1, got {self.mu!r}")
-        if not self.kappa > -1:
-            raise ValueError(f"kappa must exceed -1, got {self.kappa!r}")
 
 
 def _jacobi_numerators(degree: int, mu: int, kappa: int, den: int) -> list[int]:
@@ -144,7 +119,8 @@ def _jacobi_matrix(size: int, mu, kappa) -> np.ndarray:
 
 
 def _least_zero(degree: int, mu, kappa) -> np.ndarray:
-    """Smallest zero of the degree-``degree`` polynomial, elementwise."""
+    """Smallest zero of the degree-``degree`` polynomial, elementwise: the
+    least eigenvalue of the Jacobi matrix, within a few units of 1e-16."""
     return np.linalg.eigvalsh(_jacobi_matrix(degree, mu, kappa))[..., 0]
 
 
@@ -180,13 +156,3 @@ def _jacobi_values(degree: int, mu, kappa, t) -> list[np.ndarray]:
         values.append((upper - lower) / (2 * (k + 1) * (k + s + 1) * u))
     return values
 
-
-def smallest_root(idx: JacobiIndex) -> float:
-    """Smallest zero of the polynomial inside (0, 1).
-
-    The least eigenvalue of the degree-sized Jacobi matrix; its absolute error
-    is a few units of 1e-16.
-    """
-    if idx.degree < 1:
-        raise ValueError("smallest_root requires degree >= 1")
-    return float(_least_zero(idx.degree, idx.mu, idx.kappa))

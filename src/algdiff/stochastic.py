@@ -25,7 +25,6 @@ __all__ = [
     "WhiteGaussian",
     "Wiener",
     "Poisson",
-    "PolyMean",
     "NoiseModel",
     "RngSeed",
     "gen_path",
@@ -121,32 +120,7 @@ class Poisson:
         return self.nu
 
 
-@dataclass(frozen=True)
-class PolyMean:
-    """Base process plus the deterministic polynomial sum_i coeffs[i]*t**i."""
-
-    coeffs: tuple[float, ...]
-    base: "NoiseModel"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-        if not all(math.isfinite(c) for c in self.coeffs):
-            raise ValueError(f"coeffs must be finite, got {self.coeffs!r}")
-
-    def poly_at(self, t):
-        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), self.coeffs)
-
-    def mean_at(self, t):
-        return self.base.mean_at(t) + self.poly_at(t)
-
-    def white_part(self) -> float | None:
-        return self.base.white_part()
-
-    def increment_part(self) -> float | None:
-        return self.base.increment_part()
-
-
-NoiseModel = WhiteGaussian | Wiener | Poisson | PolyMean
+NoiseModel = WhiteGaussian | Wiener | Poisson
 
 
 def gen_path(model: NoiseModel, ts: float, count: int, seed: RngSeed) -> SampledSignal:
@@ -158,8 +132,6 @@ def gen_path(model: NoiseModel, ts: float, count: int, seed: RngSeed) -> Sampled
     values = _draws(model, ts, count, seed.generator())
     if model.increment_part() is not None:
         values = np.concatenate(([0.0], np.cumsum(values)))
-    if isinstance(model, PolyMean):
-        values = values + model.poly_at(ts * np.arange(count))
     return SampledSignal(0.0, ts, values)
 
 
@@ -167,8 +139,6 @@ def _draws(model: NoiseModel, ts: float, count: int, rng: np.random.Generator) -
     """The random numbers behind a `gen_path` of ``count`` samples, drawn from
     ``rng``: the samples of white noise, or the ``count - 1`` increments of a
     process that starts at 0."""
-    if isinstance(model, PolyMean):
-        return _draws(model.base, ts, count, rng)
     if isinstance(model, WhiteGaussian):
         return rng.normal(0.0, math.sqrt(model.sigma2), count)
     if isinstance(model, Wiener):
@@ -284,7 +254,6 @@ def mc_noise_samples(
     weights[idx] = taps
     if model.increment_part() is not None:
         weights = np.cumsum(weights[::-1])[::-1][1:]
-    offset = float(np.dot(taps, model.poly_at(step * idx))) if isinstance(model, PolyMean) else 0.0
     rng = seed.generator()
     # a fresh state: counter 0, empty buffer; the setter copies it, so this
     # one dict rewinds the generator onto each trial's key
@@ -295,7 +264,6 @@ def mc_noise_samples(
         key[1] = (seed.stream + k) % _U64
         rng.bit_generator.state = state
         out[k] = np.dot(weights, _draws(model, step, count, rng))
-    out += offset
     return out
 
 

@@ -17,10 +17,9 @@ from algdiff.kernel import (
     WeightedPoly,
     _beta_ratio_exact,
     _pochhammer,
-    _series_derivative,
     wpoly_moment,
 )
-from algdiff.specfun import JacobiIndex, beta_fn
+from algdiff.specfun import beta_fn
 
 
 def wpoly(mu_exp, kappa_exp, coeffs, beta_divisor=None) -> WeightedPoly:
@@ -33,9 +32,13 @@ def wpoly(mu_exp, kappa_exp, coeffs, beta_divisor=None) -> WeightedPoly:
     return WeightedPoly(Fraction(mu_exp), Fraction(kappa_exp), tuple(cs), div)
 
 
-def jacobi_coeffs(degree: int, mu: Fraction, kappa: Fraction) -> tuple[Fraction, ...]:
-    """Ascending-power coefficients of the shifted Jacobi polynomial, one
-    `Fraction` step per coefficient: the route `_jacobi_numerators` replaced."""
+def jacobi_coefficients(degree: int, mu, kappa) -> tuple[Fraction, ...]:
+    """Exact ascending-power coefficients of the shifted Jacobi polynomial, one
+    `Fraction` step per coefficient: the route `_jacobi_numerators` replaced.
+
+    ``mu`` and ``kappa`` are ints, floats or fractions, each taken exactly.
+    """
+    mu, kappa = Fraction(mu), Fraction(kappa)
     # c_0 = (-1)^deg C(deg+kappa, deg), and consecutive coefficients have the
     # ratio c_{k+1}/c_k = (k-deg)(deg+mu+kappa+1+k) / ((kappa+1+k)(k+1)),
     # which never vanishes below k = deg for mu, kappa > -1
@@ -49,17 +52,15 @@ def jacobi_coeffs(degree: int, mu: Fraction, kappa: Fraction) -> tuple[Fraction,
     return tuple(coeffs)
 
 
-def jacobi_coefficients(idx: JacobiIndex) -> tuple[Fraction, ...]:
-    """Exact ascending-power coefficients of the shifted Jacobi polynomial."""
-    return jacobi_coeffs(idx.degree, Fraction(idx.mu), Fraction(idx.kappa))
-
-
 def fraction_series_derivative(cfg: EstimatorConfig, k: int) -> WeightedPoly:
-    """`kernel._series_derivative` in `Fraction` arithmetic, one reduction per step.
+    """k-th derivative, times (-1)**k, of the raised-weight series of ``cfg``,
+    in `Fraction` arithmetic with one reduction per step.
 
-    Each term's weight P_i(xi) * i!/(a+b+i+1)_i * B(b+1, a+1)/B(b+i+1, a+i+1)
-    / (beta*T)**n is built as a `Fraction`, scaled by (i+k)!/i!, and added
-    into the coefficients of P_{i+k}^{(a-k, b-k)}.
+    At k = n this is `kernel.affine_kernel`; at k = n - 1 it is the G of the
+    continuous variance.  Each term's weight P_i(xi) * i!/(a+b+i+1)_i *
+    B(b+1, a+1)/B(b+i+1, a+i+1) / (beta*T)**n is built as a `Fraction`,
+    scaled by (i+k)!/i!, and added into the coefficients of
+    P_{i+k}^{(a-k, b-k)}.
     """
     n, q = cfg.n, cfg.q
     mu, kappa = Fraction(cfg.mu), Fraction(cfg.kappa)
@@ -71,7 +72,7 @@ def fraction_series_derivative(cfg: EstimatorConfig, k: int) -> WeightedPoly:
     for i in range(q + 1):
         p_at_xi = Fraction(0)
         power = Fraction(1)
-        for c in jacobi_coeffs(i, a, b):
+        for c in jacobi_coefficients(i, a, b):
             p_at_xi += c * power
             power *= xi
         norm_rational = Fraction(math.factorial(i)) / _pochhammer(a + b + i + 1, i)
@@ -80,29 +81,29 @@ def fraction_series_derivative(cfg: EstimatorConfig, k: int) -> WeightedPoly:
         if weight == 0:
             continue
         weight *= math.factorial(i + k) // math.factorial(i)
-        for j, c in enumerate(jacobi_coeffs(i + k, a - k, b - k)):
+        for j, c in enumerate(jacobi_coefficients(i + k, a - k, b - k)):
             total[j] += weight * c
     while len(total) > 1 and total[-1] == 0:
         total.pop()
     return WeightedPoly(a - k, b - k, tuple(total), divisor)
 
 
-def jacobi_eval(idx: JacobiIndex, t: float) -> float:
+def jacobi_eval(degree: int, mu, kappa, t: float) -> float:
     """Value of the shifted Jacobi polynomial at ``t`` in [0, 1], by Horner."""
     acc = 0.0
-    for c in reversed(jacobi_coefficients(idx)):
+    for c in reversed(jacobi_coefficients(degree, mu, kappa)):
         acc = acc * t + float(c)
     return acc
 
 
-def jacobi_norm_sq(idx: JacobiIndex) -> float:
+def jacobi_norm_sq(degree: int, mu: float, kappa: float) -> float:
     """Weighted L2 norm squared of the polynomial under its own weight.
 
     Closed form: ``Gamma(i+mu+1) Gamma(i+kappa+1) /
     ((2i+mu+kappa+1) Gamma(i+mu+kappa+1) i!)`` for degree ``i``; degree 0
     reduces to B(kappa+1, mu+1).
     """
-    i, a, b = idx.degree, idx.mu, idx.kappa
+    i, a, b = degree, mu, kappa
     if i == 0:
         # (a+b+1) Gamma(a+b+1) = Gamma(a+b+2), which stays positive even when
         # a+b+1 <= 0 (possible for exponent pairs summing below -1)
@@ -117,17 +118,18 @@ def jacobi_norm_sq(idx: JacobiIndex) -> float:
     return math.exp(log_value)
 
 
-def scan_root(idx: JacobiIndex) -> float:
-    """`smallest_root` by a sign-change scan and bisection.
+def scan_root(degree: int, mu: float, kappa: float) -> float:
+    """The least zero in (0, 1), as `specfun._least_zero` gives it, by a
+    sign-change scan and bisection.
 
     Brackets by sign change on a uniform 1024-interval grid, then bisects to
     an interval width of 1e-13.  Two zeros inside one grid interval give no
     sign change, so the scan then brackets a later zero or, when none is
     left, raises.
     """
-    if idx.degree < 1:
-        raise ValueError("smallest_root requires degree >= 1")
-    coeffs = [float(c) for c in jacobi_coefficients(idx)]
+    if degree < 1:
+        raise ValueError("a root needs degree >= 1")
+    coeffs = [float(c) for c in jacobi_coefficients(degree, mu, kappa)]
 
     def poly(t: float) -> float:
         acc = 0.0
@@ -139,7 +141,7 @@ def scan_root(idx: JacobiIndex) -> float:
     values = np.polynomial.polynomial.polyval(grid, coeffs)
     hits = np.flatnonzero((values[:-1] == 0.0) | (values[:-1] * values[1:] < 0.0))
     if hits.size == 0:
-        raise ValueError(f"no sign change found in (0, 1) for {idx!r}")
+        raise ValueError(f"no sign change found in (0, 1) for {(degree, mu, kappa)!r}")
     i = hits[0]
     if values[i] == 0.0:
         return float(grid[i])
@@ -167,7 +169,7 @@ def exact_variance_continuous(cfg: EstimatorConfig, eta: float) -> float:
     """
     if not eta >= 0:
         raise ValueError(f"eta must be nonnegative, got {eta!r}")
-    g = _series_derivative(cfg, cfg.n - 1)
+    g = fraction_series_derivative(cfg, cfg.n - 1)
     square = [Fraction(0)] * (2 * len(g.coeffs) - 1)
     for i, a in enumerate(g.coeffs):
         square[2 * i] += a * a

@@ -29,7 +29,7 @@ from algdiff.kernel import (
     minimal_kernel,
     wpoly_moment,
 )
-from algdiff.specfun import JacobiIndex, smallest_root
+from algdiff.specfun import _least_zero
 from algdiff.stochastic import (
     Poisson,
     RngSeed,
@@ -85,9 +85,9 @@ def test_02_affine_abscissa_presets():
     ]
     worst_res = 0.0
     for (kappa, mu), expected in cases:
-        idx = JacobiIndex(2, mu + 1.0, kappa + 1.0)
-        xi = smallest_root(idx)
-        residual = abs(jacobi_eval(idx, xi))
+        idx = (2, mu + 1.0, kappa + 1.0)
+        xi = float(_least_zero(*idx))
+        residual = abs(jacobi_eval(*idx, xi))
         worst_res = max(worst_res, residual)
         assert abs(xi - expected) < 5e-4, (xi, expected)
         assert residual <= 1e-9
@@ -141,10 +141,9 @@ def test_04_weight_derivative_identity():
                 for _ in range(n):
                     p = wpoly_derivative(p)
                 sign = (-1) ** n * math.factorial(n)
-                idx = JacobiIndex(n, mu, kappa)
                 for t in pts:
                     lhs = wpoly_eval(p, float(t))
-                    rhs = sign * (1 - t) ** mu * t**kappa * jacobi_eval(idx, float(t))
+                    rhs = sign * (1 - t) ** mu * t**kappa * jacobi_eval(n, mu, kappa, float(t))
                     worst = max(worst, abs(lhs - rhs))
                     assert abs(lhs - rhs) <= 1e-9
     print(f"PASS 04 weight-derivative identity: n <= 3, worst pointwise |diff| {worst:.1e}")
@@ -362,7 +361,7 @@ def test_12_design_surfaces():
         q = 0 if quantity == "variance_minimal" else 1  # q = 0 ignores xi
         vals = []
         for k, u in diag:
-            xi = smallest_root(JacobiIndex(2, u + 1, k + 1))
+            xi = float(_least_zero(2, u + 1, k + 1))
             vals.append(variance_continuous(EstimatorConfig(n=1, q=q, mu=u, kappa=k, xi=xi), 1.0))
         assert vals[0] > vals[1] > vals[2] > 0
     print(

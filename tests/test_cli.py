@@ -18,7 +18,7 @@ from algdiff import cli
 from algdiff.cli import SIN2T_TS, main
 from algdiff.analysis import variance_continuous
 from algdiff.kernel import EstimatorConfig, discretize, minimal_kernel
-from algdiff.specfun import JacobiIndex, smallest_root
+from algdiff.specfun import _least_zero
 
 
 def read_csv(path):
@@ -125,7 +125,7 @@ class TestSurfaceCommand:
         for row in rows[1:]:
             kappa = float(row[0])
             for mu, cell in zip(mus, row[1:]):
-                xi = smallest_root(JacobiIndex(2, mu + 2, kappa + 2))
+                xi = float(_least_zero(2, mu + 2, kappa + 2))
                 cfg = EstimatorConfig(n=2, q=1, mu=mu, kappa=kappa, xi=xi)
                 assert float(cell) == variance_continuous(cfg, 1.0)
 
@@ -133,10 +133,8 @@ class TestSurfaceCommand:
         "flags", [["--mu", "0.5"], ["--m", "7"], ["--beta", "1"], ["--xi", "0.3"]]
     )
     def test_refuses_flags_it_does_not_read(self, capsys, flags):
-        with pytest.raises(SystemExit) as exc:
-            main(["surface", "delay", "--points", "3", *flags])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        # argparse names the flag it cannot place, in the one JSON error line
+        assert_one_line_error(capsys, ["surface", "delay", "--points", "3", *flags], flags[0])
 
 
 class TestEstimateCommand:
@@ -408,7 +406,8 @@ class TestErrorHandling:
             (["mc", "--trials", "100", "--m", "40", "--t0", "1e300"], "t0"),
             (["mc", "--trials", "100", "--m", "40", "--t0", "1e12"], "t0 = 1000000000000.0"),
             (["surface", "xi", "--points", "2", "--T", "-1"], "T"),
-            (["surface", "xi", "--points", "2", "--eta", "-1"], "eta must be nonnegative, got -1.0"),
+            (["surface", "xi", "--points", "2", "--eta", "-1"],
+             "eta must be finite and nonnegative, got -1.0"),
             (["surface", "delay", "--points", "2", "--kappa-lo", "nan"],
              "--kappa-lo must be finite, got nan"),
             (["surface", "delay", "--points", "2", "--mu-hi=-inf"],
@@ -431,6 +430,10 @@ class TestErrorHandling:
              "mu = 1e+200 and kappa = 1e+200 give kernel coefficients beyond the float range"),
             (["kernel", "--m", "4", "--n", "3", "--T", "1e-300"],
              "T = 1e-300 gives kernel coefficients beyond the float range at n = 3"),
+            # usage errors, from a subcommand's parser and from the top one
+            (["kernel", "--m", "abc"], "argument --m: invalid int value: 'abc'"),
+            (["fit"], "argument command: invalid choice: 'fit'"),
+            ([], "the following arguments are required: command"),
         ],
         ids=["points-0", "mu-inf", "T-inf", "xi-nan", "sigma2-nan", "nu-inf", "gamma-inf",
              "experiment-gamma-inf", "mc-band-overflows",
@@ -439,10 +442,24 @@ class TestErrorHandling:
              "surface-kappa-grid-reaches-minus-one", "surface-variance-overflow",
              "kernel-taps-not-finite", "mc-taps-not-finite", "kernel-taps-all-zero",
              "affine-kernel-taps-all-zero", "coefficients-overflow-exponents",
-             "coefficients-overflow-T"],
+             "coefficients-overflow-T", "usage-not-an-int", "usage-unknown-command",
+             "usage-no-command"],
     )
     def test_rejected_input(self, capsys, argv, fragment):
         assert_one_line_error(capsys, argv, fragment)
+
+    @pytest.mark.parametrize("quantity", ["variance_minimal", "variance_affine"])
+    def test_surface_refuses_infinite_eta(self, capsys, quantity):
+        # an infinite intensity made every cell inf, with exit 0
+        argv = ["surface", quantity, "--eta", "inf", "--points", "2"]
+        assert_one_line_error(capsys, argv, "eta must be finite and nonnegative, got inf")
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel", "--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: algdiff kernel") and captured.err == ""
 
     def test_extreme_exponents_keep_the_delay(self):
         # every delay cell on this grid is finite and the far corner is T/2
@@ -542,7 +559,9 @@ class TestConfigResolver:
         [
             ("coeffs = 1,2\nts = inf\n", "ts must be finite and positive, got inf"),
             ("coeffs = 1,2\nts = nan\n", "ts must be finite and positive, got nan"),
-            ("coeffs = 1e308,1e308\nts = 0.01\n", "values must be finite; sample 80 is inf"),
+            # the error names the inputs, not the first sample that overflows
+            ("coeffs = 1e308,1e308\nts = 0.01\n",
+             "coeffs = (1e+308, 1e+308) with ts = 0.01 and count = 1001 give samples that are"),
         ],
         ids=["ts-inf", "ts-nan", "samples-overflow"],
     )

@@ -17,7 +17,7 @@ from algdiff.kernel import (
     discretize,
     minimal_kernel,
 )
-from algdiff.specfun import JacobiIndex, smallest_root
+from algdiff.specfun import _least_zero
 
 
 def make_kernel(cfg: EstimatorConfig) -> DiscreteKernel:
@@ -175,7 +175,7 @@ class TestEstimateAt:
     def test_affine_delay_on_quadratic(self):
         # two-term estimator reads the slope at the abscissa xi, and a degree-2
         # signal has no truncation bias left, only the 1/m**2 quadrature residue
-        xi = float(smallest_root(JacobiIndex(2, 1.0, 1.0)))
+        xi = float(_least_zero(2, 1.0, 1.0))
         ts = 0.0001
         t = np.arange(12001) * ts
         sig = SampledSignal(0.0, ts, t**2)

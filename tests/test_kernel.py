@@ -20,14 +20,13 @@ from algdiff.kernel import (
     _TAPS_CACHE_SIZE,
     EstimatorConfig,
     WeightedPoly,
-    _series_derivative,
     affine_kernel,
     discretize,
     kernel_taps,
     minimal_kernel,
     wpoly_moment,
 )
-from algdiff.specfun import JacobiIndex, beta_fn
+from algdiff.specfun import beta_fn
 from oracles import (
     fraction_series_derivative,
     jacobi_coefficients,
@@ -66,7 +65,7 @@ def derivative_loop_kernel(cfg: EstimatorConfig) -> WeightedPoly:
     window = (Fraction(cfg.beta) * Fraction(cfg.T)) ** n
     total = [Fraction(0)] * (n + q + 1)
     for i in range(q + 1):
-        raised = jacobi_coefficients(JacobiIndex(i, a, b))
+        raised = jacobi_coefficients(i, a, b)
         term = WeightedPoly(a, b, raised)
         for _ in range(n):
             term = wpoly_derivative(term)
@@ -86,7 +85,7 @@ def minimal_oracle(cfg: EstimatorConfig) -> WeightedPoly:
     n = cfg.n
     mu, kappa = Fraction(cfg.mu), Fraction(cfg.kappa)
     scale = Fraction(math.factorial(n)) / (Fraction(cfg.beta) * Fraction(cfg.T)) ** n
-    coeffs = [scale * c for c in jacobi_coefficients(JacobiIndex(n, cfg.mu, cfg.kappa))]
+    coeffs = [scale * c for c in jacobi_coefficients(n, cfg.mu, cfg.kappa)]
     return wpoly(mu, kappa, coeffs, (kappa + n + 1, mu + n + 1))
 
 
@@ -116,12 +115,10 @@ class TestConstructionOracles:
             T=st.floats(min_value=0.0, max_value=1e6, exclude_min=True),
             xi=st.floats(min_value=0.0, max_value=1.0),
         ),
-        st.sampled_from((-1, 0)),
     )
     @settings(max_examples=200, deadline=None)
-    def test_integer_route_equals_fraction_route(self, cfg, shift):
-        k = cfg.n + shift  # k = n builds the kernel, k = n - 1 the variance's G
-        assert _series_derivative(cfg, k) == fraction_series_derivative(cfg, k)
+    def test_integer_route_equals_fraction_route(self, cfg):
+        assert affine_kernel(cfg) == fraction_series_derivative(cfg, cfg.n)
 
     @given(configs())
     @settings(max_examples=60, deadline=None)
@@ -216,7 +213,7 @@ class TestWeightDerivativeIdentity:
         assert p.kappa_exp == Fraction(kappa)
         expect = tuple(
             Fraction((-1) ** n * math.factorial(n)) * c
-            for c in jacobi_coefficients(JacobiIndex(n, mu, kappa))
+            for c in jacobi_coefficients(n, mu, kappa)
         )
         assert p.coeffs == expect
 
@@ -226,10 +223,9 @@ class TestWeightDerivativeIdentity:
         p = wpoly(Fraction(mu) + n, Fraction(kappa) + n, [1])
         for _ in range(n):
             p = wpoly_derivative(p)
-        idx = JacobiIndex(n, mu, kappa)
         sign = (-1) ** n * math.factorial(n)
         for t in INTERIOR:
-            target = sign * (1 - t) ** mu * t**kappa * jacobi_eval(idx, t)
+            target = sign * (1 - t) ** mu * t**kappa * jacobi_eval(n, mu, kappa, t)
             assert abs(wpoly_eval(p, t) - target) <= 1e-9
 
 

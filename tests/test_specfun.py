@@ -1,4 +1,4 @@
-"""Special functions: Beta, shifted Jacobi polynomials, roots."""
+"""Special functions: Beta, shifted Jacobi polynomials, least zeros."""
 
 from __future__ import annotations
 
@@ -12,16 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algdiff.kernel import wpoly_moment
-from algdiff.specfun import JacobiIndex, _jacobi_numerators, beta_fn, smallest_root
+from algdiff.specfun import _jacobi_numerators, _least_zero, beta_fn
 from oracles import jacobi_coefficients, jacobi_eval, jacobi_norm_sq, scan_root, wpoly
 
 GRID = np.linspace(0.0, 1.0, 21)
 EXPONENT_PAIRS = [(0.0, 0.0), (0.5, -0.25), (-0.78, -0.6), (1.0, 2.0)]
 
 
-def jacobi_weighted_moment(idx: JacobiIndex, j: int) -> float:
+def jacobi_weighted_moment(degree: int, mu: float, kappa: float, j: int) -> float:
     """``integral of w(t) P(t) t**j over [0, 1]``: a one-term weighted polynomial."""
-    return wpoly_moment(wpoly(idx.mu, idx.kappa, jacobi_coefficients(idx)), j)
+    return wpoly_moment(wpoly(mu, kappa, jacobi_coefficients(degree, mu, kappa)), j)
 
 
 class TestBeta:
@@ -50,16 +50,6 @@ class TestBeta:
     @settings(max_examples=50, deadline=None)
     def test_symmetry(self, a, b):
         assert beta_fn(a, b) == pytest.approx(beta_fn(b, a), rel=1e-12)
-
-
-class TestJacobiIndex:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            JacobiIndex(-1, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            JacobiIndex(1, -1.0, 0.0)
-        with pytest.raises(ValueError):
-            JacobiIndex(1, 0.0, -1.5)
 
 
 def _binomial(x: Fraction, k: int) -> Fraction:
@@ -111,37 +101,35 @@ class TestCoefficientRecurrence:
 class TestJacobiEval:
     def test_degree_zero_is_one(self):
         for mu, kappa in EXPONENT_PAIRS:
-            idx = JacobiIndex(0, mu, kappa)
-            np.testing.assert_allclose([jacobi_eval(idx, t) for t in GRID], 1.0)
+            np.testing.assert_allclose([jacobi_eval(0, mu, kappa, t) for t in GRID], 1.0)
 
     def test_degree_one_closed_form(self):
         # (mu+kappa+2) t - (kappa+1)
         for mu, kappa in EXPONENT_PAIRS:
-            idx = JacobiIndex(1, mu, kappa)
             expected = (mu + kappa + 2) * GRID - (kappa + 1)
-            got = [jacobi_eval(idx, t) for t in GRID]
+            got = [jacobi_eval(1, mu, kappa, t) for t in GRID]
             np.testing.assert_allclose(got, expected, atol=1e-13)
 
     def test_legendre_point(self):
-        assert jacobi_eval(JacobiIndex(1, 0.0, 0.0), 0.25) == pytest.approx(-0.5)
+        assert jacobi_eval(1, 0.0, 0.0, 0.25) == pytest.approx(-0.5)
 
     def test_value_at_one_is_binomial(self):
         # P_n(1) = C(n+mu, n)
-        assert jacobi_eval(JacobiIndex(2, 1.0, 1.0), 1.0) == pytest.approx(3.0)
+        assert jacobi_eval(2, 1.0, 1.0, 1.0) == pytest.approx(3.0)
         mu = 0.5
         for n in range(1, 5):
             expected = math.prod((mu + n - i) / (n - i) for i in range(n))
-            got = jacobi_eval(JacobiIndex(n, mu, -0.25), 1.0)
+            got = jacobi_eval(n, mu, -0.25, 1.0)
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_reflection_symmetry(self):
         # P_n^{mu,kappa}(t) = (-1)^n P_n^{kappa,mu}(1-t)
         mu, kappa = 0.3, -0.4
         for n in range(6):
-            a = JacobiIndex(n, mu, kappa)
-            b = JacobiIndex(n, kappa, mu)
-            left = np.array([jacobi_eval(a, t) for t in GRID])
-            right = (-1.0) ** n * np.array([jacobi_eval(b, 1.0 - t) for t in GRID])
+            a = (n, mu, kappa)
+            b = (n, kappa, mu)
+            left = np.array([jacobi_eval(*a, t) for t in GRID])
+            right = (-1.0) ** n * np.array([jacobi_eval(*b, 1.0 - t) for t in GRID])
             np.testing.assert_allclose(left, right, atol=1e-12)
 
 
@@ -153,10 +141,10 @@ class TestContiguousRecurrences:
     def test_mu_raising(self, mu, kappa, n):
         c = 2 * n + 2 + mu + kappa
         for t in GRID:
-            left = c * (1 - t) * jacobi_eval(JacobiIndex(n, mu + 1, kappa), t)
-            right = (n + mu + 1) * jacobi_eval(JacobiIndex(n, mu, kappa), t) - (
-                n + 1
-            ) * jacobi_eval(JacobiIndex(n + 1, mu, kappa), t)
+            left = c * (1 - t) * jacobi_eval(n, mu + 1, kappa, t)
+            right = (n + mu + 1) * jacobi_eval(n, mu, kappa, t) - (n + 1) * jacobi_eval(
+                n + 1, mu, kappa, t
+            )
             assert left == pytest.approx(right, abs=1e-10)
 
     @pytest.mark.parametrize("mu,kappa", EXPONENT_PAIRS[:3])
@@ -164,102 +152,89 @@ class TestContiguousRecurrences:
     def test_kappa_raising(self, mu, kappa, n):
         c = 2 * n + 2 + mu + kappa
         for t in GRID:
-            left = c * t * jacobi_eval(JacobiIndex(n, mu, kappa + 1), t)
-            right = (n + kappa + 1) * jacobi_eval(JacobiIndex(n, mu, kappa), t) + (
-                n + 1
-            ) * jacobi_eval(JacobiIndex(n + 1, mu, kappa), t)
+            left = c * t * jacobi_eval(n, mu, kappa + 1, t)
+            right = (n + kappa + 1) * jacobi_eval(n, mu, kappa, t) + (n + 1) * jacobi_eval(
+                n + 1, mu, kappa, t
+            )
             assert left == pytest.approx(right, abs=1e-10)
 
     @pytest.mark.parametrize("mu,kappa", EXPONENT_PAIRS[:3])
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_three_term_combination(self, mu, kappa, n):
         for t in GRID:
-            combined = (mu - kappa) / (2 * (n + 1)) * jacobi_eval(
-                JacobiIndex(n, mu, kappa), t
-            ) + (2 * n + 2 + kappa + mu) / (2 * (n + 1)) * (
-                t * jacobi_eval(JacobiIndex(n, mu, kappa + 1), t)
-                - (1 - t) * jacobi_eval(JacobiIndex(n, mu + 1, kappa), t)
+            combined = (mu - kappa) / (2 * (n + 1)) * jacobi_eval(n, mu, kappa, t) + (
+                2 * n + 2 + kappa + mu
+            ) / (2 * (n + 1)) * (
+                t * jacobi_eval(n, mu, kappa + 1, t) - (1 - t) * jacobi_eval(n, mu + 1, kappa, t)
             )
-            assert combined == pytest.approx(
-                jacobi_eval(JacobiIndex(n + 1, mu, kappa), t), abs=1e-10
-            )
+            assert combined == pytest.approx(jacobi_eval(n + 1, mu, kappa, t), abs=1e-10)
 
 
 class TestNormSq:
     def test_degree_zero_is_beta(self):
-        assert jacobi_norm_sq(JacobiIndex(0, 0.0, 0.0)) == pytest.approx(1.0, rel=1e-13)
-        assert jacobi_norm_sq(JacobiIndex(0, 0.5, 0.5)) == pytest.approx(
-            beta_fn(1.5, 1.5), rel=1e-13
-        )
+        assert jacobi_norm_sq(0, 0.0, 0.0) == pytest.approx(1.0, rel=1e-13)
+        assert jacobi_norm_sq(0, 0.5, 0.5) == pytest.approx(beta_fn(1.5, 1.5), rel=1e-13)
 
     def test_legendre_degree_one(self):
-        assert jacobi_norm_sq(JacobiIndex(1, 0.0, 0.0)) == pytest.approx(1 / 3, rel=1e-13)
+        assert jacobi_norm_sq(1, 0.0, 0.0) == pytest.approx(1 / 3, rel=1e-13)
 
     @pytest.mark.parametrize("mu,kappa", EXPONENT_PAIRS)
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_dual_route_via_leading_moment(self, mu, kappa, n):
         # ||P||^2 = lead(P) * integral(w P t^n): lower powers die by orthogonality
-        idx = JacobiIndex(n, mu, kappa)
-        lead = float(jacobi_coefficients(idx)[-1])
-        expected = lead * jacobi_weighted_moment(idx, n)
-        assert jacobi_norm_sq(idx) == pytest.approx(expected, rel=1e-12)
+        idx = (n, mu, kappa)
+        lead = float(jacobi_coefficients(*idx)[-1])
+        expected = lead * jacobi_weighted_moment(*idx, n)
+        assert jacobi_norm_sq(*idx) == pytest.approx(expected, rel=1e-12)
 
 
 class TestWeightedMoments:
     @pytest.mark.parametrize("mu,kappa", EXPONENT_PAIRS)
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_orthogonality_moments_vanish_exactly(self, mu, kappa, n):
-        idx = JacobiIndex(n, mu, kappa)
+        idx = (n, mu, kappa)
         for j in range(n):
-            assert jacobi_weighted_moment(idx, j) == 0.0
+            assert jacobi_weighted_moment(*idx, j) == 0.0
 
     def test_legendre_degree_one_moment(self):
         # integral of t(2t-1) on [0,1] = 1/6
-        assert jacobi_weighted_moment(JacobiIndex(1, 0.0, 0.0), 1) == pytest.approx(
-            1 / 6, rel=1e-14
-        )
+        assert jacobi_weighted_moment(1, 0.0, 0.0, 1) == pytest.approx(1 / 6, rel=1e-14)
 
     @pytest.mark.parametrize("mu,kappa", EXPONENT_PAIRS)
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_order_n_moment_closed_form(self, mu, kappa, n):
         # integral of t^n w P_n = B(kappa+n+1, mu+n+1)
-        got = jacobi_weighted_moment(JacobiIndex(n, mu, kappa), n)
+        got = jacobi_weighted_moment(n, mu, kappa, n)
         assert got == pytest.approx(beta_fn(kappa + n + 1, mu + n + 1), rel=1e-12)
 
     def test_higher_moment_nonzero(self):
-        assert jacobi_weighted_moment(JacobiIndex(2, 0.0, 0.0), 1) == 0.0
-        assert jacobi_weighted_moment(JacobiIndex(2, 0.0, 0.0), 3) != 0.0
+        assert jacobi_weighted_moment(2, 0.0, 0.0, 1) == 0.0
+        assert jacobi_weighted_moment(2, 0.0, 0.0, 3) != 0.0
 
 
 class TestSmallestRoot:
     def test_legendre_pair_root_exact_form(self):
         # smallest root of the degree-2 polynomial with both exponents 1
         expected = (1.0 - 1.0 / math.sqrt(5.0)) / 2.0
-        assert smallest_root(JacobiIndex(2, 1.0, 1.0)) == pytest.approx(
-            expected, abs=1e-12
-        )
+        assert _least_zero(2, 1.0, 1.0) == pytest.approx(expected, abs=1e-12)
 
     def test_extended_pair_root(self):
         # raised exponents for the (kappa=-0.78, mu=-0.6) first-order design
-        got = smallest_root(JacobiIndex(2, 0.4, 0.22))
+        got = _least_zero(2, 0.4, 0.22)
         assert got == pytest.approx(0.217924846506584, abs=1e-10)
 
     def test_degree_one_analytic(self):
         mu, kappa = 0.5, -0.25
-        got = smallest_root(JacobiIndex(1, mu, kappa))
+        got = _least_zero(1, mu, kappa)
         assert got == pytest.approx((kappa + 1) / (mu + kappa + 2), abs=1e-12)
 
     @pytest.mark.parametrize("mu,kappa", EXPONENT_PAIRS)
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_residual_small(self, mu, kappa, n):
-        idx = JacobiIndex(n, mu, kappa)
-        root = smallest_root(idx)
+        idx = (n, mu, kappa)
+        root = _least_zero(*idx)
         assert 0.0 < root < 1.0
-        assert abs(jacobi_eval(idx, root)) <= 1e-9
-
-    def test_degree_zero_rejected(self):
-        with pytest.raises(ValueError):
-            smallest_root(JacobiIndex(0, 0.0, 0.0))
+        assert abs(jacobi_eval(*idx, root)) <= 1e-9
 
     @pytest.mark.parametrize("degree", range(1, 9))
     def test_chebyshev_closed_form(self, degree):
@@ -267,7 +242,7 @@ class TestSmallestRoot:
         # of the first recurrence coefficients are 0/0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = smallest_root(JacobiIndex(degree, -0.5, -0.5))
+            got = _least_zero(degree, -0.5, -0.5)
         expected = (1.0 - math.cos(math.pi / (2 * degree))) / 2.0
         assert got == pytest.approx(expected, rel=1e-14, abs=1e-16)
 
@@ -280,9 +255,9 @@ class TestSmallestRoot:
     def test_matches_scan_oracle_where_it_brackets(self, degree, mu, kappa):
         # exponents near -1 can leave the scan without a bracket; elsewhere
         # the eigenvalue and the bisection agree to the bisection's width
-        idx = JacobiIndex(degree, mu, kappa)
+        idx = (degree, mu, kappa)
         try:
-            want = scan_root(idx)
+            want = scan_root(*idx)
         except ValueError:
             return
-        assert smallest_root(idx) == pytest.approx(want, rel=0, abs=2e-13)
+        assert _least_zero(*idx) == pytest.approx(want, rel=0, abs=2e-13)

@@ -15,7 +15,6 @@ from algdiff.estimator import SampledSignal
 from algdiff.kernel import EstimatorConfig, affine_kernel, discretize, kernel_taps, minimal_kernel
 from algdiff.stochastic import (
     Poisson,
-    PolyMean,
     RngSeed,
     WhiteGaussian,
     Wiener,
@@ -27,8 +26,8 @@ from algdiff.stochastic import _MAX_PATH_SAMPLES, _draws, _sample_moments, _wind
 from oracles import bisection_calibrate_snr, snr_db
 
 U64 = 2**64
-MODELS = [Wiener(1.0), WhiteGaussian(2.0), Poisson(20.0), PolyMean((1.0, -2.0), Poisson(3.0))]
-MODEL_IDS = ["wiener", "white", "poisson", "polymean"]
+MODELS = [Wiener(1.0), WhiteGaussian(2.0), Poisson(20.0)]
+MODEL_IDS = ["wiener", "white", "poisson"]
 EPS = np.finfo(float).eps
 TRIAL_ULPS = 16  # 300 Wiener trials at m = 400 reach 0.67 eps * S
 
@@ -38,19 +37,16 @@ def assert_trials_apply_taps_to_gen_path(got, taps, idx, model, step, count, see
 
     The exact value sums tap_i * path_i in Fraction, path_i built from the
     path's own draws.  The bound is TRIAL_ULPS * eps * S, with S the sum of
-    |tap_i| times the |draws| that make path_i, plus |tap_i * poly(t_i)|; a
-    trial on another key misses by O(1).
+    |tap_i| times the |draws| that make path_i; a trial on another key misses
+    by O(1).
     """
     cumulative = model.increment_part() is not None
-    poly = np.zeros(count)
-    if isinstance(model, PolyMean):
-        poly = model.poly_at(step * np.arange(count))
     for k, value in enumerate(got):
         draws = _draws(model, step, count, seed.shifted(k).generator())
         # the draws are gen_path's: its samples are built from them
         built = np.concatenate(([0.0], np.cumsum(draws))) if cumulative else draws
         path = gen_path(model, step, count, seed.shifted(k)).values
-        np.testing.assert_array_equal(path, built + poly)
+        np.testing.assert_array_equal(path, built)
         exact, scale = [Fraction(0)], [0.0]
         if cumulative:
             for d in draws:
@@ -58,9 +54,8 @@ def assert_trials_apply_taps_to_gen_path(got, taps, idx, model, step, count, see
                 scale.append(scale[-1] + abs(float(d)))
         else:
             exact, scale = [Fraction(float(d)) for d in draws], np.abs(draws)
-        want = sum(Fraction(float(t)) * (exact[i] + Fraction(float(poly[i])))
-                   for t, i in zip(taps, idx))
-        bound = sum(abs(t) * (scale[i] + abs(poly[i])) for t, i in zip(taps, idx))
+        want = sum(Fraction(float(t)) * exact[i] for t, i in zip(taps, idx))
+        bound = sum(abs(t) * scale[i] for t, i in zip(taps, idx))
         assert abs(Fraction(float(value)) - want) <= TRIAL_ULPS * EPS * bound, k
 
 
@@ -168,18 +163,6 @@ class TestGenPath:
             [gen_path(Poisson(2.0), 0.1, 11, RngSeed(200, k)).values[-1] for k in range(trials)]
         )
         assert abs(float(np.mean(n1)) - 2.0) <= 5.0 * math.sqrt(2.0 / trials)
-
-    def test_polynomial_mean_is_deterministic_offset(self):
-        path = gen_path(PolyMean((1.0, 2.0), WhiteGaussian(0.0)), 0.1, 15, RngSeed(3))
-        t = np.arange(15) * 0.1
-        np.testing.assert_allclose(path.values, 1.0 + 2.0 * t, rtol=1e-14)
-
-    def test_polynomial_mean_rides_on_base_path(self):
-        seed = RngSeed(17, 4)
-        base = gen_path(Wiener(1.3), 0.05, 40, seed)
-        combined = gen_path(PolyMean((0.5, -1.0), Wiener(1.3)), 0.05, 40, seed)
-        t = np.arange(40) * 0.05
-        np.testing.assert_allclose(combined.values - (0.5 - 1.0 * t), base.values, atol=1e-12)
 
     def test_reproducible_and_stream_sensitive(self):
         a = gen_path(Wiener(1.0), 0.01, 50, RngSeed(8, 2)).values
@@ -458,9 +441,10 @@ class TestMcNoiseError:
         assert abs(mean) <= 4.0 * math.sqrt(var / 10_000)
 
     def test_low_degree_polynomial_mean_annihilated(self):
-        cfg = EstimatorConfig(n=2, beta=-1, T=1.0, m=200)
-        model = PolyMean((0.7, -0.4), WhiteGaussian(0.5))
-        mean, var, _ = noise_moments(cfg, model, 2.0, 10_000, RngSeed(15))
+        # the Poisson mean nu * t is a degree-1 polynomial; a third-order
+        # kernel annihilates it
+        cfg = EstimatorConfig(n=3, beta=-1, T=1.0, m=200)
+        mean, var, _ = noise_moments(cfg, Poisson(1.5), 2.0, 10_000, RngSeed(15))
         assert abs(mean) <= 4.0 * math.sqrt(var / 10_000)
 
     def test_deterministic(self):
@@ -507,17 +491,12 @@ class TestModelValidation:
         for model in (WhiteGaussian, Wiener, Poisson):
             with pytest.raises(ValueError):
                 model(value)
-        with pytest.raises(ValueError):
-            PolyMean((1.0, value), Wiener(1.0))
 
     def test_white_part_dispatch(self):
         # each model states exactly one intensity: white or independent-increment
         assert WhiteGaussian(0.9).white_part() == 0.9
         assert Wiener(1.0).white_part() is None
         assert Poisson(1.0).white_part() is None
-        assert PolyMean((1.0,), WhiteGaussian(0.9)).white_part() == 0.9
         assert WhiteGaussian(0.9).increment_part() is None
         assert Wiener(1.3).increment_part() == 1.3
         assert Poisson(2.5).increment_part() == 2.5
-        assert PolyMean((1.0,), WhiteGaussian(0.9)).increment_part() is None
-        assert PolyMean((1.0,), Poisson(2.5)).increment_part() == 2.5
