@@ -440,6 +440,8 @@ def _signal(values: dict) -> tuple[SampledSignal, _Derivative | None]:
             raise ValueError("polynomial signal requires coefficients")
         derivative = _polynomial_signal(values["coeffs"])
         ts, count = values["ts"], values["count"]
+        if count < 1:
+            raise ValueError(f"polynomial signal requires count >= 1, got count = {count!r}")
     else:
         raise ValueError(f"unknown signal kind {kind!r}")
     # SampledSignal names a bad ts, and the check below the inputs behind

@@ -6,12 +6,12 @@ A derivative-estimation kernel is always of the form
 construction and moment computation cancel exactly where the mathematics
 says they must; floats appear only at evaluation time.
 
-Kernels additionally carry an optional *symbolic* Beta-function divisor: the
-normalization ``n! / B(kappa+n+1, mu+n+1)`` divides by an irrational number,
-and keeping that divisor symbolic lets moments reduce it against the Beta
-factors of the moment integrals in exact rational arithmetic.  This is what
-makes both the annihilation moments (exact 0.0) and the normalization moment
-(exact rational) come out to full precision even for short windows.
+A `WeightedPoly` is divided by ``B(kappa_exp+shift+1, mu_exp+shift+1)``
+for an integer ``shift``: at shift 0 the weight is the Beta(kappa+1, mu+1)
+density, and a kernel, normalized by ``n! / B(kappa+n+1, mu+n+1)``, has
+shift n.  Every moment is then one rational sum, so the annihilation moments
+are exactly 0.0 and the normalization moment is the exact rational rounded
+once, even for short windows.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import _jacobi_numerators, _moment_rational_sum, beta_fn
+from .specfun import _jacobi_numerators, beta_fn
 
 __all__ = [
     "WeightedPoly",
@@ -42,84 +42,61 @@ _TAPS_CACHE_SIZE = 32
 
 @dataclass(frozen=True)
 class WeightedPoly:
-    """``(1-t)**mu_exp * t**kappa_exp * Q(t)``, all stored exactly.
+    """``(1-t)**mu_exp * t**kappa_exp * Q(t) / B(kappa_exp+shift+1, mu_exp+shift+1)``.
 
-    ``coeffs`` are ascending powers of t.  When ``beta_divisor`` is set to
-    ``(a, b)`` the represented function is additionally divided by the Beta
-    value ``B(a, b)``.
+    ``coeffs`` are the ascending powers of Q in t; exponents and
+    coefficients are stored exactly.  At shift 0 the weight over its divisor
+    is the Beta(kappa_exp+1, mu_exp+1) density.
     """
 
     mu_exp: Fraction
     kappa_exp: Fraction
     coeffs: tuple[Fraction, ...]
-    beta_divisor: tuple[Fraction, Fraction] | None = None
+    shift: int = 0
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def scale_divisor(self) -> float:
-        """Float value of the symbolic divisor (1.0 when absent)."""
-        if self.beta_divisor is None:
-            return 1.0
-        return beta_fn(float(self.beta_divisor[0]), float(self.beta_divisor[1]))
-
-
-def _pochhammer(x: Fraction, count: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(count):
-        out *= x + i
-    return out
-
-
-def _beta_ratio_exact(
-    num: tuple[Fraction, Fraction], den: tuple[Fraction, Fraction]
-) -> Fraction | None:
-    """Exact value of B(num)/B(den) when the argument pairs differ by integers."""
-    d1 = num[0] - den[0]
-    d2 = num[1] - den[1]
-    if d1.denominator != 1 or d2.denominator != 1:
-        return None
-    i1, i2 = int(d1), int(d2)
-
-    def gamma_shift(base: Fraction, shift: int) -> Fraction:
-        # Gamma(base + shift) / Gamma(base) as an exact rational
-        if shift >= 0:
-            return _pochhammer(base, shift)
-        return 1 / _pochhammer(base + shift, -shift)
-
-    value = gamma_shift(den[0], i1) * gamma_shift(den[1], i2)
-    value /= gamma_shift(den[0] + den[1], i1 + i2)
-    return value
+        """Float value of the Beta divisor."""
+        s = self.shift
+        return beta_fn(float(self.kappa_exp + s + 1), float(self.mu_exp + s + 1))
 
 
 def wpoly_moment(p: WeightedPoly, j: int) -> float:
-    """``integral of p(t) * t**j over [0, 1]`` by exact Beta expansion.
+    """``integral of p(t) * t**j over [0, 1]`` as one exact rational sum.
 
-    Each monomial contributes ``c_k B(kappa_exp + j + k + 1, mu_exp + 1)``;
-    the rational part of the sum is carried exactly, and a symbolic Beta
-    divisor is reduced against the base Beta factor in exact arithmetic
-    whenever the arguments differ by integers.  Moments that vanish by
-    orthogonality therefore return exactly 0.0.
+    Under the Beta(kappa+1, mu+1) density t**i has the mean ``prod_{l<i}
+    (kappa+1+l)/(kappa+mu+2+l)``, and shift s scales the density by
+    ``(kappa+mu+2)_{2s} / ((kappa+1)_s (mu+1)_s)``.  These products are taken
+    in integers (times the exponents' common denominator) and cancelled
+    against each other down to positive divisors, then divided once: the
+    result is correctly rounded, and exactly 0.0 where orthogonality says so.
     """
     if j < 0 or int(j) != j:
         raise ValueError(f"moment order must be a nonnegative integer, got {j!r}")
     if p.kappa_exp + j + 1 <= 0 or p.mu_exp + 1 <= 0:
         raise ValueError("moment integral diverges for these exponents")
-    base = (p.kappa_exp + j + 1, p.mu_exp + 1)
-    rational = _moment_rational_sum(p.coeffs, base[0], base[1])
-    if rational == 0:
-        return 0.0
-    if p.beta_divisor is not None:
-        ratio = _beta_ratio_exact(base, p.beta_divisor)
-        if ratio is not None:
-            return float(rational * ratio)
-        return (
-            float(rational)
-            * beta_fn(float(base[0]), float(base[1]))
-            / p.scale_divisor()
-        )
-    return float(rational) * beta_fn(float(base[0]), float(base[1]))
+    j, s = int(j), p.shift
+    den = math.lcm(p.mu_exp.denominator, p.kappa_exp.denominator)
+    mu, kappa = int(p.mu_exp * den), int(p.kappa_exp * den)
+
+    def k1(l: int) -> int:  # (kappa+1+l) * den
+        return kappa + (1 + l) * den
+
+    def r2(l: int) -> int:  # (kappa+mu+2+l) * den
+        return kappa + mu + (2 + l) * den
+
+    lcd = math.lcm(*(c.denominator for c in p.coeffs))
+    num, dnm = 0, 1
+    for k in range(p.degree, -1, -1):  # Horner in the mean ratios k1/r2 from l = j
+        num = num * k1(j + k) + p.coeffs[k].numerator * (lcd // p.coeffs[k].denominator) * dnm
+        dnm *= r2(j + k - 1) if k else 1
+    top = math.prod(map(k1, range(s, j))) * math.prod(map(r2, range(j, 2 * s)))
+    bottom = math.prod(map(k1, range(j, s))) * math.prod(map(r2, range(2 * s, j)))
+    bottom *= math.prod(mu + (1 + l) * den for l in range(s))
+    return num * top / (dnm * lcd * bottom)
 
 
 @dataclass(frozen=True)
@@ -199,8 +176,8 @@ def minimal_kernel(cfg: EstimatorConfig) -> WeightedPoly:
     """Single-term estimator kernel: the q = 0 case of `affine_kernel`.
 
     That is ``n! / (B(kappa+n+1, mu+n+1) * (beta*T)**n)`` times the weight and
-    the degree-n Jacobi polynomial; the Beta part stays symbolic (see
-    `WeightedPoly.beta_divisor`).
+    the degree-n Jacobi polynomial; the Beta part is the kernel's ``shift``
+    of n (see `WeightedPoly`).
     """
     if cfg.q != 0:
         raise ValueError("minimal_kernel requires q = 0")
@@ -216,8 +193,8 @@ def affine_kernel(cfg: EstimatorConfig) -> WeightedPoly:
     polynomial, weighted by that polynomial's value at ``xi`` over its norm
     and by ``1/(beta*T)**n``.  By Rodrigues' formula the n-th derivative of
     the term is ``(-1)**n (i+n)!/i! * w^{mu,kappa} P_{i+n}^{(mu,kappa)}``,
-    which is built directly.  One common symbolic Beta divisor
-    ``B(kappa+n+1, mu+n+1)`` is kept; the inverse norm relative to it is
+    which is built directly.  The common Beta divisor ``B(kappa+n+1,
+    mu+n+1)`` is the kernel's shift of n; the inverse norm relative to it is
     ``i! (a+b+2)_{i-1} (a+b+2i+1) / ((a+1)_i (b+1)_i)`` for i >= 1.  q = 0
     gives the minimal kernel ``n!/(beta*T)**n * w P_n``.
 
@@ -260,12 +237,7 @@ def affine_kernel(cfg: EstimatorConfig) -> WeightedPoly:
     while len(total) > 1 and total[-1] == 0:
         total.pop()
     num, common = cfg.beta**n * t_den**n, lift[0] * den**n * t**n
-    return WeightedPoly(
-        mu,
-        kappa,
-        tuple(Fraction(c * num, common) for c in total),
-        (Fraction(b + den, den), Fraction(a + den, den)),  # B(kappa+n+1, mu+n+1)
-    )
+    return WeightedPoly(mu, kappa, tuple(Fraction(c * num, common) for c in total), n)
 
 
 def discretize(p: WeightedPoly, cfg: EstimatorConfig) -> DiscreteKernel:
@@ -275,9 +247,10 @@ def discretize(p: WeightedPoly, cfg: EstimatorConfig) -> DiscreteKernel:
     exponent at its own end) is handled per ``cfg.endpoint``: the "f-rule"
     replaces only the singular power factor by ``(F/m)**exponent``, keeping
     every other factor at the true abscissa; "suppress" zeroes the tap.
-    Taps that leave the float range, or that underflow to all zero, are
-    rejected with an error naming mu and kappa, or T when the window factor
-    alone does it.
+    Taps whose noise gain sum(taps**2) leaves the float range, or that
+    underflow to all zero, are rejected with an error naming mu and kappa, T
+    when the window factor alone does it, or F and an exponent when the
+    f-rule end taps do.
     """
     m = cfg.m
     a, b = float(p.mu_exp), float(p.kappa_exp)
@@ -290,24 +263,29 @@ def discretize(p: WeightedPoly, cfg: EstimatorConfig) -> DiscreteKernel:
 
     values = np.empty(m + 1)
     values[1:-1] = (1.0 - t[1:-1]) ** a * t[1:-1] ** b * poly[1:-1]
-
-    def endpoint(exponent: float, other: float, poly_value: float) -> float:
-        # power factor `exponent` is singular at its own end when negative
-        if exponent < 0:
-            if cfg.endpoint == "suppress":
-                return 0.0
-            return (cfg.F / m) ** exponent * other * poly_value
-        return 0.0 ** exponent * other * poly_value
-
-    values[0] = endpoint(b, (1.0 - t[0]) ** a, poly[0])
-    values[-1] = endpoint(a, t[-1] ** b, poly[-1])
-
     weights = np.full(m + 1, 1.0 / m)
     weights[0] = weights[-1] = 0.5 / m
-    with np.errstate(all="ignore"):  # the Beta divisor underflows to 0 for large exponents
+    f_ends = {}  # end index -> the exponent the f-rule raises F/m to
+    with np.errstate(all="ignore"):  # F -> 0 overflows; large exponents underflow B
+        for i, name, e in ((0, "kappa", b), (m, "mu", a)):
+            if e >= 0:  # the other power factor is 1 at this end
+                values[i] = 0.0**e * poly[i]
+            elif cfg.endpoint == "f-rule":
+                f_ends[i] = f"{name} = {e!r}"
+                values[i] = np.float64(cfg.F / m) ** e * poly[i]
+            else:
+                values[i] = 0.0
         taps = weights * values / p.scale_divisor()
-    if not np.all(np.isfinite(taps)):
-        raise _out_of_range(p, cfg, "taps that are not finite")
+        inner = np.delete(taps, list(f_ends))
+        inner_gain, gain = float(inner @ inner), float(taps @ taps)
+    # the noise gain sum(taps**2) scales every noise variance; as F -> 0 the
+    # f-rule end taps alone can take it past the float range
+    if not math.isfinite(gain):
+        if f_ends and math.isfinite(inner_gain):
+            end = max(f_ends, key=lambda i: abs(taps[i]))
+            raise ValueError(f"F = {cfg.F!r} and {f_ends[end]} give an end tap of "
+                             f"{taps[end]:.3g}: the noise gain sum(taps**2) is not finite")
+        raise _out_of_range(p, cfg, "taps that are not finite in the noise gain sum(taps**2)")
     # zero taps are exact only where the polynomial is 0 at every interior
     # sample (say, its root at the one interior sample of m = 2); otherwise
     # they underflowed, and every moment, the normalizing one too, reads 0
@@ -324,9 +302,7 @@ def _out_of_range(p: WeightedPoly, cfg: EstimatorConfig, what: str) -> ValueErro
     """
     if cfg.T != 1:
         window = Fraction(cfg.T) ** cfg.n
-        at_unit = WeightedPoly(
-            p.mu_exp, p.kappa_exp, tuple(c * window for c in p.coeffs), p.beta_divisor
-        )
+        at_unit = replace(p, coeffs=tuple(c * window for c in p.coeffs))
         try:
             discretize(at_unit, replace(cfg, T=1.0))
         except ValueError:

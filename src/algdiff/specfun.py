@@ -16,7 +16,6 @@ arrays of exponents.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -54,26 +53,6 @@ def _jacobi_numerators(degree: int, mu: int, kappa: int, den: int) -> list[int]:
         out.append((-1) ** (degree + j) * math.comb(degree, j) * suffix[j] * prefix)
         prefix *= mu + kappa + (degree + 1 + j) * den
     return out
-
-
-def _moment_rational_sum(
-    coeffs: tuple[Fraction, ...], base_first: Fraction, base_second: Fraction
-) -> Fraction:
-    """Exact rational part of ``sum_k c_k B(base_first + k, base_second)``.
-
-    Factors each Beta value as ``B(base_first, base_second) * r_k`` with
-    ``r_k = prod_{i<k} (base_first+i)/(base_first+base_second+i)``; returns
-    ``sum_k c_k r_k``.  The sum vanishes exactly whenever orthogonality says
-    the underlying integral is zero.
-    """
-    total = Fraction(0)
-    ratio = Fraction(1)
-    denom_base = base_first + base_second
-    for k, c in enumerate(coeffs):
-        if k > 0:
-            ratio *= (base_first + (k - 1)) / (denom_base + (k - 1))
-        total += c * ratio
-    return total
 
 
 _lgamma = np.vectorize(math.lgamma, otypes=[float])

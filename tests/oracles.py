@@ -12,24 +12,67 @@ from fractions import Fraction
 import numpy as np
 
 from algdiff.estimator import SampledSignal
-from algdiff.kernel import (
-    EstimatorConfig,
-    WeightedPoly,
-    _beta_ratio_exact,
-    _pochhammer,
-    wpoly_moment,
-)
+from algdiff.kernel import EstimatorConfig, WeightedPoly, wpoly_moment
 from algdiff.specfun import beta_fn
 
 
-def wpoly(mu_exp, kappa_exp, coeffs, beta_divisor=None) -> WeightedPoly:
+def wpoly(mu_exp, kappa_exp, coeffs, shift=0) -> WeightedPoly:
     """A `WeightedPoly` from ints, floats or fractions, each taken exactly,
     with trailing zero coefficients trimmed as the package's kernels are."""
     cs = [Fraction(c) for c in coeffs]
     while len(cs) > 1 and cs[-1] == 0:
         cs.pop()
-    div = None if beta_divisor is None else tuple(Fraction(d) for d in beta_divisor)
-    return WeightedPoly(Fraction(mu_exp), Fraction(kappa_exp), tuple(cs), div)
+    return WeightedPoly(Fraction(mu_exp), Fraction(kappa_exp), tuple(cs), shift)
+
+
+def pochhammer(x: Fraction, count: int) -> Fraction:
+    """The rising factorial x (x+1) ... (x+count-1)."""
+    out = Fraction(1)
+    for i in range(count):
+        out *= x + i
+    return out
+
+
+def beta_ratio_exact(num: tuple[Fraction, Fraction], den: tuple[Fraction, Fraction]) -> Fraction:
+    """Exact value of B(num)/B(den) for argument pairs that differ by integers."""
+    i1, i2 = int(num[0] - den[0]), int(num[1] - den[1])
+    assert (num[0] - den[0], num[1] - den[1]) == (i1, i2), "arguments must differ by integers"
+
+    def gamma_shift(base: Fraction, shift: int) -> Fraction:
+        # Gamma(base + shift) / Gamma(base) as an exact rational
+        if shift >= 0:
+            return pochhammer(base, shift)
+        return 1 / pochhammer(base + shift, -shift)
+
+    value = gamma_shift(den[0], i1) * gamma_shift(den[1], i2)
+    return value / gamma_shift(den[0] + den[1], i1 + i2)
+
+
+def moment_rational_sum(
+    coeffs: tuple[Fraction, ...], base_first: Fraction, base_second: Fraction
+) -> Fraction:
+    """Exact rational part of ``sum_k c_k B(base_first + k, base_second)``.
+
+    Factors each Beta value as ``B(base_first, base_second) * r_k`` with
+    ``r_k = prod_{i<k} (base_first+i)/(base_first+base_second+i)``; returns
+    ``sum_k c_k r_k``, one `Fraction` step per coefficient.
+    """
+    total = Fraction(0)
+    ratio = Fraction(1)
+    for k, c in enumerate(coeffs):
+        if k > 0:
+            ratio *= (base_first + (k - 1)) / (base_first + base_second + (k - 1))
+        total += c * ratio
+    return total
+
+
+def two_step_moment(p: WeightedPoly, j: int) -> float:
+    """`wpoly_moment` by the two-step route it replaced: the rational sum over
+    the moment's own Beta arguments (kappa+j+1, mu+1), then the exact ratio of
+    that Beta value to the divisor B(kappa+shift+1, mu+shift+1)."""
+    base = (p.kappa_exp + j + 1, p.mu_exp + 1)
+    divisor = (p.kappa_exp + p.shift + 1, p.mu_exp + p.shift + 1)
+    return float(moment_rational_sum(p.coeffs, *base) * beta_ratio_exact(base, divisor))
 
 
 def jacobi_coefficients(degree: int, mu, kappa) -> tuple[Fraction, ...]:
@@ -67,7 +110,6 @@ def fraction_series_derivative(cfg: EstimatorConfig, k: int) -> WeightedPoly:
     a, b = mu + n, kappa + n
     xi = Fraction(cfg.xi)
     window = (Fraction(cfg.beta) * Fraction(cfg.T)) ** n
-    divisor = (b + 1, a + 1)
     total = [Fraction(0)] * (k + q + 1)
     for i in range(q + 1):
         p_at_xi = Fraction(0)
@@ -75,8 +117,8 @@ def fraction_series_derivative(cfg: EstimatorConfig, k: int) -> WeightedPoly:
         for c in jacobi_coefficients(i, a, b):
             p_at_xi += c * power
             power *= xi
-        norm_rational = Fraction(math.factorial(i)) / _pochhammer(a + b + i + 1, i)
-        ratio = _beta_ratio_exact((b + 1, a + 1), (b + i + 1, a + i + 1))
+        norm_rational = Fraction(math.factorial(i)) / pochhammer(a + b + i + 1, i)
+        ratio = beta_ratio_exact((b + 1, a + 1), (b + i + 1, a + i + 1))
         weight = p_at_xi * norm_rational * ratio / window
         if weight == 0:
             continue
@@ -85,7 +127,8 @@ def fraction_series_derivative(cfg: EstimatorConfig, k: int) -> WeightedPoly:
             total[j] += weight * c
     while len(total) > 1 and total[-1] == 0:
         total.pop()
-    return WeightedPoly(a - k, b - k, tuple(total), divisor)
+    # exponents (mu+n-k, kappa+n-k) at shift k: the divisor is B(kappa+n+1, mu+n+1)
+    return WeightedPoly(a - k, b - k, tuple(total), k)
 
 
 def jacobi_eval(degree: int, mu, kappa, t: float) -> float:
@@ -164,8 +207,9 @@ def exact_variance_continuous(cfg: EstimatorConfig, eta: float) -> float:
     """`variance_continuous` in exact rational arithmetic.
 
     G, the (n-1)-th derivative of the raised-weight series, is squared
-    exactly and integrated by one exact Beta expansion (`wpoly_moment`);
-    floats enter only in the final Beta factors.
+    exactly and integrated by one exact Beta expansion (`wpoly_moment` at
+    shift 0, times its divisor B(2kappa+3, 2mu+3)); floats enter only in the
+    final Beta factors.
     """
     if not eta >= 0:
         raise ValueError(f"eta must be nonnegative, got {eta!r}")
@@ -176,7 +220,8 @@ def exact_variance_continuous(cfg: EstimatorConfig, eta: float) -> float:
         for j in range(i + 1, len(g.coeffs)):
             square[i + j] += 2 * a * g.coeffs[j]
     g2 = WeightedPoly(2 * g.mu_exp, 2 * g.kappa_exp, tuple(square))
-    return eta * cfg.T * wpoly_moment(g2, 0) / g.scale_divisor() ** 2
+    integral = wpoly_moment(g2, 0) * g2.scale_divisor()
+    return eta * cfg.T * integral / g.scale_divisor() ** 2
 
 
 def wpoly_derivative(p: WeightedPoly) -> WeightedPoly:
@@ -195,7 +240,8 @@ def wpoly_derivative(p: WeightedPoly) -> WeightedPoly:
         out[k + 1] -= (a + b + k) * c
     while len(out) > 1 and out[-1] == 0:
         out.pop()
-    return WeightedPoly(a - 1, b - 1, tuple(out), p.beta_divisor)
+    # the divisor B(kappa+shift+1, mu+shift+1) stays, one shift up
+    return WeightedPoly(a - 1, b - 1, tuple(out), p.shift + 1)
 
 
 def poly_at(p: WeightedPoly, t: float) -> float:

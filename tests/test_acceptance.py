@@ -142,7 +142,7 @@ def test_04_weight_derivative_identity():
                     p = wpoly_derivative(p)
                 sign = (-1) ** n * math.factorial(n)
                 for t in pts:
-                    lhs = wpoly_eval(p, float(t))
+                    lhs = wpoly_eval(p, float(t)) * p.scale_divisor()
                     rhs = sign * (1 - t) ** mu * t**kappa * jacobi_eval(n, mu, kappa, float(t))
                     worst = max(worst, abs(lhs - rhs))
                     assert abs(lhs - rhs) <= 1e-9

@@ -30,13 +30,14 @@ from algdiff.kernel import (
     kernel_taps,
     minimal_kernel,
 )
-from algdiff.specfun import _least_zero, _moment_rational_sum, beta_fn
+from algdiff.specfun import _least_zero, beta_fn
 from algdiff.stochastic import Poisson, WhiteGaussian, Wiener
 from oracles import (
     dense_increment_covariance,
     exact_variance_continuous,
     fraction_series_derivative,
     jacobi_coefficients,
+    moment_rational_sum,
     wpoly,
     wpoly_derivative,
 )
@@ -90,7 +91,7 @@ def i_integral_expansion(mu: float, kappa: float, n: int) -> float:
             product[i + j] += a * b
     base_first = 2 * kappa_f + 3
     base_second = 2 * mu_f + 2
-    rational = _moment_rational_sum(tuple(product), base_first, base_second)
+    rational = moment_rational_sum(tuple(product), base_first, base_second)
     return float(rational) * beta_fn(float(base_first), float(base_second))
 
 
@@ -427,7 +428,7 @@ class TestVarianceContinuous:
         g = fraction_series_derivative(cfg, cfg.n - 1)
         k = affine_kernel(cfg)
         dg = wpoly_derivative(g)
-        assert (dg.mu_exp, dg.kappa_exp, dg.beta_divisor) == (k.mu_exp, k.kappa_exp, k.beta_divisor)
+        assert (dg.mu_exp, dg.kappa_exp, dg.shift) == (k.mu_exp, k.kappa_exp, k.shift)
         assert dg.coeffs == tuple(-c for c in k.coeffs)
 
         # t = (1 - cos(pi s))/2 flattens the t^(2kappa+2), (1-t)^(2mu+2) ends

@@ -235,6 +235,11 @@ class TestExperimentCommand:
         assert rc == 2
         assert "error" in json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
+    def test_library_call_names_an_unknown_preset(self):
+        # the command line sends a name that is not a preset to the spec route
+        with pytest.raises(ValueError, match="unknown preset 'table9-z'; choose from"):
+            cli.run_preset_pair("table9-z", {})
+
     def test_sine_spec_file_reports_reference_delay(self, tmp_path, capsys):
         spec = tmp_path / "sine.spec"
         spec.write_text(
@@ -379,6 +384,20 @@ class TestMcCommand:
         assert "error" in json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
+# name -> text of the input files that `test_rejected_input` names as {tmp}/name
+INPUT_FILES = {
+    "columns.csv": "time,value\n0,1\n0.1,2\n",
+    "one-sample.csv": "t,value\n0,1\n",
+    "empty-window.spec": "signal = sin2t\nm = 4\nwindow_lo = 100\n",
+    "bad-line.spec": "signal = sin2t\nm 4\n",
+    "unknown-key.spec": "signal = sin2t\ntaps = 4\n",
+    "noise-kind.spec": "signal = sin2t\nm = 4\nnoise = pink\n",
+    "signal-kind.spec": "signal = square\nm = 4\n",
+    "csv-no-path.spec": "signal = csv\nm = 4\n",
+    "polynomial-no-coeffs.spec": "signal = polynomial\nm = 4\n",
+}
+
+
 class TestErrorHandling:
     def test_bad_config_value(self, capsys):
         rc = main(["kernel", "--n", "0", "--m", "10"])
@@ -434,6 +453,29 @@ class TestErrorHandling:
             (["kernel", "--m", "abc"], "argument --m: invalid int value: 'abc'"),
             (["fit"], "argument command: invalid choice: 'fit'"),
             ([], "the following arguments are required: command"),
+            # the exponents are at fault, not T: the kernel at T = 1 is out of range too
+            (["kernel", "--m", "4", "--mu", "800", "--kappa", "800", "--T", "2"],
+             "mu = 800.0 and kappa = 800.0 give taps that are not finite"),
+            # the f-rule end tap (F/m)**kappa takes sum(taps**2) past the float range
+            (["kernel", "--m", "40", "--kappa", "-0.7", "--F", "1e-300"],
+             "F = 1e-300 and kappa = -0.7 give an end tap of 1.48e+209"),
+            (["experiment", "table2-b", "--F", "1e-300"], "F = 1e-300 and kappa = -0.7"),
+            (["experiment", "table1-a", "--F", "1e-300"], "F = 1e-300 and kappa = -0.79"),
+            (["mc", "--trials", "100", "--m", "40", "--kappa", "-0.7", "--F", "1e-300"],
+             "F = 1e-300 and kappa = -0.7"),
+            # bad input files, written by the test from INPUT_FILES
+            (["estimate", "--in", "{tmp}/columns.csv", "--m", "2"], "must have columns t,value"),
+            (["estimate", "--in", "{tmp}/one-sample.csv", "--m", "2"],
+             "CSV signal needs at least 2 samples"),
+            (["experiment", "{tmp}/empty-window.spec"], "] contains no estimates"),
+            (["experiment", "{tmp}/bad-line.spec"],
+             "bad spec line (expected key = value): 'm 4'"),
+            (["experiment", "{tmp}/unknown-key.spec"], "unknown spec key 'taps'"),
+            (["experiment", "{tmp}/noise-kind.spec"], "unknown noise kind 'pink'"),
+            (["experiment", "{tmp}/signal-kind.spec"], "unknown signal kind 'square'"),
+            (["experiment", "{tmp}/csv-no-path.spec"], "csv signal requires a path"),
+            (["experiment", "{tmp}/polynomial-no-coeffs.spec"],
+             "polynomial signal requires coefficients"),
         ],
         ids=["points-0", "mu-inf", "T-inf", "xi-nan", "sigma2-nan", "nu-inf", "gamma-inf",
              "experiment-gamma-inf", "mc-band-overflows",
@@ -443,9 +485,18 @@ class TestErrorHandling:
              "kernel-taps-not-finite", "mc-taps-not-finite", "kernel-taps-all-zero",
              "affine-kernel-taps-all-zero", "coefficients-overflow-exponents",
              "coefficients-overflow-T", "usage-not-an-int", "usage-unknown-command",
-             "usage-no-command"],
+             "usage-no-command", "kernel-taps-not-finite-T-not-at-fault",
+             "kernel-f-rule-gain", "experiment-f-rule-gain", "experiment-f-rule-gain-table1",
+             "mc-f-rule-gain", "csv-columns", "csv-one-sample", "empty-metrics-window",
+             "spec-bad-line", "spec-unknown-key", "spec-noise-kind",
+             "spec-signal-kind", "spec-csv-without-path", "spec-polynomial-without-coeffs"],
     )
-    def test_rejected_input(self, capsys, argv, fragment):
+    def test_rejected_input(self, capsys, tmp_path, argv, fragment):
+        for arg in argv:
+            name = arg.removeprefix("{tmp}/")
+            if name != arg:
+                (tmp_path / name).write_text(INPUT_FILES[name])
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         assert_one_line_error(capsys, argv, fragment)
 
     @pytest.mark.parametrize("quantity", ["variance_minimal", "variance_affine"])
@@ -562,8 +613,10 @@ class TestConfigResolver:
             # the error names the inputs, not the first sample that overflows
             ("coeffs = 1e308,1e308\nts = 0.01\n",
              "coeffs = (1e+308, 1e+308) with ts = 0.01 and count = 1001 give samples that are"),
+            # SampledSignal's "values must be a nonempty 1-D sequence" named no spec key
+            ("coeffs = 1,2\ncount = 0\n", "polynomial signal requires count >= 1, got count = 0"),
         ],
-        ids=["ts-inf", "ts-nan", "samples-overflow"],
+        ids=["ts-inf", "ts-nan", "samples-overflow", "count-0"],
     )
     def test_polynomial_grid_refused_without_a_warning(self, tmp_path, capsys, grid, fragment):
         spec = tmp_path / "poly.spec"

@@ -31,7 +31,9 @@ from oracles import (
     fraction_series_derivative,
     jacobi_coefficients,
     jacobi_eval,
+    pochhammer,
     poly_at,
+    two_step_moment,
     wpoly,
     wpoly_derivative,
     wpoly_eval,
@@ -41,13 +43,6 @@ INTERIOR = np.linspace(0.05, 0.95, 19)
 
 
 # -- reference constructions: the two routes `affine_kernel` replaced -------
-
-
-def _rising(x: Fraction, count: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(count):
-        out *= x + i
-    return out
 
 
 def derivative_loop_kernel(cfg: EstimatorConfig) -> WeightedPoly:
@@ -71,13 +66,13 @@ def derivative_loop_kernel(cfg: EstimatorConfig) -> WeightedPoly:
             term = wpoly_derivative(term)
         at_xi = sum(c * xi**k for k, c in enumerate(raised))
         inv_norm = (
-            math.factorial(i) * _rising(a + b + 2, 2 * i)
-            / (_rising(a + b + i + 1, i) * _rising(a + 1, i) * _rising(b + 1, i))
+            math.factorial(i) * pochhammer(a + b + 2, 2 * i)
+            / (pochhammer(a + b + i + 1, i) * pochhammer(a + 1, i) * pochhammer(b + 1, i))
         )
         weight = (-1) ** n * at_xi * inv_norm / window
         for k, c in enumerate(term.coeffs):
             total[k] += weight * c
-    return wpoly(mu, kappa, total, (kappa + n + 1, mu + n + 1))
+    return wpoly(mu, kappa, total, n)
 
 
 def minimal_oracle(cfg: EstimatorConfig) -> WeightedPoly:
@@ -86,7 +81,7 @@ def minimal_oracle(cfg: EstimatorConfig) -> WeightedPoly:
     mu, kappa = Fraction(cfg.mu), Fraction(cfg.kappa)
     scale = Fraction(math.factorial(n)) / (Fraction(cfg.beta) * Fraction(cfg.T)) ** n
     coeffs = [scale * c for c in jacobi_coefficients(n, cfg.mu, cfg.kappa)]
-    return wpoly(mu, kappa, coeffs, (kappa + n + 1, mu + n + 1))
+    return wpoly(mu, kappa, coeffs, n)
 
 
 def configs(q=st.integers(0, 4)):
@@ -103,22 +98,38 @@ def configs(q=st.integers(0, 4)):
     )
 
 
+WIDE_CONFIGS = st.builds(
+    EstimatorConfig,
+    n=st.integers(1, 5),
+    q=st.integers(0, 4),
+    mu=st.floats(min_value=-1.0, max_value=3.0, exclude_min=True, exclude_max=True),
+    kappa=st.floats(min_value=-1.0, max_value=3.0, exclude_min=True, exclude_max=True),
+    beta=st.sampled_from((-1, 1)),
+    T=st.floats(min_value=0.0, max_value=1e6, exclude_min=True),
+    xi=st.floats(min_value=0.0, max_value=1.0),
+)
+
+
 class TestConstructionOracles:
-    @given(
-        st.builds(
-            EstimatorConfig,
-            n=st.integers(1, 5),
-            q=st.integers(0, 4),
-            mu=st.floats(min_value=-1.0, max_value=3.0, exclude_min=True, exclude_max=True),
-            kappa=st.floats(min_value=-1.0, max_value=3.0, exclude_min=True, exclude_max=True),
-            beta=st.sampled_from((-1, 1)),
-            T=st.floats(min_value=0.0, max_value=1e6, exclude_min=True),
-            xi=st.floats(min_value=0.0, max_value=1.0),
-        ),
-    )
+    @given(WIDE_CONFIGS)
     @settings(max_examples=200, deadline=None)
     def test_integer_route_equals_fraction_route(self, cfg):
         assert affine_kernel(cfg) == fraction_series_derivative(cfg, cfg.n)
+
+    @given(WIDE_CONFIGS)
+    @settings(max_examples=200, deadline=None)
+    def test_moments_equal_the_two_step_route(self, cfg):
+        # both round the same exact rational once, so the floats are equal,
+        # and both overflow where it is beyond the float range (T near 0)
+        def rounded(moment, p, j):
+            try:
+                return moment(p, j)
+            except OverflowError:
+                return "overflow"
+
+        p = affine_kernel(cfg)
+        for j in range(cfg.n + cfg.q + 2):
+            assert rounded(wpoly_moment, p, j) == rounded(two_step_moment, p, j)
 
     @given(configs())
     @settings(max_examples=60, deadline=None)
@@ -137,23 +148,25 @@ class TestWeightedPoly:
         assert poly_at(p, 0.5) == pytest.approx(1 + 1 + 0.75, rel=1e-15)
 
     def test_scale_divisor(self):
+        # B(kappa+shift+1, mu+shift+1): B(1, 1) = 1 at shift 0, B(2, 2) at shift 1
         assert wpoly(0, 0, [1]).scale_divisor() == 1.0
-        p = wpoly(0, 0, [1], beta_divisor=(2, 2))
+        p = wpoly(0, 0, [1], shift=1)
         assert p.scale_divisor() == pytest.approx(beta_fn(2.0, 2.0), rel=1e-15)
 
 
 class TestWpolyEval:
     def test_negative_exponent_interior_value(self):
-        # t**(-1/2) at 1/4 is 2
+        # t**(-1/2) at 1/4 is 2, over B(1/2, 1) = 2
         p = wpoly(0, Fraction(-1, 2), [1])
-        assert wpoly_eval(p, 0.25) == pytest.approx(2.0, rel=1e-14)
+        assert wpoly_eval(p, 0.25) == pytest.approx(1.0, rel=1e-14)
 
     def test_plain_weight_value(self):
+        # shift 0 is the Beta(2, 2) density 6 t (1-t): 2 * 6/4 at t = 1/2
         p = wpoly(1, 1, [2])
-        assert wpoly_eval(p, 0.5) == pytest.approx(0.5, rel=1e-14)
+        assert wpoly_eval(p, 0.5) == pytest.approx(3.0, rel=1e-14)
 
     def test_divisor_is_applied(self):
-        p = wpoly(0, 0, [1], beta_divisor=(2, 2))
+        p = wpoly(0, 0, [1], shift=1)
         assert wpoly_eval(p, 0.3) == pytest.approx(6.0, rel=1e-14)
 
     @pytest.mark.parametrize("t", [-0.1, 1.0001, 2.0])
@@ -186,8 +199,10 @@ class TestWpolyDerivative:
         assert d.coeffs == (Fraction(1), Fraction(-2))
 
     def test_divisor_carried_through(self):
-        p = wpoly(2, 2, [1], beta_divisor=(3, 3))
-        assert wpoly_derivative(p).beta_divisor == (Fraction(3), Fraction(3))
+        # B(3, 3) at exponents (2, 2) and shift 0 stays B(3, 3) at (1, 1) and shift 1
+        d = wpoly_derivative(wpoly(2, 2, [1]))
+        assert d.shift == 1
+        assert d.scale_divisor() == beta_fn(3.0, 3.0)
 
     def test_matches_finite_differences(self):
         p = wpoly(Fraction(3, 2), Fraction(1, 2), [1, -2, 1])
@@ -226,14 +241,14 @@ class TestWeightDerivativeIdentity:
         sign = (-1) ** n * math.factorial(n)
         for t in INTERIOR:
             target = sign * (1 - t) ** mu * t**kappa * jacobi_eval(n, mu, kappa, t)
-            assert abs(wpoly_eval(p, t) - target) <= 1e-9
+            assert abs(wpoly_eval(p, t) * p.scale_divisor() - target) <= 1e-9
 
 
 class TestMinimalKernel:
     def test_first_order_flat_weight(self):
         p = minimal_kernel(EstimatorConfig(n=1, beta=1, T=1.0))
         assert p.coeffs == (Fraction(-1), Fraction(2))
-        assert p.beta_divisor == (Fraction(2), Fraction(2))
+        assert p.shift == 1  # divided by B(2, 2)
         # effective values -6 + 12 t
         assert wpoly_eval(p, 0.0) == pytest.approx(-6.0, rel=1e-13)
         assert wpoly_eval(p, 0.5) == pytest.approx(0.0, abs=1e-13)
@@ -250,7 +265,7 @@ class TestMinimalKernel:
     def test_second_order_flat_weight(self):
         p = minimal_kernel(EstimatorConfig(n=2, beta=1, T=1.0))
         assert p.coeffs == (Fraction(2), Fraction(-12), Fraction(12))
-        assert p.beta_divisor == (Fraction(3), Fraction(3))
+        assert p.shift == 2  # divided by B(3, 3)
 
     def test_window_and_direction_scaling(self):
         base = minimal_kernel(EstimatorConfig(n=1, beta=1, T=1.0))
@@ -336,6 +351,32 @@ class TestMomentIdentities:
         p = minimal_kernel(EstimatorConfig(n=1, beta=1, T=1.0))
         assert abs(wpoly_moment(p, 2)) > 0.1
 
+    def test_shift_0_weight_is_a_density(self):
+        assert wpoly_moment(wpoly(Fraction(1, 3), Fraction(-1, 2), [1]), 0) == 1.0
+
+    @pytest.mark.parametrize(
+        "mu,kappa,shift,j,value",
+        [
+            # t**j lifts kappa = -1 to a convergent integral of 1 / B(1, 2)
+            (0, -1, 1, 1, 2.0),
+            # 2 = integral of t**(-1/2), over B(-1/2, 1) = -2 at shift 0
+            (0, Fraction(-3, 2), 0, 1, -1.0),
+        ],
+    )
+    def test_exponent_at_or_below_minus_one(self, mu, kappa, shift, j, value):
+        p = wpoly(mu, kappa, [1], shift)
+        assert wpoly_moment(p, j) == two_step_moment(p, j) == value
+
+    @pytest.mark.parametrize("j", [-1, 1.5])
+    def test_moment_order_must_be_a_nonnegative_integer(self, j):
+        with pytest.raises(ValueError, match=f"moment order must be a nonnegative integer, got {j!r}"):
+            wpoly_moment(wpoly(0, 0, [1]), j)
+
+    @pytest.mark.parametrize("mu,kappa,j", [(0, -1, 0), (0, -2, 1), (-1, 0, 2)])
+    def test_divergent_moment_rejected(self, mu, kappa, j):
+        with pytest.raises(ValueError, match="moment integral diverges for these exponents"):
+            wpoly_moment(wpoly(mu, kappa, [1]), j)
+
 
 class TestDiscretize:
     def test_three_tap_kernel(self):
@@ -372,13 +413,36 @@ class TestDiscretize:
 
     @pytest.mark.parametrize(
         "T,what",
-        [(1e-300, "kernel coefficients beyond the float range"), (1e300, "taps that are all zero")],
+        [
+            (1e-300, "kernel coefficients beyond the float range"),
+            # every tap is finite, but their squares are not
+            (1e-54, "taps that are not finite in the noise gain sum(taps**2)"),
+            (1e300, "taps that are all zero"),
+        ],
     )
     def test_window_out_of_float_range_names_T(self, T, what):
         # 1/T**3 leaves the float range although the kernel at T = 1 is fine
         cfg = EstimatorConfig(n=3, T=T, m=4)
         with pytest.raises(ValueError, match=re.escape(f"T = {T!r} gives {what} at n = 3")):
             discretize(affine_kernel(cfg), cfg)
+
+    @pytest.mark.parametrize(
+        "mu,kappa,F,m,named",
+        [
+            (0.0, -0.7, 1e-300, 40, "kappa = -0.7 give an end tap of 1.48e+209"),
+            # both ends are singular: the larger end tap is named
+            (-0.66, -0.7, 1e-300, 40, "kappa = -0.7"),
+            (-0.9, -0.1, 1e-300, 40, "mu = -0.9"),
+            # (F/m)**kappa itself overflows
+            (0.0, -0.999, 1e-320, 400, "kappa = -0.999 give an end tap of inf"),
+        ],
+    )
+    def test_f_rule_noise_gain_beyond_float_range_names_F(self, mu, kappa, F, m, named):
+        cfg = EstimatorConfig(n=1, mu=mu, kappa=kappa, F=F, m=m)
+        message = f"F = {F!r} and {named}"
+        with pytest.raises(ValueError, match=re.escape(message)) as exc:
+            discretize(affine_kernel(cfg), cfg)
+        assert "the noise gain sum(taps**2) is not finite" in str(exc.value)
 
     def test_interior_taps_are_trapezoid_samples(self):
         cfg = EstimatorConfig(n=1, mu=0.5, kappa=0.25, beta=1, T=1.0, m=50)
@@ -405,12 +469,14 @@ class TestDiscretize:
         assert k.taps[-1] == pytest.approx(tail, rel=1e-13)
 
     def test_endpoint_suppression(self):
-        cfg = EstimatorConfig(
-            n=1, mu=-0.66, kappa=-0.7, beta=1, T=1.0, m=32, endpoint="suppress"
-        )
-        k = discretize(minimal_kernel(cfg), cfg)
-        assert k.taps[0] == 0.0
-        assert k.taps[-1] == 0.0
+        # F is unused, so a tiny one trips no noise-gain check either
+        for F in (0.5, 1e-300):
+            cfg = EstimatorConfig(
+                n=1, mu=-0.66, kappa=-0.7, beta=1, T=1.0, F=F, m=32, endpoint="suppress"
+            )
+            k = discretize(minimal_kernel(cfg), cfg)
+            assert k.taps[0] == 0.0
+            assert k.taps[-1] == 0.0
 
     def test_nonnegative_exponent_endpoints_need_no_rule(self):
         cfg = EstimatorConfig(n=1, mu=1.0, kappa=0.5, beta=1, T=1.0, m=20)

@@ -20,8 +20,10 @@ EXPONENT_PAIRS = [(0.0, 0.0), (0.5, -0.25), (-0.78, -0.6), (1.0, 2.0)]
 
 
 def jacobi_weighted_moment(degree: int, mu: float, kappa: float, j: int) -> float:
-    """``integral of w(t) P(t) t**j over [0, 1]``: a one-term weighted polynomial."""
-    return wpoly_moment(wpoly(mu, kappa, jacobi_coefficients(degree, mu, kappa)), j)
+    """``integral of w(t) P(t) t**j over [0, 1]``: a one-term weighted polynomial
+    at shift 0, times its divisor B(kappa+1, mu+1)."""
+    p = wpoly(mu, kappa, jacobi_coefficients(degree, mu, kappa))
+    return wpoly_moment(p, j) * p.scale_divisor()
 
 
 class TestBeta:

@@ -135,6 +135,14 @@ class TestGenPath:
         with pytest.raises(ValueError, match=f"ts must be finite and positive, got {ts!r}"):
             gen_path(Wiener(1.0), ts, 3, RngSeed(1))
 
+    def test_rejects_empty_path(self):
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            gen_path(Wiener(1.0), 0.1, 0, RngSeed(1))
+
+    def test_rejects_unknown_model(self):
+        with pytest.raises(TypeError, match="unknown noise model"):
+            gen_path("wiener", 0.1, 3, RngSeed(1))
+
     def test_silent_white_noise(self):
         path = gen_path(WhiteGaussian(0.0), 0.1, 20, RngSeed(1))
         np.testing.assert_array_equal(path.values, np.zeros(20))
@@ -399,6 +407,15 @@ class TestMcNoiseSamples:
     def test_causal_anchor_before_full_window_rejected(self):
         with pytest.raises(ValueError):
             mc_noise_samples(self.CFG, Wiener(1.0), 0.5, 200, RngSeed(1))
+
+    def test_anticausal_anchor_before_zero_rejected(self):
+        cfg = EstimatorConfig(n=1, beta=1, T=1.0, m=400)
+        with pytest.raises(ValueError, match="t0 must be nonnegative"):
+            mc_noise_samples(cfg, Wiener(1.0), -0.5, 200, RngSeed(1))
+
+    def test_rejects_zero_trials(self):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            mc_noise_samples(self.CFG, Wiener(1.0), 2.0, 0, RngSeed(1))
 
     @pytest.mark.parametrize("beta", [-1, 1])
     def test_path_length_is_capped(self, beta):
