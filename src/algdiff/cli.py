@@ -411,7 +411,8 @@ def _config(values: dict, ts: float | None = None) -> EstimatorConfig:
             raise ValueError("set m (taps) or T (window length)")
         if "m" not in given:
             given["m"] = round(given["T"] / ts)
-        given.setdefault("T", given["m"] * ts)
+        elif "T" not in given:  # check m at the default T, so a bad m is named as m
+            given["T"] = EstimatorConfig(**given).m * ts
     return EstimatorConfig(**given)
 
 
@@ -545,9 +546,8 @@ def _cmd_surface(ns: argparse.Namespace) -> int:
         raise ValueError(f"{ns.quantity} leaves the float range for {grid_hi}: {exc}") from None
     # header row of mu, first column kappa
     with _open_out(ns.out) as out:
-        out.write("," + ",".join(_fmt(mu) for mu in mu_grid) + "\n")
-        for kappa, row in zip(kappa_grid, grid):
-            out.write(_fmt(kappa) + "," + ",".join(_fmt(v) for v in row) + "\n")
+        header = ["", *(_fmt(mu) for mu in mu_grid)]
+        _write_csv(out, header, ((kappa, *row) for kappa, row in zip(kappa_grid, grid)))
     return 0
 
 

@@ -73,6 +73,7 @@ def wpoly_moment(p: WeightedPoly, j: int) -> float:
     in integers (times the exponents' common denominator) and cancelled
     against each other down to positive divisors, then divided once: the
     result is correctly rounded, and exactly 0.0 where orthogonality says so.
+    A moment beyond the float range raises ValueError.
     """
     if j < 0 or int(j) != j:
         raise ValueError(f"moment order must be a nonnegative integer, got {j!r}")
@@ -96,7 +97,13 @@ def wpoly_moment(p: WeightedPoly, j: int) -> float:
     top = math.prod(map(k1, range(s, j))) * math.prod(map(r2, range(j, 2 * s)))
     bottom = math.prod(map(k1, range(j, s))) * math.prod(map(r2, range(2 * s, j)))
     bottom *= math.prod(mu + (1 + l) * den for l in range(s))
-    return num * top / (dnm * lcd * bottom)
+    try:
+        return num * top / (dnm * lcd * bottom)
+    except OverflowError:
+        raise ValueError(
+            f"moment of order {j} at mu_exp = {p.mu_exp}, kappa_exp = {p.kappa_exp}, shift = {s} "
+            "is beyond the float range"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -395,6 +395,8 @@ INPUT_FILES = {
     "signal-kind.spec": "signal = square\nm = 4\n",
     "csv-no-path.spec": "signal = csv\nm = 4\n",
     "polynomial-no-coeffs.spec": "signal = polynomial\nm = 4\n",
+    "m-zero.spec": "signal = sin2t\nm = 0\n",
+    "two-samples.csv": "t,value\n0,1\n0.1,2\n",
 }
 
 
@@ -476,6 +478,13 @@ class TestErrorHandling:
             (["experiment", "{tmp}/csv-no-path.spec"], "csv signal requires a path"),
             (["experiment", "{tmp}/polynomial-no-coeffs.spec"],
              "polynomial signal requires coefficients"),
+            # T = m * ts is derived from a bad m, so the error names m; a bad T is named as T
+            (["experiment", "table1-a", "--m", "0"], "m must be an integer >= n + q + 1 = 2, got 0"),
+            (["experiment", "table1-a", "--m", "-5"], "m must be an integer >= n + q + 1 = 2, got -5"),
+            (["estimate", "--in", "{tmp}/two-samples.csv", "--m", "0"], "m must be an integer"),
+            (["experiment", "{tmp}/m-zero.spec"], "m must be an integer >= n + q + 1 = 2, got 0"),
+            (["experiment", "table1-a", "--T", "0"], "T must be positive, got 0.0"),
+            (["estimate", "--in", "{tmp}/two-samples.csv", "--T", "0"], "T must be positive"),
         ],
         ids=["points-0", "mu-inf", "T-inf", "xi-nan", "sigma2-nan", "nu-inf", "gamma-inf",
              "experiment-gamma-inf", "mc-band-overflows",
@@ -489,7 +498,9 @@ class TestErrorHandling:
              "kernel-f-rule-gain", "experiment-f-rule-gain", "experiment-f-rule-gain-table1",
              "mc-f-rule-gain", "csv-columns", "csv-one-sample", "empty-metrics-window",
              "spec-bad-line", "spec-unknown-key", "spec-noise-kind",
-             "spec-signal-kind", "spec-csv-without-path", "spec-polynomial-without-coeffs"],
+             "spec-signal-kind", "spec-csv-without-path", "spec-polynomial-without-coeffs",
+             "experiment-m-zero", "experiment-m-negative", "estimate-m-zero", "spec-m-zero",
+             "experiment-T-zero", "estimate-T-zero"],
     )
     def test_rejected_input(self, capsys, tmp_path, argv, fragment):
         for arg in argv:

@@ -120,11 +120,15 @@ class TestConstructionOracles:
     @settings(max_examples=200, deadline=None)
     def test_moments_equal_the_two_step_route(self, cfg):
         # both round the same exact rational once, so the floats are equal,
-        # and both overflow where it is beyond the float range (T near 0)
+        # and both fail where it is beyond the float range (T near 0): the
+        # oracle with OverflowError, wpoly_moment with a ValueError naming its inputs
         def rounded(moment, p, j):
             try:
                 return moment(p, j)
             except OverflowError:
+                return "overflow"
+            except ValueError as exc:
+                assert "beyond the float range" in str(exc)
                 return "overflow"
 
         p = affine_kernel(cfg)
@@ -376,6 +380,13 @@ class TestMomentIdentities:
     def test_divergent_moment_rejected(self, mu, kappa, j):
         with pytest.raises(ValueError, match="moment integral diverges for these exponents"):
             wpoly_moment(wpoly(mu, kappa, [1]), j)
+
+    def test_moment_beyond_the_float_range_names_its_inputs(self):
+        # the order-1 moment is 1/T, beyond the float range at T = 5e-324
+        p = affine_kernel(EstimatorConfig(n=1, T=5e-324))
+        match = "moment of order 1 at mu_exp = 0, kappa_exp = 0, shift = 1 is beyond the float range"
+        with pytest.raises(ValueError, match=match):
+            wpoly_moment(p, 1)
 
 
 class TestDiscretize:
