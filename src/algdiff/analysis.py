@@ -9,7 +9,7 @@ parameter-sweep surfaces used to choose exponents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -159,7 +159,11 @@ def discrete_moments(k: DiscreteKernel, noise: NoiseModel, t0: float) -> NoiseMo
     window lies where the process is defined.
     """
     mean = float(np.dot(k.taps, noise.mean_at(_tap_times(k, t0))))
-    return NoiseMomentReport(mean, max(discrete_covariance(k, k, noise, t0), 0.0))
+    variance = max(discrete_covariance(k, k, noise, t0), 0.0)
+    if variance == math.inf:
+        ((name, value),) = asdict(noise).items()
+        raise ValueError(f"{name} = {value!r} gives a noise-error variance beyond the float range")
+    return NoiseMomentReport(mean, variance)
 
 
 def discrete_covariance(

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import warnings
 from contextlib import contextmanager
@@ -173,15 +174,13 @@ def run_experiment(values: dict, out_dir: str | None = None) -> dict:
         total_error = float(clean.ts * np.sum(err**2))
 
     snr_db = None
+    mean = variance = 0.0
     if noise is not None:
         noise_part = series_noisy.estimates[mask] - series_clean.estimates[mask]
         signal_part = series_noisy.estimates[mask]
         denom = float(noise_part @ noise_part)
         if denom > 0.0:
             snr_db = float(10.0 * math.log10(float(signal_part @ signal_part) / denom))
-
-    mean = variance = 0.0
-    if noise is not None:
         base = discrete_moments(kernel_taps(cfg), noise, window[0])
         mean, variance = scale * base.mean, scale**2 * base.variance
     band_low, band_high = chebyshev_band(mean, variance, gamma)
@@ -279,9 +278,8 @@ def _render_pair_table(pair: dict, out: TextIO) -> None:
                 f"{run['delay_s']:.4f}",
             )
         )
-    widths = [max(len(r[i]) for r in rows) for i in range(5)]
     header = ("run", "parameters", "total_error", "snr_db", "delay_s")
-    widths = [max(w, len(h)) for w, h in zip(widths, header)]
+    widths = [max(len(line[i]) for line in (header, *rows)) for i in range(5)]
     for line in (header, *rows):
         out.write("  ".join(str(c).ljust(w) for c, w in zip(line, widths)).rstrip() + "\n")
     if pair["error_ratio"] is not None:
@@ -308,6 +306,7 @@ def mc_report(
     if trials < 100:
         raise ValueError("trials must be at least 100")
     samples = mc_noise_samples(cfg, model, t0, trials, seed)
+    discrete = discrete_moments(kernel_taps(cfg), model, t0)
     emp_mean, emp_var, stderr_var = _sample_moments(samples)
 
     def band(mean: float, variance: float) -> dict:
@@ -321,7 +320,6 @@ def mc_report(
         }
 
     continuous = continuous_moments(cfg, model)
-    discrete = discrete_moments(kernel_taps(cfg), model, t0)
     bands = {
         "continuous": None if continuous is None else band(continuous.mean, continuous.variance),
         "discrete": band(discrete.mean, discrete.variance),
@@ -337,13 +335,9 @@ def mc_report(
         "bands": bands,
         "config": asdict(cfg),
         "seed": asdict(seed),
-        "model": _model_dict(model),
+        "model": {"kind": next(k for k, c in _NOISE_KINDS.items() if isinstance(model, c)),
+                  **asdict(model)},
     }
-
-
-def _model_dict(model: NoiseModel) -> dict:
-    kind = next(k for k, cls in _NOISE_KINDS.items() if isinstance(model, cls))
-    return {"kind": kind, **asdict(model)}
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +508,12 @@ def _cmd_experiment(ns: argparse.Namespace) -> int:
     if ns.target in PRESETS:
         document = run_preset_pair(ns.target, _flags(ns), ns.out_dir)
         _render_pair_table(document, sys.stderr)
-    else:
-        if not Path(ns.target).exists():
-            raise ValueError(
-                f"{ns.target!r} is neither a preset ({sorted(PRESETS)}) nor a spec file"
-            )
+    elif Path(ns.target).exists():
         document = run_experiment(_resolve(_flags(ns), _parse_spec_file(ns.target)), ns.out_dir)
+    else:
+        raise ValueError(
+            f"{ns.target!r} is neither a preset ({sorted(PRESETS)}) nor a spec file"
+        )
     _print_json(document)
     return 0
 
@@ -560,8 +554,12 @@ def _cmd_mc(ns: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises on a usage error, so `main` reports it as one JSON line; its
-    subparsers are of this class too."""
+    """Raises on a usage error, so `main` reports it as one JSON line, and reads
+    -5e-1 or -inf as a number, not a flag; its subparsers share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message: str):
         raise ValueError(message)
@@ -578,29 +576,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="estimate a derivative series from a CSV signal")
     p_est.add_argument("--in", dest="input", required=True, help="CSV with columns t,value")
-    p_est.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p_est.set_defaults(func=_cmd_estimate)
 
     p_exp = sub.add_parser("experiment", help="run a benchmark preset or a spec file")
     p_exp.add_argument("target", help=f"preset name ({', '.join(sorted(PRESETS))}) or spec-file path")
     _add_flags(p_exp, "seed", "stream", "gamma")
-    p_exp.add_argument("--out-dir", dest="out_dir", default=None, help="directory for series CSVs")
+    p_exp.add_argument("--out-dir", help="directory for series CSVs")
     p_exp.set_defaults(func=_cmd_experiment)
 
     p_ker = sub.add_parser("kernel", help="dump discrete kernel taps as CSV")
-    p_ker.add_argument("--out", default=None)
     p_ker.set_defaults(func=_cmd_kernel)
 
     p_sur = sub.add_parser("surface", help="dump a design-quantity grid as CSV")
     p_sur.add_argument("quantity", choices=("delay", "xi", "variance_minimal", "variance_affine"))
     p_sur.add_argument("--points", type=int, default=41)
-    p_sur.add_argument("--kappa-lo", dest="kappa_lo", type=float, default=-1.0)
-    p_sur.add_argument("--kappa-hi", dest="kappa_hi", type=float, default=1.0)
-    p_sur.add_argument("--mu-lo", dest="mu_lo", type=float, default=-1.0)
-    p_sur.add_argument("--mu-hi", dest="mu_hi", type=float, default=1.0)
+    for bound in ("kappa-lo", "kappa-hi", "mu-lo", "mu-hi"):
+        p_sur.add_argument(f"--{bound}", type=float, default=1.0 if bound.endswith("hi") else -1.0)
     _add_flags(p_sur, "n", "q", "T")
-    p_sur.add_argument("--eta", type=float, default=None)
-    p_sur.add_argument("--out", default=None)
+    p_sur.add_argument("--eta", type=float)
     p_sur.set_defaults(func=_cmd_surface)
 
     p_mc = sub.add_parser("mc", help="Monte-Carlo noise-error report as JSON")
@@ -611,6 +604,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_flags(p_mc, "seed", "stream", "gamma")
     p_mc.set_defaults(func=_cmd_mc)
 
+    for subparser in (p_est, p_ker, p_sur):
+        subparser.add_argument("--out", help="output CSV path (default stdout)")
     # surface reads only n, q and T
     for subparser in (p_est, p_exp, p_ker, p_mc):
         _add_flags(subparser, *_CONFIG_KEYS)

@@ -73,12 +73,10 @@ def _apply(values: np.ndarray, taps: np.ndarray, beta: int) -> np.ndarray:
     """Tap-weighted sum over every full window of ``values``, in sample order.
 
     Output ``j`` is ``sum_i taps[i] * values[t0 + beta*i]`` with ``t0 = j``
-    (beta = +1) or ``t0 = j + m`` (beta = -1).  Both orientations correlate
-    the taps in their own order, so each window is summed from tap 0 up.
+    (beta = +1) or ``t0 = j + m`` (beta = -1).  The samples are read in the
+    window's direction, so each window is summed from tap 0 up.
     """
-    if beta == 1:
-        return np.correlate(values, taps, "valid")
-    return np.correlate(values[::-1], taps, "valid")[::-1]
+    return np.correlate(values[::beta], taps, "valid")[::beta]
 
 
 def estimate_at(signal: SampledSignal, k: DiscreteKernel, t0_index: int) -> float:

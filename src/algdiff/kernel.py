@@ -138,9 +138,10 @@ class EstimatorConfig:
         for name in ("mu", "kappa", "T", "xi", "F"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if int(self.n) != self.n or self.n < 1:
+        # abs(x) < inf fails for nan and +-inf, where int() raises, and is exact for a huge int
+        if not abs(self.n) < math.inf or int(self.n) != self.n or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if int(self.q) != self.q or self.q < 0:
+        if not abs(self.q) < math.inf or int(self.q) != self.q or self.q < 0:
             raise ValueError(f"q must be a nonnegative integer, got {self.q!r}")
         if not self.mu > -1:
             raise ValueError(f"mu must exceed -1, got {self.mu!r}")
@@ -156,7 +157,7 @@ class EstimatorConfig:
             raise ValueError(f"xi must lie in [0, 1], got {self.xi!r}")
         if not 0.0 < self.F <= 1.0:
             raise ValueError(f"F must lie in (0, 1], got {self.F!r}")
-        if int(self.m) != self.m or self.m < self.n + self.q + 1:
+        if not abs(self.m) < math.inf or int(self.m) != self.m or self.m < self.n + self.q + 1:
             raise ValueError(
                 f"m must be an integer >= n + q + 1 = {self.n + self.q + 1}, got {self.m!r}"
             )

@@ -144,7 +144,10 @@ def _draws(model: NoiseModel, ts: float, count: int, rng: np.random.Generator) -
     if isinstance(model, Wiener):
         return rng.normal(0.0, math.sqrt(model.sigma2 * ts), count - 1)
     if isinstance(model, Poisson):
-        return rng.poisson(model.nu * ts, count - 1)
+        try:
+            return rng.poisson(model.nu * ts, count - 1)
+        except ValueError:  # NumPy refuses a rate past about 9.2e18
+            raise ValueError(f"nu = {model.nu!r} at step {ts!r} passes NumPy's Poisson limit") from None
     raise TypeError(f"unknown noise model {model!r}")
 
 
@@ -270,11 +273,13 @@ def mc_noise_samples(
 def _sample_moments(e: np.ndarray) -> tuple[float, float, float]:
     """Empirical (mean, unbiased variance s^2, stderr-of-variance) of ``e``.
 
-    The stderr is the distribution-free sqrt((m4 - s^4)/N), taken as
-    s^2 sqrt((mean(z^4) - 1)/N) with z = (e - mean)/s so that it cannot overflow.
+    s^2 is taken of e over a power of two near max|e| (exact), and the stderr,
+    the distribution-free sqrt((m4 - s^4)/N), as s^2 sqrt((mean(z^4) - 1)/N)
+    with z = (e - mean)/s, so that neither can overflow.
     """
     mean = float(np.mean(e))
-    var = float(np.var(e, ddof=1))
+    scale = 2.0 ** (math.frexp(float(np.max(np.abs(e))))[1] - 1)
+    var = float(np.var(e / scale, ddof=1)) * scale * scale
     if var == 0.0:
         return mean, var, 0.0
     z4 = float(np.mean(((e - mean) / math.sqrt(var)) ** 4))

@@ -485,6 +485,19 @@ class TestErrorHandling:
             (["experiment", "{tmp}/m-zero.spec"], "m must be an integer >= n + q + 1 = 2, got 0"),
             (["experiment", "table1-a", "--T", "0"], "T must be positive, got 0.0"),
             (["estimate", "--in", "{tmp}/two-samples.csv", "--T", "0"], "T must be positive"),
+            # a negative value that argparse's own pattern misses is a value, not a flag
+            (["kernel", "--m", "4", "--F", "-inf"], "F must be finite, got -inf"),
+            (["mc", "--trials", "100", "--m", "40", "--t0", "-inf"], "t0 must be finite"),
+            (["surface", "delay", "--points", "2", "--kappa-lo", "-inf"],
+             "--kappa-lo must be finite, got -inf"),
+            # the noise-error variance leaves the float range: the intensity is at fault
+            (["mc", "--trials", "100", "--m", "40", "--sigma2", "1e300", "--n", "3", "--T", "0.01"],
+             "sigma2 = 1e+300 gives a noise-error variance beyond the float range"),
+            (["mc", "--trials", "100", "--m", "40", "--sigma2", "1e300", "--n", "3", "--T", "0.01",
+              "--model", "white"],
+             "sigma2 = 1e+300 gives a noise-error variance beyond the float range"),
+            (["mc", "--model", "poisson", "--nu", "1e300", "--trials", "100", "--m", "40"],
+             "nu = 1e+300 at step 0.025 passes NumPy's Poisson limit"),
         ],
         ids=["points-0", "mu-inf", "T-inf", "xi-nan", "sigma2-nan", "nu-inf", "gamma-inf",
              "experiment-gamma-inf", "mc-band-overflows",
@@ -500,7 +513,9 @@ class TestErrorHandling:
              "spec-bad-line", "spec-unknown-key", "spec-noise-kind",
              "spec-signal-kind", "spec-csv-without-path", "spec-polynomial-without-coeffs",
              "experiment-m-zero", "experiment-m-negative", "estimate-m-zero", "spec-m-zero",
-             "experiment-T-zero", "estimate-T-zero"],
+             "experiment-T-zero", "estimate-T-zero", "kernel-F-minus-inf", "mc-t0-minus-inf",
+             "surface-kappa-lo-minus-inf", "mc-wiener-variance-overflow",
+             "mc-white-variance-overflow", "mc-poisson-rate-too-large"],
     )
     def test_rejected_input(self, capsys, tmp_path, argv, fragment):
         for arg in argv:
@@ -531,6 +546,30 @@ class TestErrorHandling:
         assert (rc, err) == (0, "")
         rows = [[float(c) for c in line.split(",")[1:]] for line in out.splitlines()[1:]]
         assert rows == [[0.5, pytest.approx(1 / 3)], [pytest.approx(2 / 3), 0.5]]
+
+    @pytest.mark.parametrize(
+        "spaced,joined",
+        [(["kernel", "--m", "4", "--kappa", "-5e-1"], ["kernel", "--m", "4", "--kappa=-0.5"]),
+         (["surface", "delay", "--points", "2", "--kappa-lo", "-5e-1"],
+          ["surface", "delay", "--points", "2", "--kappa-lo=-0.5"])],
+        ids=["kernel-kappa", "surface-kappa-lo"],
+    )
+    def test_negative_exponent_value_reads_as_a_number(self, spaced, joined):
+        # argparse alone took -5e-1 for a flag: "expected one argument"
+        rc, out, err = run_captured(spaced)
+        assert (rc, err) == (0, "")
+        assert (rc, out, err) == run_captured(joined)
+
+    def test_variance_near_the_float_limit_is_reported(self):
+        # a discrete variance of 5e307: the squares of the samples' deviations
+        # overflowed in the empirical variance, with a RuntimeWarning
+        rc, out, err = run_captured(
+            ["mc", "--trials", "100", "--m", "40", "--sigma2", "4.16015991654719e+307"]
+        )
+        assert (rc, err) == (0, "")
+        report = json.loads(out)
+        assert report["bands"]["discrete"]["variance"] == pytest.approx(5e307, rel=1e-12)
+        assert 0.0 < report["stderr_var"] < report["emp_var"] < math.inf
 
     def test_huge_noise_intensity_reports_a_finite_stderr(self):
         rc, out, err = run_captured(["mc", "--trials", "100", "--m", "40", "--sigma2", "1e300"])

@@ -627,6 +627,21 @@ class TestEstimatorConfig:
         with pytest.raises(ValueError):
             EstimatorConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field,message",
+        [("n", "n must be a positive integer"), ("q", "q must be a nonnegative integer"),
+         ("m", "m must be an integer >= n + q + 1 = 2")],
+    )
+    def test_non_finite_integer_field_is_named(self, field, message, value):
+        # int() of nan or inf raised before the field's own check could name it
+        with pytest.raises(ValueError, match=re.escape(f"{message}, got {value!r}")):
+            EstimatorConfig(**{"n": 1, field: value})
+
+    def test_huge_integer_fields_are_accepted(self):
+        # float(10**400) would overflow; the finiteness check compares exactly
+        assert EstimatorConfig(n=1, q=10**400, m=10**401).q == 10**400
+
     def test_abscissa_forced_to_zero_without_extra_terms(self):
         cfg = EstimatorConfig(n=1, q=0, xi=0.7)
         assert cfg.xi == 0.0

@@ -143,6 +143,11 @@ class TestGenPath:
         with pytest.raises(TypeError, match="unknown noise model"):
             gen_path("wiener", 0.1, 3, RngSeed(1))
 
+    def test_poisson_rate_beyond_numpy_limit_names_nu_and_step(self):
+        # NumPy's own error, "lam value too large", named neither
+        with pytest.raises(ValueError, match=r"nu = 1e\+300 at step 0.025 passes NumPy's Poisson limit"):
+            gen_path(Poisson(1e300), 0.025, 10, RngSeed(1))
+
     def test_silent_white_noise(self):
         path = gen_path(WhiteGaussian(0.0), 0.1, 20, RngSeed(1))
         np.testing.assert_array_equal(path.values, np.zeros(20))
@@ -489,6 +494,14 @@ class TestSampleMoments:
         assert var == pytest.approx(1e300 * var1, rel=1e-14)
         assert math.isfinite(stderr)
         assert stderr == pytest.approx(1e300 * stderr1, rel=1e-14)
+
+    def test_variance_near_the_float_limit_does_not_overflow(self):
+        # squares of deviations near 1e153 summed past the float range
+        e = np.random.default_rng(3).standard_normal(1000)
+        _, var, stderr = _sample_moments(1e153 * e)
+        _, var1, stderr1 = _sample_moments(e)
+        assert var == pytest.approx(1e306 * var1, rel=1e-14)
+        assert stderr == pytest.approx(1e306 * stderr1, rel=1e-14)
 
     def test_constant_samples_have_zero_stderr(self):
         assert _sample_moments(np.full(100, 0.25)) == (0.25, 0.0, 0.0)
