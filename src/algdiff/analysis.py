@@ -15,7 +15,7 @@ import numpy as np
 
 from .kernel import DiscreteKernel, EstimatorConfig
 from .specfun import _gauss_rule, _jacobi_values, _least_zero, _log_beta
-from .stochastic import NoiseModel, Poisson, Wiener, _check_intensity
+from .stochastic import NoiseModel, _check_intensity
 
 __all__ = [
     "BiasBounds",
@@ -118,7 +118,8 @@ def _continuous_variance(n: int, q: int, mu, kappa, T: float, xi, eta: float) ->
         total = total + weights[..., j] * r[..., j] ** 2
     # B(2kappa+3, 2mu+3) integrates the Gauss weight; B(kappa+n+1, mu+n+1) is G's divisor
     log_ratio = _log_beta(2 * kappa + 3, 2 * mu + 3) - 2 * _log_beta(b + 1, a + 1)
-    return eta * T * total * np.exp(log_ratio) / T ** (2 * n)
+    # a NumPy eta, so that eta * T raises on overflow rather than giving inf
+    return np.float64(eta) * T * total * np.exp(log_ratio) / T ** (2 * n)
 
 
 @dataclass(frozen=True)
@@ -131,19 +132,21 @@ class NoiseMomentReport:
 
 def continuous_moments(cfg: EstimatorConfig, noise: NoiseModel) -> NoiseMomentReport | None:
     """Continuous-limit mean and variance of the noise error under a Wiener or
-    Poisson process; None for any other model.
+    Poisson process; None for a model with no increment part.
 
-    The variance is `variance_continuous` at the process intensity.  The mean
-    is 0, except under a rate-nu Poisson process at n = 1, where the kernel
-    returns the slope nu of E[N(t)] = nu*t.
+    The variance is `variance_continuous` at the process intensity; the mean
+    is the slope of the model's linear mean at n = 1, and 0 for n >= 2.
     """
-    if isinstance(noise, Wiener):
-        mean = 0.0
-    elif isinstance(noise, Poisson):
-        mean = float(noise.nu) if cfg.n == 1 else 0.0
-    else:
+    eta = noise.increment_part()
+    if eta is None:
         return None
-    return NoiseMomentReport(mean, variance_continuous(cfg, noise.increment_part()))
+    mean = float(noise.mean_at(1.0)) if cfg.n == 1 else 0.0
+    try:
+        variance = variance_continuous(cfg, eta)
+    except FloatingPointError:
+        variance_continuous(cfg, 1.0)  # raises again when the intensity is not at fault
+        raise _beyond_float_range(noise) from None
+    return NoiseMomentReport(mean, variance)
 
 
 def _tap_times(k: DiscreteKernel, t0: float) -> np.ndarray:
@@ -161,9 +164,14 @@ def discrete_moments(k: DiscreteKernel, noise: NoiseModel, t0: float) -> NoiseMo
     mean = float(np.dot(k.taps, noise.mean_at(_tap_times(k, t0))))
     variance = max(discrete_covariance(k, k, noise, t0), 0.0)
     if variance == math.inf:
-        ((name, value),) = asdict(noise).items()
-        raise ValueError(f"{name} = {value!r} gives a noise-error variance beyond the float range")
+        raise _beyond_float_range(noise)
     return NoiseMomentReport(mean, variance)
+
+
+def _beyond_float_range(noise: NoiseModel) -> ValueError:
+    """The error for a noise-error variance past the float range, naming the intensity."""
+    ((name, value),) = asdict(noise).items()
+    return ValueError(f"{name} = {value!r} gives a noise-error variance beyond the float range")
 
 
 def discrete_covariance(

@@ -23,6 +23,8 @@ from typing import Callable, TextIO, get_type_hints
 import numpy as np
 
 from .analysis import (
+    _QUANTITIES,
+    _beyond_float_range,
     chebyshev_band,
     continuous_moments,
     delay,
@@ -308,6 +310,8 @@ def mc_report(
     samples = mc_noise_samples(cfg, model, t0, trials, seed)
     discrete = discrete_moments(kernel_taps(cfg), model, t0)
     emp_mean, emp_var, stderr_var = _sample_moments(samples)
+    if emp_var == math.inf:
+        raise _beyond_float_range(model)
 
     def band(mean: float, variance: float) -> dict:
         low, high = chebyshev_band(mean, variance, gamma)
@@ -353,10 +357,8 @@ _CONFIG_KEYS = tuple(f.name for f in fields(EstimatorConfig))
 # the same keys name the flags that override them
 _SPEC_TYPES = {
     **get_type_hints(EstimatorConfig),
-    "signal": str, "coeffs": _floats, "csv_path": str, "ts": float, "count": int,
-    "noise": str, "sigma2": float, "nu": float, "target_snr_db": float,
-    "window_lo": float, "window_hi": float, "seed": int, "stream": int,
-    "gamma": float, "label": str,
+    **{key: type(value) for key, value in _DEFAULTS.items()},
+    "coeffs": _floats, "csv_path": str, "target_snr_db": float,
 }
 
 
@@ -535,9 +537,21 @@ def _cmd_surface(ns: argparse.Namespace) -> int:
     design = {k: getattr(ns, k) for k in ("n", "q", "T", "eta") if getattr(ns, k) is not None}
     try:
         grid = sweep_surface(ns.quantity, kappa_grid, mu_grid, **design)
-    except FloatingPointError as exc:
-        grid_hi = f"--kappa-hi {ns.kappa_hi!r}, --mu-hi {ns.mu_hi!r}"
-        raise ValueError(f"{ns.quantity} leaves the float range for {grid_hi}: {exc}") from None
+    except (FloatingPointError, OverflowError) as exc:
+        # eta or T when the same grid at 1 stays in range, else each axis's
+        # bound of larger magnitude, hi on a tie
+        at_fault = ", ".join(
+            f"--{axis}-lo {lo!r}" if abs(lo) > abs(hi) else f"--{axis}-hi {hi!r}"
+            for axis, lo, hi in (("kappa", ns.kappa_lo, ns.kappa_hi), ("mu", ns.mu_lo, ns.mu_hi))
+        )
+        for key in (key for key in ("eta", "T") if key in design):
+            try:
+                sweep_surface(ns.quantity, kappa_grid, mu_grid, **{**design, key: 1.0})
+            except (FloatingPointError, OverflowError):
+                continue
+            at_fault = f"{key} = {design[key]!r}"
+            break
+        raise ValueError(f"{ns.quantity} leaves the float range for {at_fault}: {exc}") from None
     # header row of mu, first column kappa
     with _open_out(ns.out) as out:
         header = ["", *(_fmt(mu) for mu in mu_grid)]
@@ -588,7 +602,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ker.set_defaults(func=_cmd_kernel)
 
     p_sur = sub.add_parser("surface", help="dump a design-quantity grid as CSV")
-    p_sur.add_argument("quantity", choices=("delay", "xi", "variance_minimal", "variance_affine"))
+    p_sur.add_argument("quantity", choices=_QUANTITIES)
     p_sur.add_argument("--points", type=int, default=41)
     for bound in ("kappa-lo", "kappa-hi", "mu-lo", "mu-hi"):
         p_sur.add_argument(f"--{bound}", type=float, default=1.0 if bound.endswith("hi") else -1.0)

@@ -14,7 +14,7 @@ A noise model states its second-order structure as one intensity eta:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,57 +64,51 @@ class RngSeed:
 
 
 @dataclass(frozen=True)
-class WhiteGaussian:
-    """iid zero-mean Gaussian samples with variance sigma2."""
-
-    sigma2: float
+class _Noise:
+    """Base of the noise models: checks the one field, the intensity; mean 0; no covariance part."""
 
     def __post_init__(self) -> None:
-        _check_intensity("sigma2", self.sigma2)
+        (field,) = fields(self)
+        _check_intensity(field.name, getattr(self, field.name))
 
     def mean_at(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
-    def white_part(self) -> float:
-        return self.sigma2
+    def white_part(self) -> float | None:
+        return None
 
-    def increment_part(self) -> None:
+    def increment_part(self) -> float | None:
         return None
 
 
 @dataclass(frozen=True)
-class Wiener:
-    """Standard Wiener process scaled so Cov[W(s), W(t)] = sigma2*min(s,t)."""
+class WhiteGaussian(_Noise):
+    """iid zero-mean Gaussian samples with variance sigma2."""
 
     sigma2: float
 
-    def __post_init__(self) -> None:
-        _check_intensity("sigma2", self.sigma2)
+    def white_part(self) -> float:
+        return self.sigma2
 
-    def mean_at(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
 
-    def white_part(self) -> None:
-        return None
+@dataclass(frozen=True)
+class Wiener(_Noise):
+    """Standard Wiener process scaled so Cov[W(s), W(t)] = sigma2*min(s,t)."""
+
+    sigma2: float
 
     def increment_part(self) -> float:
         return self.sigma2
 
 
 @dataclass(frozen=True)
-class Poisson:
+class Poisson(_Noise):
     """Counting process with rate nu: E[N(t)] = nu*t, Cov = nu*min(s,t)."""
 
     nu: float
 
-    def __post_init__(self) -> None:
-        _check_intensity("nu", self.nu)
-
     def mean_at(self, t):
         return self.nu * np.asarray(t, dtype=float)
-
-    def white_part(self) -> None:
-        return None
 
     def increment_part(self) -> float:
         return self.nu

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -539,6 +540,18 @@ class TestContinuousMoments:
     @pytest.mark.parametrize("noise", [WhiteGaussian(1.0)], ids=["white"])
     def test_no_continuous_limit_for_other_models(self, noise):
         assert continuous_moments(EstimatorConfig(n=1), noise) is None
+
+    @pytest.mark.parametrize("noise,name", [(Wiener(1e308), "sigma2 = 1e+308"),
+                                            (Poisson(1e308), "nu = 1e+308")],
+                             ids=["wiener", "poisson"])
+    def test_variance_beyond_the_float_range_names_the_intensity(self, noise, name):
+        # eta * T overflowed silently, and the report held an infinite variance
+        with pytest.raises(ValueError, match=re.escape(f"{name} gives a noise-error")):
+            continuous_moments(EstimatorConfig(n=1, T=10.0), noise)
+
+    def test_overflow_at_unit_intensity_is_not_blamed_on_it(self):
+        with pytest.raises(FloatingPointError):
+            continuous_moments(EstimatorConfig(n=1, mu=1e300), Wiener(1.0))
 
 
 class TestDiscreteMoments:

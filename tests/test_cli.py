@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algdiff import cli
+from algdiff import analysis, cli
 from algdiff.cli import SIN2T_TS, main
 from algdiff.analysis import variance_continuous
 from algdiff.kernel import EstimatorConfig, discretize, minimal_kernel
@@ -498,6 +499,25 @@ class TestErrorHandling:
              "sigma2 = 1e+300 gives a noise-error variance beyond the float range"),
             (["mc", "--model", "poisson", "--nu", "1e300", "--trials", "100", "--m", "40"],
              "nu = 1e+300 at step 0.025 passes NumPy's Poisson limit"),
+            # the discrete variance is in range, but not the trials' or the continuous one
+            (["mc", "--trials", "100", "--m", "40", "--sigma2", "1.4e308"],
+             "sigma2 = 1.4e+308 gives a noise-error variance beyond the float range"),
+            (["mc", "--trials", "100", "--m", "4", "--mu", "1", "--kappa", "0.5", "--F", "0.1",
+              "--sigma2", "1.3e308"],
+             "sigma2 = 1.3e+308 gives a noise-error variance beyond the float range"),
+            # a surface overflow names each axis's bound of larger magnitude, or
+            # T or eta when the same grid at 1 stays in range
+            (["surface", "variance_minimal", "--points", "3", "--mu-lo", "1e308"],
+             "variance_minimal leaves the float range for --kappa-hi 1.0, --mu-lo 1e+308"),
+            (["surface", "variance_minimal", "--points", "2", "--T", "1e-300", "--n", "2"],
+             "variance_minimal leaves the float range for T = 1e-300"),
+            (["surface", "variance_minimal", "--points", "2", "--T", "1e300"],
+             "variance_minimal leaves the float range for T = 1e+300"),
+            (["surface", "variance_affine", "--points", "2", "--eta", "1e308"],
+             "variance_affine leaves the float range for eta = 1e+308"),
+            # eta * T overflowed silently: exit 0 and inf in every cell
+            (["surface", "variance_minimal", "--points", "2", "--eta", "1e308", "--T", "2"],
+             "variance_minimal leaves the float range for eta = 1e+308"),
         ],
         ids=["points-0", "mu-inf", "T-inf", "xi-nan", "sigma2-nan", "nu-inf", "gamma-inf",
              "experiment-gamma-inf", "mc-band-overflows",
@@ -515,7 +535,11 @@ class TestErrorHandling:
              "experiment-m-zero", "experiment-m-negative", "estimate-m-zero", "spec-m-zero",
              "experiment-T-zero", "estimate-T-zero", "kernel-F-minus-inf", "mc-t0-minus-inf",
              "surface-kappa-lo-minus-inf", "mc-wiener-variance-overflow",
-             "mc-white-variance-overflow", "mc-poisson-rate-too-large"],
+             "mc-white-variance-overflow", "mc-poisson-rate-too-large",
+             "mc-empirical-variance-overflow", "mc-continuous-variance-overflow",
+             "surface-overflow-names-the-larger-bound", "surface-overflow-names-small-T",
+             "surface-overflow-names-large-T", "surface-overflow-names-eta",
+             "surface-eta-times-T-overflows"],
     )
     def test_rejected_input(self, capsys, tmp_path, argv, fragment):
         for arg in argv:
@@ -737,3 +761,69 @@ class TestOneRoute:
         implicit = run_captured(argv)
         assert implicit[0] == 0, implicit[2]
         assert run_captured(argv + defaults) == implicit
+
+
+# flag -> values of the hostile-input property: the edges of the float range
+# and of each domain, with n, q <= 4, m <= 400, 100 trials and <= 3 points so
+# that one run stays cheap
+EDGES = ("nan", "inf", "-inf", "1e300", "-1e300", "1e308", "1e-300", "-0.999999", "-1", "0",
+         "0.5", "1", "2", "abc")
+HOSTILE_VALUES = {
+    **dict.fromkeys(("mu", "kappa", "T", "xi", "F", "sigma2", "nu", "gamma", "t0", "eta",
+                     "kappa-lo", "kappa-hi", "mu-lo", "mu-hi"), EDGES),
+    "n": ("-1", "0", "1", "2", "4", "abc"),
+    "q": ("-1", "0", "1", "4", "nan"),
+    "m": ("0", "1", "5", "40", "400", "1e300"),
+    "beta": ("-1", "0", "1"),
+    "endpoint": ("f-rule", "suppress", "none"),
+    "seed": ("0", "-1", str(2**64 - 1), str(2**64), "abc"),
+    "stream": ("0", "-1", str(2**64 - 1), str(2**64), "abc"),
+    "points": ("-1", "0", "1", "3", "abc"),
+    "model": ("white", "wiener", "poisson", "pink"),
+}
+# subcommand -> (its fixed words, the flags the property may add)
+HOSTILE_COMMANDS = {
+    "estimate": (["--in", "{csv}"], cli._CONFIG_KEYS),
+    "experiment": ([st.sampled_from((*cli.PRESETS, "no-such-preset"))],
+                   (*cli._CONFIG_KEYS, "seed", "stream", "gamma")),
+    "kernel": ([], cli._CONFIG_KEYS),
+    "surface": ([st.sampled_from((*analysis._QUANTITIES, "bias"))],
+                ("points", "kappa-lo", "kappa-hi", "mu-lo", "mu-hi", "n", "q", "T", "eta")),
+    "mc": (["--trials", st.sampled_from(("99", "100", "abc"))],
+           ("model", "sigma2", "nu", "t0", "seed", "stream", "gamma", *cli._CONFIG_KEYS)),
+}
+
+
+@st.composite
+def hostile_argv(draw):
+    command = draw(st.sampled_from(sorted(HOSTILE_COMMANDS)))
+    words, flags = HOSTILE_COMMANDS[command]
+    argv = [command, *(word if isinstance(word, str) else draw(word) for word in words)]
+    for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=5)):
+        argv += [f"--{flag}", draw(st.sampled_from(HOSTILE_VALUES[flag]))]
+    return argv
+
+
+class TestHostileInput:
+    """README's promise: exit 0 with finite output, or exit 2 with one JSON line."""
+
+    @pytest.fixture(scope="class")
+    def csv_in(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("hostile") / "ramp.csv"
+        path.write_text("t,value\n" + "".join(f"{i * 0.01!r},{i * i * 1e-4!r}\n" for i in range(60)))
+        return str(path)
+
+    @settings(max_examples=250, deadline=None)
+    @given(hostile_argv())
+    def test_every_argv_exits_0_or_2_with_one_json_line(self, csv_in, argv):
+        argv = [csv_in if word == "{csv}" else word for word in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_captured(argv)
+        assert rc in (0, 2)
+        if rc == 2:
+            assert out == ""
+            (line,) = err.splitlines()
+            assert "error" in json.loads(line)
+        else:
+            assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out)

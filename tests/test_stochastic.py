@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import FrozenInstanceError, asdict
 from fractions import Fraction
 
 import numpy as np
@@ -521,6 +522,27 @@ class TestModelValidation:
         for model in (WhiteGaussian, Wiener, Poisson):
             with pytest.raises(ValueError):
                 model(value)
+
+    @pytest.mark.parametrize(
+        "model,text,field",
+        [(WhiteGaussian(0.5), "WhiteGaussian(sigma2=0.5)", {"sigma2": 0.5}),
+         (Wiener(1.5), "Wiener(sigma2=1.5)", {"sigma2": 1.5}),
+         (Poisson(2.0), "Poisson(nu=2.0)", {"nu": 2.0})],
+        ids=["white", "wiener", "poisson"],
+    )
+    def test_value_identity(self, model, text, field):
+        assert repr(model) == text
+        assert asdict(model) == field
+        ((name, value),) = field.items()
+        twin = type(model)(value)
+        assert twin == model and hash(twin) == hash(model)
+        assert type(model)(value + 1.0) != model
+        with pytest.raises(FrozenInstanceError):
+            setattr(model, name, 1.0)
+
+    def test_models_of_one_intensity_differ_by_kind(self):
+        assert Wiener(1.0) != WhiteGaussian(1.0)
+        assert len({Wiener(1.0), WhiteGaussian(1.0), Poisson(1.0)}) == 3
 
     def test_white_part_dispatch(self):
         # each model states exactly one intensity: white or independent-increment
