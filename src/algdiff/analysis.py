@@ -9,7 +9,7 @@ parameter-sweep surfaces used to choose exponents.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -143,10 +143,32 @@ def continuous_moments(cfg: EstimatorConfig, noise: NoiseModel) -> NoiseMomentRe
     mean = float(noise.mean_at(1.0)) if cfg.n == 1 else 0.0
     try:
         variance = variance_continuous(cfg, eta)
-    except FloatingPointError:
-        variance_continuous(cfg, 1.0)  # raises again when the intensity is not at fault
-        raise _beyond_float_range(noise) from None
+    except (FloatingPointError, OverflowError):
+        raise _continuous_out_of_range(cfg, noise) from None
     return NoiseMomentReport(mean, variance)
+
+
+def _continuous_out_of_range(cfg: EstimatorConfig, noise: NoiseModel) -> ValueError:
+    """The error for a continuous variance past the float range, naming the inputs at fault.
+
+    The intensity is at fault when the variance at unit intensity is in range.
+    Otherwise T, which enters as 1/T**(2n-1), is at fault when the same
+    config at T = 1 is in range; else the exponents are.
+    """
+
+    def in_range(at_unit_intensity: EstimatorConfig) -> bool:
+        try:
+            variance_continuous(at_unit_intensity, 1.0)
+        except (FloatingPointError, OverflowError):
+            return False
+        return True
+
+    if in_range(cfg):
+        return _beyond_float_range(noise)
+    what = "out of the float range for the continuous noise-error variance"
+    if in_range(replace(cfg, T=1.0)):
+        return ValueError(f"T = {cfg.T!r} is {what} at n = {cfg.n}")
+    return ValueError(f"mu = {cfg.mu!r} and kappa = {cfg.kappa!r} are {what}")
 
 
 def _tap_times(k: DiscreteKernel, t0: float) -> np.ndarray:
@@ -164,14 +186,20 @@ def discrete_moments(k: DiscreteKernel, noise: NoiseModel, t0: float) -> NoiseMo
     mean = float(np.dot(k.taps, noise.mean_at(_tap_times(k, t0))))
     variance = max(discrete_covariance(k, k, noise, t0), 0.0)
     if variance == math.inf:
-        raise _beyond_float_range(noise)
+        # under increment noise the variance grows with t0 by
+        # eta*t_s*(sum taps)**2, so t0 is named too when the window that
+        # starts at t = 0 stays in range
+        first = k.config.T if k.config.beta == -1 else 0.0
+        grows = discrete_covariance(k, k, noise, first) < math.inf
+        raise _beyond_float_range(noise, f" at t0 = {t0!r} (in range at t0 = {first!r})" if grows else "")
     return NoiseMomentReport(mean, variance)
 
 
-def _beyond_float_range(noise: NoiseModel) -> ValueError:
-    """The error for a noise-error variance past the float range, naming the intensity."""
+def _beyond_float_range(noise: NoiseModel, where: str = "") -> ValueError:
+    """The error for a noise-error variance past the float range, naming the
+    intensity, then ``where``."""
     ((name, value),) = asdict(noise).items()
-    return ValueError(f"{name} = {value!r} gives a noise-error variance beyond the float range")
+    return ValueError(f"{name} = {value!r}{where} gives a noise-error variance beyond the float range")
 
 
 def discrete_covariance(

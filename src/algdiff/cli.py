@@ -405,8 +405,12 @@ def _config(values: dict, ts: float | None = None) -> EstimatorConfig:
     if ts is not None:
         if "m" not in given and "T" not in given:
             raise ValueError("set m (taps) or T (window length)")
-        if "m" not in given:
-            given["m"] = round(given["T"] / ts)
+        if "m" not in given:  # check T at the default m, so a bad T is named as T
+            count = EstimatorConfig(n=1, T=given["T"]).T / ts
+            if not count < math.inf:
+                raise ValueError(f"T = {given['T']!r} over the sampling period {ts!r} "
+                                 "gives a tap count beyond the float range")
+            given["m"] = round(count)
         elif "T" not in given:  # check m at the default T, so a bad m is named as m
             given["T"] = EstimatorConfig(**given).m * ts
     return EstimatorConfig(**given)

@@ -256,9 +256,9 @@ def discretize(p: WeightedPoly, cfg: EstimatorConfig) -> DiscreteKernel:
     replaces only the singular power factor by ``(F/m)**exponent``, keeping
     every other factor at the true abscissa; "suppress" zeroes the tap.
     Taps whose noise gain sum(taps**2) leaves the float range, or that
-    underflow to all zero, are rejected with an error naming mu and kappa, T
-    when the window factor alone does it, or F and an exponent when the
-    f-rule end taps do.
+    underflow to all zero, or a Beta divisor that overflows, are rejected
+    with an error naming mu and kappa, T when the window factor alone does
+    it, or F and an exponent when the f-rule end taps do.
     """
     m = cfg.m
     a, b = float(p.mu_exp), float(p.kappa_exp)
@@ -268,6 +268,10 @@ def discretize(p: WeightedPoly, cfg: EstimatorConfig) -> DiscreteKernel:
     except OverflowError:
         raise _out_of_range(p, cfg, "kernel coefficients beyond the float range") from None
     poly = np.polynomial.polynomial.polyval(t, coeffs)
+    try:
+        divisor = p.scale_divisor()
+    except OverflowError:  # log-Gamma of a huge exponent
+        raise _out_of_range(p, cfg, "a Beta divisor out of the float range") from None
 
     values = np.empty(m + 1)
     values[1:-1] = (1.0 - t[1:-1]) ** a * t[1:-1] ** b * poly[1:-1]
@@ -283,7 +287,7 @@ def discretize(p: WeightedPoly, cfg: EstimatorConfig) -> DiscreteKernel:
                 values[i] = np.float64(cfg.F / m) ** e * poly[i]
             else:
                 values[i] = 0.0
-        taps = weights * values / p.scale_divisor()
+        taps = weights * values / divisor
         inner = np.delete(taps, list(f_ends))
         inner_gain, gain = float(inner @ inner), float(taps @ taps)
     # the noise gain sum(taps**2) scales every noise variance; as F -> 0 the

@@ -53,9 +53,6 @@ class RngSeed:
         if not 0 <= self.stream < _U64:
             raise ValueError("stream must fit in an unsigned 64-bit integer")
 
-    def shifted(self, offset: int) -> "RngSeed":
-        return RngSeed(self.seed, (self.stream + offset) % _U64)
-
     def generator(self) -> np.random.Generator:
         # an explicit uint64 array: a list mixing words on both sides of 2**63
         # would become float64 and round the key
@@ -118,31 +115,34 @@ NoiseModel = WhiteGaussian | Wiener | Poisson
 
 
 def gen_path(model: NoiseModel, ts: float, count: int, seed: RngSeed) -> SampledSignal:
-    """One realization sampled at 0, ts, 2*ts, ...; deterministic in ``seed``."""
+    """One realization sampled at 0, ts, 2*ts, ...; deterministic in ``seed``.
+
+    White noise draws its ``count`` samples; a process with independent
+    increments starts at 0 and draws its ``count - 1`` increments.
+    """
     if count < 1:
         raise ValueError("count must be at least 1")
     if not (math.isfinite(ts) and ts > 0):
         raise ValueError(f"ts must be finite and positive, got {ts!r}")
-    values = _draws(model, ts, count, seed.generator())
-    if model.increment_part() is not None:
-        values = np.concatenate(([0.0], np.cumsum(values)))
-    return SampledSignal(0.0, ts, values)
-
-
-def _draws(model: NoiseModel, ts: float, count: int, rng: np.random.Generator) -> np.ndarray:
-    """The random numbers behind a `gen_path` of ``count`` samples, drawn from
-    ``rng``: the samples of white noise, or the ``count - 1`` increments of a
-    process that starts at 0."""
+    rng = seed.generator()
     if isinstance(model, WhiteGaussian):
-        return rng.normal(0.0, math.sqrt(model.sigma2), count)
+        return SampledSignal(0.0, ts, rng.normal(0.0, math.sqrt(model.sigma2), count))
     if isinstance(model, Wiener):
-        return rng.normal(0.0, math.sqrt(model.sigma2 * ts), count - 1)
-    if isinstance(model, Poisson):
-        try:
-            return rng.poisson(model.nu * ts, count - 1)
-        except ValueError:  # NumPy refuses a rate past about 9.2e18
-            raise ValueError(f"nu = {model.nu!r} at step {ts!r} passes NumPy's Poisson limit") from None
-    raise TypeError(f"unknown noise model {model!r}")
+        increments = rng.normal(0.0, math.sqrt(model.sigma2 * ts), count - 1)
+    elif isinstance(model, Poisson):
+        increments = _poisson(rng, model.nu * ts, count - 1, f"nu = {model.nu!r} at step {ts!r}")
+    else:
+        raise TypeError(f"unknown noise model {model!r}")
+    return SampledSignal(0.0, ts, np.concatenate(([0.0], np.cumsum(increments))))
+
+
+def _poisson(rng: np.random.Generator, rate: float, size: int | None, inputs: str):
+    """``rng.poisson(rate, size)``; NumPy refuses a rate past about 9.2e18
+    without naming an input, so the error names ``inputs``."""
+    try:
+        return rng.poisson(rate, size)
+    except ValueError:
+        raise ValueError(f"{inputs} passes NumPy's Poisson limit") from None
 
 
 def calibrate_snr(x: SampledSignal, noise_path: SampledSignal, target_db: float) -> float:
@@ -198,19 +198,19 @@ def calibrate_snr(x: SampledSignal, noise_path: SampledSignal, target_db: float)
     return c
 
 
-# Longest noise path `mc_noise_samples` draws: a trial replays every draw
-# from t = 0, and its weights and its draws each hold up to this many float64
-# values (128 MiB)
-_MAX_PATH_SAMPLES = 1 << 24
+# Farthest a Monte-Carlo anchor t0 may lie from t = 0, in steps: there the
+# tap times round to within 2**-6 of a step, and `discrete_moments` stays
+# within 0.4 % of exact (measured for n <= 4); past 2**53 steps neighbouring
+# tap times coincide
+_MAX_SAMPLE_INDEX = 2**46
 
 
-def _window_indices(cfg: EstimatorConfig, t0: float) -> tuple[int, int]:
-    """Anchor index of t0 on the kernel grid and the path length needed."""
+def _window_start(cfg: EstimatorConfig, t0: float) -> int:
+    """Index on the kernel grid of the earliest sample of the window anchored at t0."""
     step = cfg.T / cfg.m
-    # before rounding, which fails on nan and inf without naming t0; the
-    # window's last index must fit a NumPy index as well
-    if not abs(t0 / step) < np.iinfo(np.intp).max - cfg.m - 1:
-        raise ValueError(f"t0 must be finite and within the sample index range, got {t0!r}")
+    # checked before rounding, which fails on nan and inf without naming t0
+    if not abs(t0 / step) < _MAX_SAMPLE_INDEX:
+        raise ValueError(f"t0 must be finite and within 2**46 samples of t = 0, got {t0!r}")
     k0 = round(t0 / step)
     if abs(t0 - k0 * step) > 1e-9 * max(1.0, abs(t0)):
         raise ValueError(f"t0 = {t0!r} does not lie on the kernel sample grid (step {step!r})")
@@ -218,13 +218,7 @@ def _window_indices(cfg: EstimatorConfig, t0: float) -> tuple[int, int]:
         raise ValueError("causal window reaches before time 0; need t0 >= T")
     if k0 < 0:
         raise ValueError("t0 must be nonnegative")
-    count = k0 + 1 if cfg.beta == -1 else k0 + cfg.m + 1
-    if count > _MAX_PATH_SAMPLES:
-        raise ValueError(
-            f"t0 = {t0!r} needs a noise path of {count} samples from t = 0 at step "
-            f"{step!r}; at most {_MAX_PATH_SAMPLES} are drawn"
-        )
-    return k0, count
+    return k0 - cfg.m if cfg.beta == -1 else k0
 
 
 def mc_noise_samples(
@@ -232,26 +226,55 @@ def mc_noise_samples(
 ) -> np.ndarray:
     """Per-trial noise-error contributions: taps applied to noise paths alone.
 
-    Trial k draws its path from Philox key ``[seed.seed, (seed.stream + k)
-    mod 2**64]`` at counter 0, so ``gen_path(..., seed.shifted(k))`` replays
-    it; one generator is re-keyed per trial rather than built anew.  A trial
-    is one dot product of its draws with weights built once: the taps at
-    their path indices, and for a process with independent increments the
-    tail sums of those, since sum_i w_i*X(t_i) = sum_j dX_j*sum_{i>j} w_i.
-    It equals the taps applied to ``gen_path``'s samples up to rounding.
-    The path from t = 0 to the window may hold at most 2**24 samples.
+    A trial draws only its window: m + 1 numbers, whatever t0.  Let
+    X_0..X_m be the window's samples in time order, X_0 at its earliest
+    time t_s.  White noise draws them as ``sqrt(sigma2) *
+    standard_normal(m + 1)``.  A process with independent increments draws
+    d_0 = X_0 and the m increments d_j = X_j - X_{j-1}; X_0 is N(0,
+    sigma2*t_s) or Poisson(nu*t_s), independent of the increments.  Then
+    sum_i w_i*X_i = sum_j d_j*sum_{i>=j} w_i: the draws dotted with the tail
+    sums of the taps, built once per call.  A Wiener trial draws all of d
+    with one ``standard_normal(m + 1)``, its scales folded into the weights;
+    a Poisson trial draws d_1..d_m with ``poisson(nu*step, m)``, then d_0
+    with ``poisson(nu*t_s)``.
+
+    Trial k draws from Philox key ``[seed.seed, (seed.stream + k) mod
+    2**64]`` at counter 0, so it depends on that key alone; one generator is
+    re-keyed per trial rather than built anew.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     taps = kernel_taps(cfg).taps
-    k0, count = _window_indices(cfg, t0)
     step = cfg.T / cfg.m
-    idx = k0 + cfg.beta * np.arange(cfg.m + 1)
-    weights = np.zeros(count)
-    weights[idx] = taps
-    if model.increment_part() is not None:
-        weights = np.cumsum(weights[::-1])[::-1][1:]
+    start = _window_start(cfg, t0) * step
+    in_time_order = taps[::-1] if cfg.beta == -1 else taps
+    if isinstance(model, WhiteGaussian):
+        weights = math.sqrt(model.sigma2) * in_time_order
+    else:
+        weights = np.cumsum(in_time_order[::-1])[::-1]  # weights[j] = sum_{i>=j} w_i
+    if isinstance(model, Wiener):
+        # each draw's standard deviation, as a product of square roots so
+        # that sigma2 * t_s cannot overflow
+        scales = np.full(cfg.m + 1, math.sqrt(step))
+        scales[0] = math.sqrt(start)
+        # a weight past the float range means a variance past it as well,
+        # which `discrete_moments` refuses, naming the input at fault
+        with np.errstate(over="ignore"):
+            weights = math.sqrt(model.sigma2) * scales * weights
     rng = seed.generator()
+    if isinstance(model, Poisson):
+        at_step = f"nu = {model.nu!r} at step {step!r}"
+        at_start = f"nu = {model.nu!r} at t0 = {t0!r}, whose window starts at t = {start!r},"
+
+        def draw_trial() -> float:
+            increments = _poisson(rng, model.nu * step, cfg.m, at_step)
+            return weights[1:] @ increments + weights[0] * _poisson(rng, model.nu * start, None, at_start)
+
+    else:
+
+        def draw_trial() -> float:
+            return weights @ rng.standard_normal(cfg.m + 1)
+
     # a fresh state: counter 0, empty buffer; the setter copies it, so this
     # one dict rewinds the generator onto each trial's key
     state = rng.bit_generator.state
@@ -260,7 +283,7 @@ def mc_noise_samples(
     for k in range(trials):
         key[1] = (seed.stream + k) % _U64
         rng.bit_generator.state = state
-        out[k] = np.dot(weights, _draws(model, step, count, rng))
+        out[k] = draw_trial()
     return out
 
 

@@ -12,8 +12,9 @@ from fractions import Fraction
 import numpy as np
 
 from algdiff.estimator import SampledSignal
-from algdiff.kernel import EstimatorConfig, WeightedPoly, wpoly_moment
+from algdiff.kernel import EstimatorConfig, WeightedPoly, kernel_taps, wpoly_moment
 from algdiff.specfun import beta_fn
+from algdiff.stochastic import NoiseModel, RngSeed, gen_path
 
 
 def wpoly(mu_exp, kappa_exp, coeffs, shift=0) -> WeightedPoly:
@@ -321,3 +322,30 @@ def bisection_calibrate_snr(x: SampledSignal, noise_path: SampledSignal, target_
     if abs(f(c)) > 1e-6:
         raise ValueError(f"target {target_db} dB not attained to 1e-6 dB (got offset {f(c)})")
     return c
+
+
+def taps_on_gen_path(
+    cfg: EstimatorConfig, model: NoiseModel, t0: float, trials: int, seed: RngSeed
+) -> np.ndarray:
+    """The Monte-Carlo trials of the earlier replay route: trial k applies the
+    taps to `gen_path` from t = 0 on key ``(seed, stream + k)``, through the
+    tail sums of the taps when the noise has independent increments.
+
+    It draws every sample from t = 0 to the window, so its cost grows as
+    t0/step; `mc_noise_samples` draws the window alone, and the tests compare
+    the two in distribution.
+    """
+    taps = kernel_taps(cfg).taps
+    step = cfg.T / cfg.m
+    idx = round(t0 / step) + cfg.beta * np.arange(cfg.m + 1)
+    count = int(idx.max()) + 1
+    weights = np.zeros(count)
+    weights[idx] = taps
+    cumulative = model.increment_part() is not None
+    if cumulative:  # sum_i w_i*X(t_i) = sum_j dX_j*sum_{i>j} w_i
+        weights = np.cumsum(weights[::-1])[::-1][1:]
+    out = np.empty(trials)
+    for k in range(trials):
+        path = gen_path(model, step, count, RngSeed(seed.seed, (seed.stream + k) % 2**64)).values
+        out[k] = weights @ (np.diff(path) if cumulative else path)
+    return out

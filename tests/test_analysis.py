@@ -550,11 +550,32 @@ class TestContinuousMoments:
             continuous_moments(EstimatorConfig(n=1, T=10.0), noise)
 
     def test_overflow_at_unit_intensity_is_not_blamed_on_it(self):
-        with pytest.raises(FloatingPointError):
+        # the exponents are at fault, and at T = 1 there is no T to blame
+        with pytest.raises(ValueError, match=r"^mu = 1e\+300 and kappa = 0.0 are out of the float range"):
             continuous_moments(EstimatorConfig(n=1, mu=1e300), Wiener(1.0))
+
+    @pytest.mark.parametrize("T", [1e300, 1e-300])
+    def test_overflow_that_T_alone_causes_names_T(self, T):
+        # T**(2n) overflows, or 1/T**(2n-1) does; at T = 1 the variance is in range
+        with pytest.raises(ValueError, match=r" at n = 1$") as exc:
+            continuous_moments(EstimatorConfig(n=1, T=T), Wiener(1.0))
+        assert str(exc.value).startswith(f"T = {T!r} is out of the float range")
 
 
 class TestDiscreteMoments:
+    @pytest.mark.parametrize("beta,first", [(-1, 1.0), (1, 0.0)])
+    def test_variance_past_the_float_range_far_from_zero_names_t0(self, beta, first):
+        # sum(taps) != 0, so the variance grows with t0 by sigma2*t_s*sum(taps)**2
+        k = make_kernel(EstimatorConfig(n=1, kappa=-0.7, beta=beta, T=1.0, m=40))
+        assert math.isfinite(discrete_moments(k, Wiener(1e300), first).variance)
+        with pytest.raises(ValueError, match=re.escape(
+                f"sigma2 = 1e+300 at t0 = 10000000000.0 (in range at t0 = {first!r}) gives")):
+            discrete_moments(k, Wiener(1e300), 1e10)
+        # where no t0 keeps it in range, the intensity alone is named
+        short = make_kernel(EstimatorConfig(n=1, kappa=-0.7, beta=beta, T=0.01, m=40))
+        with pytest.raises(ValueError, match=re.escape("sigma2 = 1e+308 gives")):
+            discrete_moments(short, Wiener(1e308), 1e10)
+
     def test_white_noise_exact_moments(self):
         cfg = EstimatorConfig(n=1, mu=0.5, kappa=0.25, beta=-1, T=1.0, m=50)
         k = make_kernel(cfg)

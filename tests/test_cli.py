@@ -379,6 +379,15 @@ class TestMcCommand:
         rc, out, _ = run_captured(["kernel"])
         assert rc == 0 and len(out.splitlines()) == 1 + 401
 
+    @pytest.mark.parametrize("t0", ["1e6", "1e12"])
+    def test_t0_past_the_old_path_cap_is_accepted(self, capsys, t0):
+        # a trial drew the path from t = 0 and refused more than 2**24 samples;
+        # it now draws its window alone, and the empirical variance is the
+        # discrete one's within 6 standard errors
+        report = run_json(capsys, ["mc", "--trials", "2000", "--m", "40", "--t0", t0])
+        discrete = report["bands"]["discrete"]["variance"]
+        assert abs(report["emp_var"] - discrete) <= 6.0 * report["stderr_var"]
+
     def test_too_few_trials(self, capsys):
         rc = main(["mc", "--trials", "50", "--n", "1", "--T", "1.0", "--m", "100"])
         assert rc == 2
@@ -426,7 +435,6 @@ class TestErrorHandling:
             (["mc", "--trials", "100", "--m", "40", "--t0", "nan"], "t0"),
             (["mc", "--trials", "100", "--m", "40", "--t0", "inf"], "t0"),
             (["mc", "--trials", "100", "--m", "40", "--t0", "1e300"], "t0"),
-            (["mc", "--trials", "100", "--m", "40", "--t0", "1e12"], "t0 = 1000000000000.0"),
             (["surface", "xi", "--points", "2", "--T", "-1"], "T"),
             (["surface", "xi", "--points", "2", "--eta", "-1"],
              "eta must be finite and nonnegative, got -1.0"),
@@ -500,11 +508,31 @@ class TestErrorHandling:
             (["mc", "--model", "poisson", "--nu", "1e300", "--trials", "100", "--m", "40"],
              "nu = 1e+300 at step 0.025 passes NumPy's Poisson limit"),
             # the discrete variance is in range, but not the trials' or the continuous one
-            (["mc", "--trials", "100", "--m", "40", "--sigma2", "1.4e308"],
+            (["mc", "--trials", "100", "--m", "40", "--seed", "2", "--sigma2", "1.4e308"],
              "sigma2 = 1.4e+308 gives a noise-error variance beyond the float range"),
             (["mc", "--trials", "100", "--m", "4", "--mu", "1", "--kappa", "0.5", "--F", "0.1",
               "--sigma2", "1.3e308"],
              "sigma2 = 1.3e+308 gives a noise-error variance beyond the float range"),
+            # the variance grows with t0 by sigma2 * t_s * sum(taps)**2: t0 is named too
+            (["mc", "--trials", "100", "--m", "40", "--kappa", "-0.7", "--sigma2", "1e300",
+              "--t0", "1e10"],
+             "sigma2 = 1e+300 at t0 = 10000000000.0 (in range at t0 = 1.0) gives a noise-error "
+             "variance beyond the float range"),
+            # the count before the window, Poisson(nu * t_s), passes NumPy's limit
+            (["mc", "--model", "poisson", "--nu", "1e9", "--trials", "100", "--m", "40",
+              "--t0", "1e10"],
+             "nu = 1000000000.0 at t0 = 10000000000.0, whose window starts at t = 9999999999.0"),
+            # inputs that once gave a message naming none of them
+            (["kernel", "--mu", "1e308"], "mu = 1e+308 and kappa = 0.0 give a Beta divisor"),
+            (["kernel", "--kappa", "1e308"], "mu = 0.0 and kappa = 1e+308 give a Beta divisor"),
+            (["estimate", "--in", "{tmp}/two-samples.csv", "--T", "nan"], "T must be finite, got nan"),
+            (["estimate", "--in", "{tmp}/two-samples.csv", "--T", "-inf"], "T must be finite, got -inf"),
+            (["estimate", "--in", "{tmp}/two-samples.csv", "--T", "1e308"],
+             "T = 1e+308 over the sampling period 0.1 gives a tap count beyond the float range"),
+            (["mc", "--trials", "100", "--mu", "1e300"],
+             "mu = 1e+300 and kappa = 0.0 are out of the float range for the continuous"),
+            (["mc", "--trials", "100", "--m", "40", "--T", "1e300", "--xi", "1e300", "--t0", "1e300"],
+             "T = 1e+300 is out of the float range for the continuous noise-error variance at n = 1"),
             # a surface overflow names each axis's bound of larger magnitude, or
             # T or eta when the same grid at 1 stays in range
             (["surface", "variance_minimal", "--points", "3", "--mu-lo", "1e308"],
@@ -521,7 +549,7 @@ class TestErrorHandling:
         ],
         ids=["points-0", "mu-inf", "T-inf", "xi-nan", "sigma2-nan", "nu-inf", "gamma-inf",
              "experiment-gamma-inf", "mc-band-overflows",
-             "t0-nan", "t0-inf", "t0-huge", "t0-path-too-long", "surface-T-negative",
+             "t0-nan", "t0-inf", "t0-huge", "surface-T-negative",
              "surface-eta-negative", "surface-kappa-lo-nan", "surface-mu-hi-inf",
              "surface-kappa-grid-reaches-minus-one", "surface-variance-overflow",
              "kernel-taps-not-finite", "mc-taps-not-finite", "kernel-taps-all-zero",
@@ -537,6 +565,10 @@ class TestErrorHandling:
              "surface-kappa-lo-minus-inf", "mc-wiener-variance-overflow",
              "mc-white-variance-overflow", "mc-poisson-rate-too-large",
              "mc-empirical-variance-overflow", "mc-continuous-variance-overflow",
+             "mc-variance-overflow-names-t0", "mc-poisson-anchor-names-t0",
+             "kernel-mu-beta-divisor", "kernel-kappa-beta-divisor", "estimate-T-nan",
+             "estimate-T-minus-inf", "estimate-T-tap-count-overflow",
+             "mc-continuous-variance-names-mu", "mc-continuous-variance-names-T",
              "surface-overflow-names-the-larger-bound", "surface-overflow-names-small-T",
              "surface-overflow-names-large-T", "surface-overflow-names-eta",
              "surface-eta-times-T-overflows"],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import FrozenInstanceError, asdict
 from fractions import Fraction
@@ -13,7 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from algdiff.estimator import SampledSignal
-from algdiff.kernel import EstimatorConfig, affine_kernel, discretize, kernel_taps, minimal_kernel
+from algdiff.analysis import discrete_moments
+from algdiff.kernel import EstimatorConfig, discretize, kernel_taps, minimal_kernel
 from algdiff.stochastic import (
     Poisson,
     RngSeed,
@@ -23,41 +25,52 @@ from algdiff.stochastic import (
     gen_path,
     mc_noise_samples,
 )
-from algdiff.stochastic import _MAX_PATH_SAMPLES, _draws, _sample_moments, _window_indices
-from oracles import bisection_calibrate_snr, snr_db
+from algdiff.stochastic import _MAX_SAMPLE_INDEX, _sample_moments, _window_start
+from oracles import bisection_calibrate_snr, snr_db, taps_on_gen_path
 
 U64 = 2**64
 MODELS = [Wiener(1.0), WhiteGaussian(2.0), Poisson(20.0)]
 MODEL_IDS = ["wiener", "white", "poisson"]
 EPS = np.finfo(float).eps
-TRIAL_ULPS = 16  # 300 Wiener trials at m = 400 reach 0.67 eps * S
+TRIAL_ULPS = 16  # 160 trials per model at m = 400, t0 = 2 and 1e6, reach 0.6 eps * S
 
 
-def assert_trials_apply_taps_to_gen_path(got, taps, idx, model, step, count, seed):
-    """Trial k equals the taps applied to gen_path(seed.shifted(k)) up to rounding.
+def window_by_hand(cfg, model, t0, rng) -> list[tuple[Fraction, float]]:
+    """The window's samples X_0..X_m in time order, rebuilt from one trial's
+    draws on ``rng`` with the same generator calls as `mc_noise_samples`.
 
-    The exact value sums tap_i * path_i in Fraction, path_i built from the
-    path's own draws.  The bound is TRIAL_ULPS * eps * S, with S the sum of
-    |tap_i| times the |draws| that make path_i; a trial on another key misses
-    by O(1).
+    Each sample is its exact value and the sum S of the |draws| that make it.
+    X_0 sits at t_s, the window's earliest time: white noise draws every
+    sample; otherwise X is the running sum of X_0 and the m increments.
     """
-    cumulative = model.increment_part() is not None
-    for k, value in enumerate(got):
-        draws = _draws(model, step, count, seed.shifted(k).generator())
-        # the draws are gen_path's: its samples are built from them
-        built = np.concatenate(([0.0], np.cumsum(draws))) if cumulative else draws
-        path = gen_path(model, step, count, seed.shifted(k)).values
-        np.testing.assert_array_equal(path, built)
-        exact, scale = [Fraction(0)], [0.0]
-        if cumulative:
-            for d in draws:
-                exact.append(exact[-1] + Fraction(float(d)))
-                scale.append(scale[-1] + abs(float(d)))
-        else:
-            exact, scale = [Fraction(float(d)) for d in draws], np.abs(draws)
-        want = sum(Fraction(float(t)) * exact[i] for t, i in zip(taps, idx))
-        bound = sum(abs(t) * scale[i] for t, i in zip(taps, idx))
-        assert abs(Fraction(float(value)) - want) <= TRIAL_ULPS * EPS * bound, k
+    step = cfg.T / cfg.m
+    t_s = (round(t0 / step) - (cfg.m if cfg.beta == -1 else 0)) * step
+    if isinstance(model, Poisson):
+        increments = rng.poisson(model.nu * step, cfg.m)
+        draws = [float(rng.poisson(model.nu * t_s)), *map(float, increments)]
+    else:
+        z = rng.standard_normal(cfg.m + 1)
+        if isinstance(model, WhiteGaussian):
+            return [(Fraction(x), abs(x)) for x in math.sqrt(model.sigma2) * z]
+        scales = [math.sqrt(model.sigma2 * t_s)] + [math.sqrt(model.sigma2 * step)] * cfg.m
+        draws = [scale * float(x) for scale, x in zip(scales, z)]
+    samples, exact, size = [], Fraction(0), 0.0
+    for d in draws:
+        exact, size = exact + Fraction(d), size + abs(d)
+        samples.append((exact, size))
+    return samples
+
+
+def assert_trial_rebuilt_by_hand(value, cfg, model, t0, key: RngSeed):
+    """One trial equals the taps applied to its window rebuilt by hand, within
+    TRIAL_ULPS * eps * S, S the sum of |tap_i| times X_i's own S; a trial on
+    another key misses by O(1)."""
+    taps = kernel_taps(cfg).taps
+    in_time_order = taps[::-1] if cfg.beta == -1 else taps
+    window = window_by_hand(cfg, model, t0, key.generator())
+    want = sum(Fraction(float(w)) * x for w, (x, _) in zip(in_time_order, window))
+    bound = sum(abs(float(w)) * size for w, (_, size) in zip(in_time_order, window))
+    assert abs(Fraction(float(value)) - want) <= TRIAL_ULPS * EPS * bound, key
 
 
 def snr_slope(x: np.ndarray, w: np.ndarray, c: float) -> float:
@@ -89,12 +102,6 @@ class TestRngSeed:
             RngSeed(2**64)
         with pytest.raises(ValueError):
             RngSeed(0, stream=-5)
-
-    def test_shift_wraps(self):
-        s = RngSeed(7, stream=2**64 - 1)
-        assert s.shifted(1).stream == 0
-        assert s.shifted(3).stream == 2
-        assert s.shifted(1).seed == 7
 
     def test_generator_reproducible(self):
         a = RngSeed(42, 3).generator().normal(size=8)
@@ -355,22 +362,41 @@ class TestMcNoiseSamples:
     @pytest.mark.parametrize("beta", [-1, 1])
     @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     def test_trial_k_applies_taps_to_gen_path_k(self, model, beta):
-        # the trial loop weights the draws instead of building the path, but
-        # draws the same numbers
-        cfg = EstimatorConfig(n=1, q=1, xi=0.3, beta=beta, T=0.5, m=50)
+        # in distribution: the trials have the law of the taps applied to
+        # gen_path on key k, the earlier replay route that drew the path from
+        # t = 0; their means and variances agree within 6 standard errors
+        cfg = EstimatorConfig(n=1, q=1, xi=0.3, kappa=-0.5, beta=beta, T=0.5, m=50)
+        trials = 3000
+        window = mc_noise_samples(cfg, model, 1.0, trials, RngSeed(9, 3))
+        replay = taps_on_gen_path(cfg, model, 1.0, trials, RngSeed(10, 3))
+        (m1, v1, s1), (m2, v2, s2) = _sample_moments(window), _sample_moments(replay)
+        assert abs(m1 - m2) <= 6.0 * math.sqrt((v1 + v2) / trials)
+        assert abs(v1 - v2) <= 6.0 * math.hypot(s1, s2)
+
+    @pytest.mark.parametrize("beta", [-1, 1])
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_one_trial_rebuilt_by_hand(self, model, beta):
+        # a window 4e8 samples from t = 0 with sum(taps) != 0, so X(t_s) counts
+        cfg = EstimatorConfig(n=1, kappa=-0.5, beta=beta, T=1.0, m=400)
         seed = RngSeed(9, 3)
-        got = mc_noise_samples(cfg, model, 1.0, 20, seed)
-        taps = discretize(affine_kernel(cfg), cfg).taps
-        k0 = 100
-        idx = k0 + beta * np.arange(cfg.m + 1)
-        count = k0 + 1 if beta == -1 else k0 + cfg.m + 1
-        assert_trials_apply_taps_to_gen_path(got, taps, idx, model, cfg.T / cfg.m, count, seed)
+        (value,) = mc_noise_samples(cfg, model, 1e6, 1, seed)
+        assert_trial_rebuilt_by_hand(value, cfg, model, 1e6, seed)
+
+    def test_trial_k_depends_on_its_key_alone(self):
+        # trial k of a call at stream s is trial 0 of a call at stream s + k,
+        # whatever the trial count, and stream + k wraps past 2**64 - 1
+        cfg = EstimatorConfig(n=1, kappa=-0.5, T=1.0, m=40)
+        for model in MODELS:
+            top = mc_noise_samples(cfg, model, 3.0, 6, RngSeed(7, U64 - 2))
+            np.testing.assert_array_equal(top[2:], mc_noise_samples(cfg, model, 3.0, 4, RngSeed(7, 0)))
+            np.testing.assert_array_equal(top[1:3], mc_noise_samples(cfg, model, 3.0, 2, RngSeed(7, U64 - 1)))
+            assert len(set(top)) == 6
 
     @given(
         model=st.sampled_from(MODELS),
         beta=st.sampled_from([-1, 1]),
         m=st.integers(2, 23),
-        k0=st.integers(0, 41),
+        k0=st.one_of(st.integers(0, 41), st.integers(0, 2**40)),
         seed=st.one_of(st.integers(0, 2**63 - 1), st.integers(2**63, U64 - 1)),
         stream=st.one_of(
             st.integers(0, 2**63 - 1), st.integers(2**63, U64 - 1), st.integers(U64 - 8, U64 - 1)
@@ -379,19 +405,18 @@ class TestMcNoiseSamples:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_fresh_generator_per_trial(self, model, beta, m, k0, seed, stream, trials):
-        # the re-keyed generator must replay gen_path(seed.shifted(k)) for every
-        # key, across the 2**64 wrap and for draw counts that leave part of a
-        # four-word Philox block in the buffer
+        # the re-keyed generator draws what a fresh generator on key
+        # (seed, stream + k mod 2**64) draws, for every key, across the wrap
+        # and for draw counts that leave part of a four-word Philox block in
+        # the buffer
         cfg = EstimatorConfig(n=1, beta=beta, T=1.0, m=m)
         if beta == -1:
             k0 += m
-        step = cfg.T / m
-        rng_seed = RngSeed(seed, stream)
-        got = mc_noise_samples(cfg, model, k0 * step, trials, rng_seed)
-        taps = kernel_taps(cfg).taps
-        idx = k0 + beta * np.arange(m + 1)
-        count = k0 + 1 if beta == -1 else k0 + m + 1
-        assert_trials_apply_taps_to_gen_path(got, taps, idx, model, step, count, rng_seed)
+        t0 = k0 * cfg.T / m
+        got = mc_noise_samples(cfg, model, t0, trials, RngSeed(seed, stream))
+        for k, value in enumerate(got):
+            key = RngSeed(seed, (stream + k) % U64)
+            assert_trial_rebuilt_by_hand(value, cfg, model, t0, key)
 
     @pytest.mark.parametrize("trials", [1, 7, 300])
     def test_builds_one_generator_per_call(self, monkeypatch, trials):
@@ -424,14 +449,29 @@ class TestMcNoiseSamples:
             mc_noise_samples(self.CFG, Wiener(1.0), 2.0, 0, RngSeed(1))
 
     @pytest.mark.parametrize("beta", [-1, 1])
-    def test_path_length_is_capped(self, beta):
-        # checked before any path is allocated: the longest path allowed
-        # passes, one more sample is refused with an error naming t0
-        cfg = EstimatorConfig(n=1, beta=beta, T=1.0, m=8)
-        last = _MAX_PATH_SAMPLES - 1 if beta == -1 else _MAX_PATH_SAMPLES - cfg.m - 1
-        assert _window_indices(cfg, last / 8)[1] == _MAX_PATH_SAMPLES
-        with pytest.raises(ValueError, match=r"t0 = .* at most 16777216"):
-            _window_indices(cfg, (last + 1) / 8)
+    def test_t0_far_from_zero_is_accepted(self, beta):
+        # the path from t = 0 was capped at 2**24 samples; t0 = 1e6 is 4e8
+        # samples out, and a window draws its m + 1 numbers wherever it lies
+        cfg = EstimatorConfig(n=1, beta=beta, T=1.0, m=400)
+        assert np.isfinite(mc_noise_samples(cfg, Wiener(1.0), 1e6, 20, RngSeed(1))).all()
+        # the sample index stays below 2**46, where the tap times are still
+        # resolved; the error names t0
+        step = cfg.T / cfg.m
+        last = (_MAX_SAMPLE_INDEX - 1) * step
+        assert _window_start(cfg, last) == _MAX_SAMPLE_INDEX - 1 - (cfg.m if beta == -1 else 0)
+        with pytest.raises(ValueError, match=r"t0 must be finite and within 2\*\*46 samples"):
+            _window_start(cfg, _MAX_SAMPLE_INDEX * step)
+
+    def test_poisson_anchor_beyond_numpy_limit_names_t0(self):
+        # nu * step is in range, nu * t_s is not: the count before the window
+        cfg = EstimatorConfig(n=1, T=1.0, m=40)
+        anchor = ("nu = 1000000000.0 at t0 = 10000000000.0, whose window starts at "
+                  "t = 9999999999.0, passes NumPy's Poisson limit")
+        with pytest.raises(ValueError, match=re.escape(anchor)):
+            mc_noise_samples(cfg, Poisson(1e9), 1e10, 3, RngSeed(1))
+        # a step rate past the limit is named as before, whatever t0
+        with pytest.raises(ValueError, match=re.escape("nu = 1e+300 at step 0.025 passes")):
+            mc_noise_samples(cfg, Poisson(1e300), 1e10, 3, RngSeed(1))
 
 
 def noise_moments(cfg, model, t0, trials, seed):
@@ -469,6 +509,32 @@ class TestMcNoiseError:
         cfg = EstimatorConfig(n=3, beta=-1, T=1.0, m=200)
         mean, var, _ = noise_moments(cfg, Poisson(1.5), 2.0, 10_000, RngSeed(15))
         assert abs(mean) <= 4.0 * math.sqrt(var / 10_000)
+
+    @given(
+        n=st.integers(1, 3),
+        q=st.integers(0, 2),
+        mu=st.floats(-0.9, 2.0),
+        kappa=st.floats(-0.9, 2.0),
+        xi=st.floats(0.0, 1.0),
+        beta=st.sampled_from([-1, 1]),
+        T=st.floats(0.25, 4.0),
+        extra=st.integers(0, 30),
+        model=st.sampled_from([Wiener(0.7), WhiteGaussian(1.3), Poisson(20.0)]),
+        t0_over_T=st.one_of(st.floats(1.0, 10.0), st.floats(1.0, 1e6)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_variance_matches_discrete_moments_at_any_t0(
+        self, n, q, mu, kappa, xi, beta, T, extra, model, t0_over_T, seed
+    ):
+        # the window-only draws have the exact sampled variance, from t0 = T
+        # to t0 = 1e6 T, far past the 2**24 samples the path from t = 0 allowed
+        cfg = EstimatorConfig(n=n, q=q, mu=mu, kappa=kappa, xi=xi, beta=beta, T=T, m=n + q + 8 + extra)
+        step = T / cfg.m
+        t0 = round(t0_over_T * T / step) * step
+        _, var, stderr = noise_moments(cfg, model, t0, 2000, RngSeed(seed))
+        exact = discrete_moments(kernel_taps(cfg), model, t0).variance
+        assert abs(var - exact) <= 6.0 * stderr
 
     def test_deterministic(self):
         cfg = EstimatorConfig(n=1, beta=-1, T=1.0, m=100)
