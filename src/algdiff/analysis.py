@@ -15,7 +15,7 @@ import numpy as np
 
 from .kernel import DiscreteKernel, EstimatorConfig
 from .specfun import _gauss_rule, _jacobi_values, _least_zero, _log_beta
-from .stochastic import NoiseModel, _check_intensity
+from .stochastic import NoiseModel, _check_intensity, _window_draws
 
 __all__ = [
     "BiasBounds",
@@ -171,28 +171,36 @@ def _continuous_out_of_range(cfg: EstimatorConfig, noise: NoiseModel) -> ValueEr
     return ValueError(f"mu = {cfg.mu!r} and kappa = {cfg.kappa!r} are {what}")
 
 
-def _tap_times(k: DiscreteKernel, t0: float) -> np.ndarray:
-    cfg = k.config
-    return t0 + cfg.beta * cfg.T * np.arange(cfg.m + 1) / cfg.m
+def _earliest_time(k: DiscreteKernel, noise: NoiseModel, t0: float) -> float:
+    """Earliest tap time of the window at ``t0``; increment noise starts at t = 0."""
+    start = t0 - k.config.T if k.config.beta == -1 else t0
+    if noise.increment_part() is not None and start < -1e-12:
+        raise ValueError("window reaches negative times but the noise process starts at t = 0; "
+                         "use t0 >= T for causal windows")
+    return start
+
+
+def _tap_times(k: DiscreteKernel, start: float) -> np.ndarray:
+    return start + k.config.T * np.arange(k.config.m + 1)[:: k.config.beta] / k.config.m
 
 
 def discrete_moments(k: DiscreteKernel, noise: NoiseModel, t0: float) -> NoiseMomentReport:
-    """Exact sampled-case mean and variance of the noise error at ``t0``.
-
-    The mean is the tap sum against the model's mean function; the variance is
-    the kernel's `discrete_covariance` with itself, which also checks that the
-    window lies where the process is defined.
-    """
-    mean = float(np.dot(k.taps, noise.mean_at(_tap_times(k, t0))))
-    variance = max(discrete_covariance(k, k, noise, t0), 0.0)
+    """Exact sampled-case mean and variance of the noise error at ``t0``: O(m)
+    sums over the window's uncorrelated draws (`stochastic._window_draws`),
+    the mean w @ mean_at(l) and the variance eta * sum(l * w**2)."""
+    w, l = _window_draws(k, noise, _earliest_time(k, noise, t0))
+    ((_, eta),) = asdict(noise).items()
+    with np.errstate(over="ignore"):
+        terms = l * (w * w) * eta
+        window = float(np.sum(terms[1:]))
+    variance = float(terms[0]) + window
     if variance == math.inf:
-        # under increment noise the variance grows with t0 by
-        # eta*t_s*(sum taps)**2, so t0 is named too when the window that
-        # starts at t = 0 stays in range
+        # under increment noise the j = 0 term, eta*t_s*(sum taps)**2, grows
+        # with t0, so t0 is named too when the other terms stay in range
         first = k.config.T if k.config.beta == -1 else 0.0
-        grows = discrete_covariance(k, k, noise, first) < math.inf
+        grows = noise.increment_part() is not None and window < math.inf
         raise _beyond_float_range(noise, f" at t0 = {t0!r} (in range at t0 = {first!r})" if grows else "")
-    return NoiseMomentReport(mean, variance)
+    return NoiseMomentReport(float(w @ noise.mean_at(l)), variance)
 
 
 def _beyond_float_range(noise: NoiseModel, where: str = "") -> ValueError:
@@ -229,12 +237,10 @@ def discrete_covariance(
         if lo >= hi:
             return 0.0
         return white * float(np.dot(k1.taps[lo:hi], k2.taps[lo - r : hi - r]))
-    times = np.concatenate((_tap_times(k1, t01), _tap_times(k2, t02)))
-    if float(np.min(times)) < -1e-12:
-        raise ValueError(
-            "window reaches negative times but the noise process starts at t = 0; "
-            "use t0 >= T for causal windows"
-        )
+    # times from the earlier window start (the first step), not from t = 0
+    start1, start2 = _earliest_time(k1, noise, t01), _earliest_time(k2, noise, t02)
+    start = min(start1, start2)
+    times = np.concatenate((_tap_times(k1, start1 - start), _tap_times(k2, start2 - start)))
     # min(s, t) is the length of [0, s] & [0, t], so the quadratic form is the
     # sum over the merged sorted times tau of (tau_k - tau_{k-1}) * A_k * B_k,
     # with A_k, B_k each kernel's tap sum at times >= tau_k and tau_{-1} = 0
@@ -242,7 +248,9 @@ def discrete_covariance(
     pad1, pad2 = np.zeros(cfg1.m + 1), np.zeros(cfg2.m + 1)
     tails1 = np.cumsum(np.concatenate((k1.taps, pad2))[order][::-1])[::-1]
     tails2 = np.cumsum(np.concatenate((pad1, k2.taps))[order][::-1])[::-1]
-    steps = np.diff(times[order], prepend=0.0)
+    # the tap sums weigh the first step, the whole path before the windows
+    tails1[0], tails2[0] = math.fsum(k1.taps), math.fsum(k2.taps)
+    steps = np.diff(times[order], prepend=-start)
     return noise.increment_part() * float(np.dot(steps, tails1 * tails2))
 
 

@@ -145,7 +145,7 @@ def run_experiment(values: dict, out_dir: str | None = None) -> dict:
     """
     clean, deriv = _signal(values)
     noise = _noise(values)
-    cfg = _config(values, clean.ts)
+    cfg = _config(values, clean)
     seed = RngSeed(values["seed"], values["stream"])
     gamma = values["gamma"]
 
@@ -395,25 +395,34 @@ def _resolve(flags: dict, spec: dict | None = None) -> dict:
     return {**_DEFAULTS, **(spec or {}), **flags}
 
 
-def _config(values: dict, ts: float | None = None) -> EstimatorConfig:
+def _config(values: dict, signal: SampledSignal | None = None) -> EstimatorConfig:
     """Estimator from resolved values over the dataclass defaults.
 
-    With a sampling period ``ts`` the window must be set by m (taps) or T
-    (seconds), and either gives the other; without one, each defaults alone.
+    Against a ``signal`` the window must be set by m (taps) or T (seconds),
+    either gives the other at the signal's sampling period, and the window
+    must fit in the signal; without one, each defaults alone.
     """
     given = {key: values[key] for key in _CONFIG_KEYS if key in values}
-    if ts is not None:
-        if "m" not in given and "T" not in given:
-            raise ValueError("set m (taps) or T (window length)")
-        if "m" not in given:  # check T at the default m, so a bad T is named as T
-            count = EstimatorConfig(n=1, T=given["T"]).T / ts
-            if not count < math.inf:
-                raise ValueError(f"T = {given['T']!r} over the sampling period {ts!r} "
-                                 "gives a tap count beyond the float range")
-            given["m"] = round(count)
-        elif "T" not in given:  # check m at the default T, so a bad m is named as m
-            given["T"] = EstimatorConfig(**given).m * ts
-    return EstimatorConfig(**given)
+    if signal is None:
+        return EstimatorConfig(**given)
+    ts, count = signal.ts, len(signal.values)
+    if "m" not in given and "T" not in given:
+        raise ValueError("set m (taps) or T (window length)")
+    if "m" not in given:  # check T at the least m, so a bad T is named as T
+        least = given.get("n", 1) + given.get("q", 0) + 1
+        T = EstimatorConfig(**{**given, "m": least}).T
+        taps = T / ts
+        if not (taps < math.inf and least <= round(taps) < count):
+            what = f"{taps:.6g} taps" if taps < math.inf else "a tap count beyond the float range"
+            raise ValueError(f"T = {T!r} over the sampling period {ts!r} gives {what}; "
+                             f"a signal of {count} samples allows {least} to {count - 1} taps")
+        given["m"] = round(taps)
+    elif "T" not in given:  # check m at the default T, so a bad m is named as m
+        given["T"] = EstimatorConfig(**given).m * ts
+    cfg = EstimatorConfig(**given)
+    if cfg.m >= count:
+        raise ValueError(f"m = {cfg.m} needs a window of {cfg.m + 1} samples; the signal has {count}")
+    return cfg
 
 
 def _noise(values: dict) -> NoiseModel | None:
@@ -504,7 +513,7 @@ def _print_json(document: dict) -> None:
 
 def _cmd_estimate(ns: argparse.Namespace) -> int:
     signal = _csv_signal(ns.input)
-    series = estimate_series(signal, _config(_resolve(_flags(ns)), signal.ts))
+    series = estimate_series(signal, _config(_resolve(_flags(ns)), signal))
     with _open_out(ns.out) as out:
         _write_csv(out, ["t", "estimate"], zip(series.times, series.estimates))
     return 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .estimator import SampledSignal
-from .kernel import EstimatorConfig, kernel_taps
+from .kernel import DiscreteKernel, EstimatorConfig, kernel_taps
 
 __all__ = [
     "WhiteGaussian",
@@ -198,22 +198,15 @@ def calibrate_snr(x: SampledSignal, noise_path: SampledSignal, target_db: float)
     return c
 
 
-# Farthest a Monte-Carlo anchor t0 may lie from t = 0, in steps: there the
-# tap times round to within 2**-6 of a step, and `discrete_moments` stays
-# within 0.4 % of exact (measured for n <= 4); past 2**53 steps neighbouring
-# tap times coincide
-_MAX_SAMPLE_INDEX = 2**46
-
-
 def _window_start(cfg: EstimatorConfig, t0: float) -> int:
     """Index on the kernel grid of the earliest sample of the window anchored at t0."""
     step = cfg.T / cfg.m
     # checked before rounding, which fails on nan and inf without naming t0
-    if not abs(t0 / step) < _MAX_SAMPLE_INDEX:
-        raise ValueError(f"t0 must be finite and within 2**46 samples of t = 0, got {t0!r}")
+    if not abs(t0 / step) < math.inf:
+        raise ValueError(f"t0 must be finite in units of the step T/m = {step!r}, got {t0!r}")
     k0 = round(t0 / step)
     if abs(t0 - k0 * step) > 1e-9 * max(1.0, abs(t0)):
-        raise ValueError(f"t0 = {t0!r} does not lie on the kernel sample grid (step {step!r})")
+        raise ValueError(f"t0 = {t0!r} is off the sample grid of step T/m = {cfg.T!r}/{cfg.m}")
     if cfg.beta == -1 and k0 < cfg.m:
         raise ValueError("causal window reaches before time 0; need t0 >= T")
     if k0 < 0:
@@ -221,46 +214,40 @@ def _window_start(cfg: EstimatorConfig, t0: float) -> int:
     return k0 - cfg.m if cfg.beta == -1 else k0
 
 
+def _window_draws(k: DiscreteKernel, model: NoiseModel, start: float) -> tuple[np.ndarray, np.ndarray]:
+    """(w, l): the window's noise error is sum_j w_j*d_j over uncorrelated
+    draws d_j of mean ``model.mean_at(l_j)`` and variance eta*l_j.
+
+    With X_0..X_m the window's samples in time order from t_s = ``start``,
+    white noise draws them: w is the taps in time order, l = 1.  A process
+    with independent increments draws d_0 = X_0 and d_j = X_j - X_{j-1}:
+    l_0 = t_s, l_j = T/m, and w_j = sum_{i>=j} of the taps in time order,
+    w_0 the tap sum, summed exactly as it weighs the whole path before the
+    window (Mboup, Join & Fliess, Numer. Algorithms 50, 2009).
+    """
+    cfg = k.config
+    if model.white_part() is not None:
+        return k.taps[:: cfg.beta], np.ones(cfg.m + 1)
+    w = np.cumsum(k.taps[:: -cfg.beta])[::-1]
+    w[0] = math.fsum(k.taps)
+    return w, np.concatenate(([start], np.full(cfg.m, cfg.T / cfg.m)))
+
+
 def mc_noise_samples(
     cfg: EstimatorConfig, model: NoiseModel, t0: float, trials: int, seed: RngSeed
 ) -> np.ndarray:
     """Per-trial noise-error contributions: taps applied to noise paths alone.
 
-    A trial draws only its window: m + 1 numbers, whatever t0.  Let
-    X_0..X_m be the window's samples in time order, X_0 at its earliest
-    time t_s.  White noise draws them as ``sqrt(sigma2) *
-    standard_normal(m + 1)``.  A process with independent increments draws
-    d_0 = X_0 and the m increments d_j = X_j - X_{j-1}; X_0 is N(0,
-    sigma2*t_s) or Poisson(nu*t_s), independent of the increments.  Then
-    sum_i w_i*X_i = sum_j d_j*sum_{i>=j} w_i: the draws dotted with the tail
-    sums of the taps, built once per call.  A Wiener trial draws all of d
-    with one ``standard_normal(m + 1)``, its scales folded into the weights;
-    a Poisson trial draws d_1..d_m with ``poisson(nu*step, m)``, then d_0
-    with ``poisson(nu*t_s)``.
-
-    Trial k draws from Philox key ``[seed.seed, (seed.stream + k) mod
-    2**64]`` at counter 0, so it depends on that key alone; one generator is
-    re-keyed per trial rather than built anew.
+    Trial k draws the m + 1 d_j of `_window_draws`, whatever t0, from Philox
+    key ``[seed.seed, (seed.stream + k) mod 2**64]`` at counter 0 alone:
+    Gaussian ones as one ``standard_normal(m + 1)``, Poisson ones as
+    ``poisson(nu*step, m)``, then d_0; one generator is re-keyed per trial.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    taps = kernel_taps(cfg).taps
     step = cfg.T / cfg.m
     start = _window_start(cfg, t0) * step
-    in_time_order = taps[::-1] if cfg.beta == -1 else taps
-    if isinstance(model, WhiteGaussian):
-        weights = math.sqrt(model.sigma2) * in_time_order
-    else:
-        weights = np.cumsum(in_time_order[::-1])[::-1]  # weights[j] = sum_{i>=j} w_i
-    if isinstance(model, Wiener):
-        # each draw's standard deviation, as a product of square roots so
-        # that sigma2 * t_s cannot overflow
-        scales = np.full(cfg.m + 1, math.sqrt(step))
-        scales[0] = math.sqrt(start)
-        # a weight past the float range means a variance past it as well,
-        # which `discrete_moments` refuses, naming the input at fault
-        with np.errstate(over="ignore"):
-            weights = math.sqrt(model.sigma2) * scales * weights
+    weights, lengths = _window_draws(kernel_taps(cfg), model, start)
     rng = seed.generator()
     if isinstance(model, Poisson):
         at_step = f"nu = {model.nu!r} at step {step!r}"
@@ -271,6 +258,11 @@ def mc_noise_samples(
             return weights[1:] @ increments + weights[0] * _poisson(rng, model.nu * start, None, at_start)
 
     else:
+        # white or Wiener: each draw's deviation as a product of square roots,
+        # so that sigma2*l cannot overflow; a weight past the float range means
+        # a variance past it too, which `discrete_moments` refuses by name
+        with np.errstate(over="ignore"):
+            weights = math.sqrt(model.sigma2) * np.sqrt(lengths) * weights
 
         def draw_trial() -> float:
             return weights @ rng.standard_normal(cfg.m + 1)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from algdiff.estimator import SampledSignal
-from algdiff.kernel import EstimatorConfig, WeightedPoly, kernel_taps, wpoly_moment
+from algdiff.kernel import DiscreteKernel, EstimatorConfig, WeightedPoly, kernel_taps, wpoly_moment
 from algdiff.specfun import beta_fn
 from algdiff.stochastic import NoiseModel, RngSeed, gen_path
 
@@ -274,6 +274,39 @@ def dense_increment_covariance(
 ) -> float:
     """``eta * a @ min(s, t) @ b`` through the full (m1+1) x (m2+1) matrix."""
     return eta * float(taps1 @ np.minimum.outer(times1, times2) @ taps2)
+
+
+def exact_increment_covariance(eta, taps1, times1, taps2, times2) -> Fraction:
+    """``eta * a @ min(s, t) @ b`` in exact rational arithmetic, each input
+    taken exactly: the integral over u >= 0 of A(u)*B(u), A(u) the sum of the
+    taps a_i at times s_i >= u, over the merged sorted times, no float step."""
+    events = sorted([(Fraction(t), Fraction(a), 0) for a, t in zip(taps1, times1)]
+                    + [(Fraction(t), 0, Fraction(b)) for b, t in zip(taps2, times2)])
+    total, previous = Fraction(0), Fraction(0)
+    tail1, tail2 = sum(Fraction(a) for a in taps1), sum(Fraction(b) for b in taps2)
+    for t, a, b in events:
+        total += (t - previous) * tail1 * tail2
+        previous, tail1, tail2 = t, tail1 - a, tail2 - b
+    return Fraction(eta) * total
+
+
+def exact_tap_times(k: DiscreteKernel, t0: float) -> list[Fraction]:
+    """The tap times t0 + beta*T*i/m, exactly."""
+    cfg = k.config
+    return [Fraction(t0) + cfg.beta * Fraction(cfg.T) * i / cfg.m for i in range(cfg.m + 1)]
+
+
+def exact_discrete_moments(k: DiscreteKernel, noise: NoiseModel, t0: float) -> tuple[Fraction, Fraction]:
+    """`discrete_moments` in exact rational arithmetic: the float taps and the
+    exact tap times, the mean sum_i a_i*E[X(t_i)] (E[X(t)] linear in t for
+    every model) and the variance sigma2*sum a_i**2 for white noise, else
+    `exact_increment_covariance` of the kernel with itself."""
+    taps, times = [Fraction(float(a)) for a in k.taps], exact_tap_times(k, t0)
+    mean = Fraction(float(noise.mean_at(1.0))) * sum(a * t for a, t in zip(taps, times))
+    white = noise.white_part()
+    if white is not None:
+        return mean, Fraction(white) * sum(a * a for a in taps)
+    return mean, exact_increment_covariance(noise.increment_part(), taps, times, taps, times)
 
 
 def snr_db(x: np.ndarray, scaled_noise: np.ndarray) -> float:

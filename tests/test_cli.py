@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 from algdiff import analysis, cli
 from algdiff.cli import SIN2T_TS, main
 from algdiff.analysis import variance_continuous
-from algdiff.kernel import EstimatorConfig, discretize, minimal_kernel
+from algdiff.kernel import EstimatorConfig, discretize, kernel_taps, minimal_kernel
 from algdiff.specfun import _least_zero
+from algdiff.stochastic import Wiener
+from oracles import exact_discrete_moments
 
 
 def read_csv(path):
@@ -388,6 +390,16 @@ class TestMcCommand:
         discrete = report["bands"]["discrete"]["variance"]
         assert abs(report["emp_var"] - discrete) <= 6.0 * report["stderr_var"]
 
+    @pytest.mark.parametrize("t0", ["1e15", "1e300"])
+    def test_t0_past_the_old_sample_cap_is_accepted(self, capsys, t0):
+        # mc refused a window more than 2**46 steps from t = 0, where the tap
+        # times rounded at ulp(t0); its discrete variance is now the exact one
+        # within 1e-13 relative
+        report = run_json(capsys, ["mc", "--trials", "100", "--m", "40", "--t0", t0])
+        k = kernel_taps(EstimatorConfig(**report["config"]))
+        exact = float(exact_discrete_moments(k, Wiener(1.0), float(t0))[1])
+        assert abs(report["bands"]["discrete"]["variance"] - exact) <= 1e-13 * exact
+
     def test_too_few_trials(self, capsys):
         rc = main(["mc", "--trials", "50", "--n", "1", "--T", "1.0", "--m", "100"])
         assert rc == 2
@@ -407,6 +419,7 @@ INPUT_FILES = {
     "polynomial-no-coeffs.spec": "signal = polynomial\nm = 4\n",
     "m-zero.spec": "signal = sin2t\nm = 0\n",
     "two-samples.csv": "t,value\n0,1\n0.1,2\n",
+    "ramp.csv": "t,value\n" + "".join(f"{i * 0.01!r},{i * i * 1e-4!r}\n" for i in range(60)),
 }
 
 
@@ -434,7 +447,6 @@ class TestErrorHandling:
              "gamma = 1e+308 and variance ="),
             (["mc", "--trials", "100", "--m", "40", "--t0", "nan"], "t0"),
             (["mc", "--trials", "100", "--m", "40", "--t0", "inf"], "t0"),
-            (["mc", "--trials", "100", "--m", "40", "--t0", "1e300"], "t0"),
             (["surface", "xi", "--points", "2", "--T", "-1"], "T"),
             (["surface", "xi", "--points", "2", "--eta", "-1"],
              "eta must be finite and nonnegative, got -1.0"),
@@ -533,6 +545,17 @@ class TestErrorHandling:
              "mu = 1e+300 and kappa = 0.0 are out of the float range for the continuous"),
             (["mc", "--trials", "100", "--m", "40", "--T", "1e300", "--xi", "1e300", "--t0", "1e300"],
              "T = 1e+300 is out of the float range for the continuous noise-error variance at n = 1"),
+            # a window that does not fit the signal names T, or m, with no long number
+            (["estimate", "--in", "{tmp}/ramp.csv", "--T", "1e300"],
+             "T = 1e+300 over the sampling period 0.01 gives 1e+302 taps; "
+             "a signal of 60 samples allows 2 to 59 taps"),
+            (["estimate", "--in", "{tmp}/ramp.csv", "--m", "100"],
+             "m = 100 needs a window of 101 samples; the signal has 60"),
+            (["estimate", "--in", "{tmp}/ramp.csv", "--T", "1e-300"],
+             "T = 1e-300 over the sampling period 0.01 gives 1e-298 taps"),
+            # the default t0 off the grid of a huge step names T and m
+            (["mc", "--trials", "100", "--m", "5", "--T", "1e300"],
+             "t0 = 2.0 is off the sample grid of step T/m = 1e+300/5"),
             # a surface overflow names each axis's bound of larger magnitude, or
             # T or eta when the same grid at 1 stays in range
             (["surface", "variance_minimal", "--points", "3", "--mu-lo", "1e308"],
@@ -549,7 +572,7 @@ class TestErrorHandling:
         ],
         ids=["points-0", "mu-inf", "T-inf", "xi-nan", "sigma2-nan", "nu-inf", "gamma-inf",
              "experiment-gamma-inf", "mc-band-overflows",
-             "t0-nan", "t0-inf", "t0-huge", "surface-T-negative",
+             "t0-nan", "t0-inf", "surface-T-negative",
              "surface-eta-negative", "surface-kappa-lo-nan", "surface-mu-hi-inf",
              "surface-kappa-grid-reaches-minus-one", "surface-variance-overflow",
              "kernel-taps-not-finite", "mc-taps-not-finite", "kernel-taps-all-zero",
@@ -569,6 +592,8 @@ class TestErrorHandling:
              "kernel-mu-beta-divisor", "kernel-kappa-beta-divisor", "estimate-T-nan",
              "estimate-T-minus-inf", "estimate-T-tap-count-overflow",
              "mc-continuous-variance-names-mu", "mc-continuous-variance-names-T",
+             "estimate-T-beyond-the-signal", "estimate-m-beyond-the-signal",
+             "estimate-T-below-one-tap", "mc-off-grid-names-T-and-m",
              "surface-overflow-names-the-larger-bound", "surface-overflow-names-small-T",
              "surface-overflow-names-large-T", "surface-overflow-names-eta",
              "surface-eta-times-T-overflows"],
@@ -826,6 +851,33 @@ HOSTILE_COMMANDS = {
 }
 
 
+# refusals that can name no input of the argv: what they ask for is absent
+INPUT_FREE = (
+    "set m (taps) or T (window length)",
+    "the following arguments are required",
+)
+
+
+def names_an_input(message: str, argv: list[str]) -> bool:
+    """Whether ``message`` contains the name of a flag of ``argv``, as a word,
+    or one of its values: a number as any number equal to it, other text as
+    written."""
+    numbers = re.findall(r"(?<![\w.])[-+]?(?:\d+\.?\d*(?:e[-+]?\d+)?|inf|nan)(?!\w)", message)
+    for word in argv[1:]:
+        if word.startswith("--"):
+            named = re.search(rf"(?<!\w){re.escape(word[2:])}(?![\w-])", message)
+        else:
+            try:
+                value = float(word)
+            except ValueError:
+                named = word in message
+            else:
+                named = any(float(x) == value or (x == "nan" and value != value) for x in numbers)
+        if named:
+            return True
+    return False
+
+
 @st.composite
 def hostile_argv(draw):
     command = draw(st.sampled_from(sorted(HOSTILE_COMMANDS)))
@@ -856,6 +908,7 @@ class TestHostileInput:
         if rc == 2:
             assert out == ""
             (line,) = err.splitlines()
-            assert "error" in json.loads(line)
+            message = json.loads(line)["error"]
+            assert names_an_input(message, argv) or message.startswith(INPUT_FREE), message
         else:
             assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out)

@@ -25,8 +25,8 @@ from algdiff.stochastic import (
     gen_path,
     mc_noise_samples,
 )
-from algdiff.stochastic import _MAX_SAMPLE_INDEX, _sample_moments, _window_start
-from oracles import bisection_calibrate_snr, snr_db, taps_on_gen_path
+from algdiff.stochastic import _sample_moments, _window_start
+from oracles import bisection_calibrate_snr, exact_discrete_moments, snr_db, taps_on_gen_path
 
 U64 = 2**64
 MODELS = [Wiener(1.0), WhiteGaussian(2.0), Poisson(20.0)]
@@ -450,17 +450,18 @@ class TestMcNoiseSamples:
 
     @pytest.mark.parametrize("beta", [-1, 1])
     def test_t0_far_from_zero_is_accepted(self, beta):
-        # the path from t = 0 was capped at 2**24 samples; t0 = 1e6 is 4e8
-        # samples out, and a window draws its m + 1 numbers wherever it lies
-        cfg = EstimatorConfig(n=1, beta=beta, T=1.0, m=400)
-        assert np.isfinite(mc_noise_samples(cfg, Wiener(1.0), 1e6, 20, RngSeed(1))).all()
-        # the sample index stays below 2**46, where the tap times are still
-        # resolved; the error names t0
-        step = cfg.T / cfg.m
-        last = (_MAX_SAMPLE_INDEX - 1) * step
-        assert _window_start(cfg, last) == _MAX_SAMPLE_INDEX - 1 - (cfg.m if beta == -1 else 0)
-        with pytest.raises(ValueError, match=r"t0 must be finite and within 2\*\*46 samples"):
-            _window_start(cfg, _MAX_SAMPLE_INDEX * step)
+        # a window draws its m + 1 numbers wherever it lies, and its discrete
+        # variance is exact there: 4e8 samples out, and 2**60, past the 2**46
+        # that the tap times rounded at ulp(t0) once allowed
+        cfg = EstimatorConfig(n=1, kappa=-0.5, beta=beta, T=1.0, m=400)
+        k = kernel_taps(cfg)
+        for t0 in (1e6, 2**60 * cfg.T / cfg.m):
+            assert np.isfinite(mc_noise_samples(cfg, Wiener(1.0), t0, 20, RngSeed(1))).all()
+            exact = float(exact_discrete_moments(k, Wiener(1.0), t0)[1])
+            assert abs(discrete_moments(k, Wiener(1.0), t0).variance - exact) <= 1e-13 * exact
+        for t0 in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="t0 must be finite"):
+                _window_start(cfg, t0)
 
     def test_poisson_anchor_beyond_numpy_limit_names_t0(self):
         # nu * step is in range, nu * t_s is not: the count before the window
