@@ -15,7 +15,7 @@ import numpy as np
 
 from .kernel import DiscreteKernel, EstimatorConfig
 from .specfun import _gauss_rule, _jacobi_values, _least_zero, _log_beta
-from .stochastic import NoiseModel, _check_intensity, _window_draws
+from .stochastic import NoiseModel, _check_intensity, _earliest_time, _window_draws
 
 __all__ = [
     "BiasBounds",
@@ -171,15 +171,6 @@ def _continuous_out_of_range(cfg: EstimatorConfig, noise: NoiseModel) -> ValueEr
     return ValueError(f"mu = {cfg.mu!r} and kappa = {cfg.kappa!r} are {what}")
 
 
-def _earliest_time(k: DiscreteKernel, noise: NoiseModel, t0: float) -> float:
-    """Earliest tap time of the window at ``t0``; increment noise starts at t = 0."""
-    start = t0 - k.config.T if k.config.beta == -1 else t0
-    if noise.increment_part() is not None and start < -1e-12:
-        raise ValueError("window reaches negative times but the noise process starts at t = 0; "
-                         "use t0 >= T for causal windows")
-    return start
-
-
 def _tap_times(k: DiscreteKernel, start: float) -> np.ndarray:
     return start + k.config.T * np.arange(k.config.m + 1)[:: k.config.beta] / k.config.m
 
@@ -187,8 +178,8 @@ def _tap_times(k: DiscreteKernel, start: float) -> np.ndarray:
 def discrete_moments(k: DiscreteKernel, noise: NoiseModel, t0: float) -> NoiseMomentReport:
     """Exact sampled-case mean and variance of the noise error at ``t0``: O(m)
     sums over the window's uncorrelated draws (`stochastic._window_draws`),
-    the mean w @ mean_at(l) and the variance eta * sum(l * w**2)."""
-    w, l = _window_draws(k, noise, _earliest_time(k, noise, t0))
+    the mean mean_at(w @ l) and the variance eta * sum(l * w**2)."""
+    w, l = _window_draws(k, noise, t0)
     ((_, eta),) = asdict(noise).items()
     with np.errstate(over="ignore"):
         terms = l * (w * w) * eta
@@ -200,7 +191,8 @@ def discrete_moments(k: DiscreteKernel, noise: NoiseModel, t0: float) -> NoiseMo
         first = k.config.T if k.config.beta == -1 else 0.0
         grows = noise.increment_part() is not None and window < math.inf
         raise _beyond_float_range(noise, f" at t0 = {t0!r} (in range at t0 = {first!r})" if grows else "")
-    return NoiseMomentReport(float(w @ noise.mean_at(l)), variance)
+    # every mean is linear in t: sum_j w_j*mean_at(l_j) = mean_at(w @ l), no nu*t_s to overflow
+    return NoiseMomentReport(float(noise.mean_at(w @ l)), variance)
 
 
 def _beyond_float_range(noise: NoiseModel, where: str = "") -> ValueError:
@@ -226,6 +218,7 @@ def discrete_covariance(
     if abs(step1 - step2) > 1e-9 * max(step1, step2):
         raise ValueError("misaligned kernels: per-tap steps differ")
     t01, t02 = t0 if isinstance(t0, tuple) else (t0, t0)
+    start1, start2 = _earliest_time(k1, noise, t01), _earliest_time(k2, noise, t02)
     white = noise.white_part()
     if white is not None:
         # only coincident sample times contribute: tap i of k1 meets tap i - r of k2
@@ -238,7 +231,6 @@ def discrete_covariance(
             return 0.0
         return white * float(np.dot(k1.taps[lo:hi], k2.taps[lo - r : hi - r]))
     # times from the earlier window start (the first step), not from t = 0
-    start1, start2 = _earliest_time(k1, noise, t01), _earliest_time(k2, noise, t02)
     start = min(start1, start2)
     times = np.concatenate((_tap_times(k1, start1 - start), _tap_times(k2, start2 - start)))
     # min(s, t) is the length of [0, s] & [0, t], so the quadratic form is the

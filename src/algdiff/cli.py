@@ -551,15 +551,17 @@ def _cmd_surface(ns: argparse.Namespace) -> int:
     try:
         grid = sweep_surface(ns.quantity, kappa_grid, mu_grid, **design)
     except (FloatingPointError, OverflowError) as exc:
-        # eta or T when the same grid at 1 stays in range, else each axis's
-        # bound of larger magnitude, hi on a tie
+        # eta when the grid at eta = 1 stays in range, T when it does at T = 1
+        # as well, else each axis's bound of larger magnitude, hi on a tie
         at_fault = ", ".join(
             f"--{axis}-lo {lo!r}" if abs(lo) > abs(hi) else f"--{axis}-hi {hi!r}"
             for axis, lo, hi in (("kappa", ns.kappa_lo, ns.kappa_hi), ("mu", ns.mu_lo, ns.mu_hi))
         )
+        at_one = dict(design)
         for key in (key for key in ("eta", "T") if key in design):
+            at_one[key] = 1.0
             try:
-                sweep_surface(ns.quantity, kappa_grid, mu_grid, **{**design, key: 1.0})
+                sweep_surface(ns.quantity, kappa_grid, mu_grid, **at_one)
             except (FloatingPointError, OverflowError):
                 continue
             at_fault = f"{key} = {design[key]!r}"

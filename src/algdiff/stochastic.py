@@ -198,27 +198,25 @@ def calibrate_snr(x: SampledSignal, noise_path: SampledSignal, target_db: float)
     return c
 
 
-def _window_start(cfg: EstimatorConfig, t0: float) -> int:
-    """Index on the kernel grid of the earliest sample of the window anchored at t0."""
-    step = cfg.T / cfg.m
-    # checked before rounding, which fails on nan and inf without naming t0
-    if not abs(t0 / step) < math.inf:
-        raise ValueError(f"t0 must be finite in units of the step T/m = {step!r}, got {t0!r}")
-    k0 = round(t0 / step)
-    if abs(t0 - k0 * step) > 1e-9 * max(1.0, abs(t0)):
-        raise ValueError(f"t0 = {t0!r} is off the sample grid of step T/m = {cfg.T!r}/{cfg.m}")
-    if cfg.beta == -1 and k0 < cfg.m:
-        raise ValueError("causal window reaches before time 0; need t0 >= T")
-    if k0 < 0:
-        raise ValueError("t0 must be nonnegative")
-    return k0 - cfg.m if cfg.beta == -1 else k0
+def _earliest_time(k: DiscreteKernel, model: NoiseModel, t0: float) -> float:
+    """Earliest sample time of the window at ``t0``; increment noise starts at t = 0."""
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0!r}")
+    start = t0 - k.config.T if k.config.beta == -1 else t0
+    if model.increment_part() is None:
+        return start
+    if start < -1e-12:
+        bound = f"T = {k.config.T!r}" if k.config.beta == -1 else "0"
+        raise ValueError(f"t0 = {t0!r} puts the window before t = 0, where the noise process starts; "
+                         f"need t0 >= {bound}")
+    return max(0.0, start)  # a start within 1e-12 below 0 is 0
 
 
-def _window_draws(k: DiscreteKernel, model: NoiseModel, start: float) -> tuple[np.ndarray, np.ndarray]:
+def _window_draws(k: DiscreteKernel, model: NoiseModel, t0: float) -> tuple[np.ndarray, np.ndarray]:
     """(w, l): the window's noise error is sum_j w_j*d_j over uncorrelated
     draws d_j of mean ``model.mean_at(l_j)`` and variance eta*l_j.
 
-    With X_0..X_m the window's samples in time order from t_s = ``start``,
+    With X_0..X_m the window's samples in time order from t_s = `_earliest_time`,
     white noise draws them: w is the taps in time order, l = 1.  A process
     with independent increments draws d_0 = X_0 and d_j = X_j - X_{j-1}:
     l_0 = t_s, l_j = T/m, and w_j = sum_{i>=j} of the taps in time order,
@@ -226,6 +224,7 @@ def _window_draws(k: DiscreteKernel, model: NoiseModel, start: float) -> tuple[n
     window (Mboup, Join & Fliess, Numer. Algorithms 50, 2009).
     """
     cfg = k.config
+    start = _earliest_time(k, model, t0)
     if model.white_part() is not None:
         return k.taps[:: cfg.beta], np.ones(cfg.m + 1)
     w = np.cumsum(k.taps[:: -cfg.beta])[::-1]
@@ -245,11 +244,10 @@ def mc_noise_samples(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    step = cfg.T / cfg.m
-    start = _window_start(cfg, t0) * step
-    weights, lengths = _window_draws(kernel_taps(cfg), model, start)
+    weights, lengths = _window_draws(kernel_taps(cfg), model, t0)
     rng = seed.generator()
     if isinstance(model, Poisson):
+        start, step = map(float, lengths[:2])
         at_step = f"nu = {model.nu!r} at step {step!r}"
         at_start = f"nu = {model.nu!r} at t0 = {t0!r}, whose window starts at t = {start!r},"
 

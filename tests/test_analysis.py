@@ -55,6 +55,8 @@ TINY = np.finfo(float).tiny
 # the sampled mean: within MEAN_EPS_M * eps * m * (|nu*t_s*sum taps| +
 # nu*step*sum_j |w_j|), w_j the tail sums; measured at most 0.14 on the same
 MEAN_EPS_M = 1.0
+ANCHOR_MODELS = [WhiteGaussian(1.0), Wiener(1.0), Poisson(1.0)]
+ANCHOR_MODEL_IDS = ["white", "wiener", "poisson"]
 
 
 def make_kernel(cfg: EstimatorConfig):
@@ -692,6 +694,37 @@ class TestDiscreteMoments:
         rep = discrete_moments(k, WhiteGaussian(1.0), 0.5)
         assert rep.variance > 0
 
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+    @pytest.mark.parametrize("model", ANCHOR_MODELS, ids=ANCHOR_MODEL_IDS)
+    def test_non_finite_anchor_is_named(self, model, t0):
+        # a nan anchor gave variance nan, since no bound on the window start
+        # refuses nan
+        k = make_kernel(EstimatorConfig(n=1, T=1.0, m=40))
+        with pytest.raises(ValueError, match=re.escape(f"t0 must be finite, got {t0!r}")):
+            discrete_moments(k, model, t0)
+
+    def test_zero_mean_models_report_positive_zero(self):
+        # sum(taps) = -0.57 here, so w @ l < 0 for white and Wiener noise at
+        # t0 = 10; the mean is mean_at(w @ l), +0.0 for a zero-mean model, and
+        # a report prints 0.0, never the -0.0 of 0.0 * (w @ l)
+        k = make_kernel(EstimatorConfig(n=1, kappa=-0.7, beta=-1, T=1.0, m=40))
+        assert math.fsum(k.taps) < -0.5
+        for model in (WhiteGaussian(1.0), Wiener(1.0)):
+            assert math.copysign(1.0, discrete_moments(k, model, 10.0).mean) == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_poisson_mean_far_from_zero_at_a_huge_rate_is_finite(self):
+        # nu * t_s = 1e310 overflowed (a RuntimeWarning, mean inf) before the
+        # tap sum scaled it down; the mean is in range, within the MEAN_EPS_M bound
+        cfg = EstimatorConfig(n=1, T=1.0, m=40)
+        k = make_kernel(cfg)
+        got = discrete_moments(k, Poisson(1e300), 1e10)
+        mean, _ = exact_discrete_moments(k, Poisson(1e300), 1e10)
+        tails = np.cumsum(k.taps[::-1])[::-1]
+        t_s, step = 1e10 - cfg.T, cfg.T / cfg.m
+        scale = 1e300 * (abs(t_s * math.fsum(k.taps)) + step * float(np.sum(np.abs(tails[1:]))))
+        assert abs(got.mean - float(mean)) <= MEAN_EPS_M * EPS * cfg.m * scale
+
     @pytest.mark.parametrize("mu,kappa", [(0.0, 0.0), (-0.25, -0.25)])
     def test_white_variance_halves_when_taps_double(self, mu, kappa):
         # 1/m scaling of the white-noise discrete variance
@@ -865,6 +898,16 @@ class TestDiscreteCovariance:
         expect = float(k.taps @ cross @ k.taps)
         got = discrete_covariance(k, k, Wiener(sigma2), (t1, t2))
         assert got == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus-inf"])
+    @pytest.mark.parametrize("model", ANCHOR_MODELS, ids=ANCHOR_MODEL_IDS)
+    def test_non_finite_anchor_is_named(self, model, t0):
+        # white noise raised an unnamed "cannot convert float NaN to integer"
+        # and increment noise returned nan
+        k = make_kernel(EstimatorConfig(n=1, T=1.0, m=40))
+        for anchors in (t0, (2.0, t0), (t0, 2.0)):
+            with pytest.raises(ValueError, match=re.escape(f"t0 must be finite, got {t0!r}")):
+                discrete_covariance(k, k, model, anchors)
 
     def test_misaligned_kernels_rejected(self):
         cfg1 = EstimatorConfig(n=1, beta=-1, T=1.0, m=40)

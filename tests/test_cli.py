@@ -553,11 +553,13 @@ class TestErrorHandling:
              "m = 100 needs a window of 101 samples; the signal has 60"),
             (["estimate", "--in", "{tmp}/ramp.csv", "--T", "1e-300"],
              "T = 1e-300 over the sampling period 0.01 gives 1e-298 taps"),
-            # the default t0 off the grid of a huge step names T and m
+            # the default t0 puts a window of huge T before t = 0: t0 and T are named
             (["mc", "--trials", "100", "--m", "5", "--T", "1e300"],
-             "t0 = 2.0 is off the sample grid of step T/m = 1e+300/5"),
-            # a surface overflow names each axis's bound of larger magnitude, or
-            # T or eta when the same grid at 1 stays in range
+             "t0 = 2.0 puts the window before t = 0, where the noise process starts; "
+             "need t0 >= T = 1e+300"),
+            # a surface overflow names eta when the same grid at eta = 1 stays in
+            # range, T when it does at T = 1 as well, else each axis's bound of
+            # larger magnitude
             (["surface", "variance_minimal", "--points", "3", "--mu-lo", "1e308"],
              "variance_minimal leaves the float range for --kappa-hi 1.0, --mu-lo 1e+308"),
             (["surface", "variance_minimal", "--points", "2", "--T", "1e-300", "--n", "2"],
@@ -569,6 +571,11 @@ class TestErrorHandling:
             # eta * T overflowed silently: exit 0 and inf in every cell
             (["surface", "variance_minimal", "--points", "2", "--eta", "1e308", "--T", "2"],
              "variance_minimal leaves the float range for eta = 1e+308"),
+            # neither eta = 1 nor T = 1 alone brings the grid back in range, both
+            # together do: T is named, not the default exponent bounds
+            (["surface", "variance_minimal", "--eta", "1e308", "--T", "1e-300", "--n", "2",
+              "--points", "2"],
+             "variance_minimal leaves the float range for T = 1e-300"),
         ],
         ids=["points-0", "mu-inf", "T-inf", "xi-nan", "sigma2-nan", "nu-inf", "gamma-inf",
              "experiment-gamma-inf", "mc-band-overflows",
@@ -596,7 +603,7 @@ class TestErrorHandling:
              "estimate-T-below-one-tap", "mc-off-grid-names-T-and-m",
              "surface-overflow-names-the-larger-bound", "surface-overflow-names-small-T",
              "surface-overflow-names-large-T", "surface-overflow-names-eta",
-             "surface-eta-times-T-overflows"],
+             "surface-eta-times-T-overflows", "surface-eta-and-T-overflow-names-T"],
     )
     def test_rejected_input(self, capsys, tmp_path, argv, fragment):
         for arg in argv:

@@ -25,7 +25,7 @@ from algdiff.stochastic import (
     gen_path,
     mc_noise_samples,
 )
-from algdiff.stochastic import _sample_moments, _window_start
+from algdiff.stochastic import _sample_moments
 from oracles import bisection_calibrate_snr, exact_discrete_moments, snr_db, taps_on_gen_path
 
 U64 = 2**64
@@ -40,11 +40,12 @@ def window_by_hand(cfg, model, t0, rng) -> list[tuple[Fraction, float]]:
     draws on ``rng`` with the same generator calls as `mc_noise_samples`.
 
     Each sample is its exact value and the sum S of the |draws| that make it.
-    X_0 sits at t_s, the window's earliest time: white noise draws every
-    sample; otherwise X is the running sum of X_0 and the m increments.
+    X_0 sits at t_s, the window's earliest time, t0 - T for a causal window
+    and t0 for an anti-causal one: white noise draws every sample; otherwise
+    X is the running sum of X_0 and the m increments.
     """
     step = cfg.T / cfg.m
-    t_s = (round(t0 / step) - (cfg.m if cfg.beta == -1 else 0)) * step
+    t_s = t0 - cfg.T if cfg.beta == -1 else t0
     if isinstance(model, Poisson):
         increments = rng.poisson(model.nu * step, cfg.m)
         draws = [float(rng.poisson(model.nu * t_s)), *map(float, increments)]
@@ -397,6 +398,7 @@ class TestMcNoiseSamples:
         beta=st.sampled_from([-1, 1]),
         m=st.integers(2, 23),
         k0=st.one_of(st.integers(0, 41), st.integers(0, 2**40)),
+        off_grid=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
         seed=st.one_of(st.integers(0, 2**63 - 1), st.integers(2**63, U64 - 1)),
         stream=st.one_of(
             st.integers(0, 2**63 - 1), st.integers(2**63, U64 - 1), st.integers(U64 - 8, U64 - 1)
@@ -404,15 +406,15 @@ class TestMcNoiseSamples:
         trials=st.integers(1, 12),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_fresh_generator_per_trial(self, model, beta, m, k0, seed, stream, trials):
+    def test_matches_fresh_generator_per_trial(self, model, beta, m, k0, off_grid, seed, stream, trials):
         # the re-keyed generator draws what a fresh generator on key
         # (seed, stream + k mod 2**64) draws, for every key, across the wrap
         # and for draw counts that leave part of a four-word Philox block in
-        # the buffer
+        # the buffer, at anchors on the sample grid or a fraction of a step off it
         cfg = EstimatorConfig(n=1, beta=beta, T=1.0, m=m)
         if beta == -1:
             k0 += m
-        t0 = k0 * cfg.T / m
+        t0 = (k0 + off_grid) * cfg.T / m
         got = mc_noise_samples(cfg, model, t0, trials, RngSeed(seed, stream))
         for k, value in enumerate(got):
             key = RngSeed(seed, (stream + k) % U64)
@@ -431,18 +433,37 @@ class TestMcNoiseSamples:
         mc_noise_samples(self.CFG, Wiener(1.0), 2.0, trials, RngSeed(3, 4))
         assert built == [RngSeed(3, 4)]
 
-    def test_off_grid_anchor_rejected(self):
-        with pytest.raises(ValueError):
-            mc_noise_samples(self.CFG, Wiener(1.0), 2.0001, 200, RngSeed(1))
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_off_grid_anchor_matches_discrete_moments(self, model):
+        # a window draws X(t_s) and its increments wherever t_s lies, so an
+        # anchor between grid points is an anchor like any other: the trials'
+        # variance is the discrete one's there within 6 standard errors
+        t0 = 2.0001
+        _, emp_var, stderr = noise_moments(self.CFG, model, t0, 4000, RngSeed(1))
+        exact = discrete_moments(kernel_taps(self.CFG), model, t0).variance
+        assert abs(emp_var - exact) <= 6.0 * stderr
 
     def test_causal_anchor_before_full_window_rejected(self):
         with pytest.raises(ValueError):
             mc_noise_samples(self.CFG, Wiener(1.0), 0.5, 200, RngSeed(1))
 
     def test_anticausal_anchor_before_zero_rejected(self):
+        # the bound is the anti-causal one, 0, not the causal T
         cfg = EstimatorConfig(n=1, beta=1, T=1.0, m=400)
-        with pytest.raises(ValueError, match="t0 must be nonnegative"):
+        with pytest.raises(ValueError, match=re.escape(
+                "t0 = -0.5 puts the window before t = 0, where the noise process starts; need t0 >= 0")):
             mc_noise_samples(cfg, Wiener(1.0), -0.5, 200, RngSeed(1))
+
+    @pytest.mark.parametrize("model", [Wiener(1.0), Poisson(20.0)], ids=["wiener", "poisson"])
+    def test_start_within_tolerance_below_zero_reads_as_zero(self, model):
+        # T = 0.1*3 rounds above 0.3, so the causal window at t0 = 0.3 starts
+        # at -5.6e-17: read as t = 0, not a nan sqrt or NumPy's "lam < 0"
+        cfg = EstimatorConfig(n=1, beta=-1, T=0.1 * 3, m=40)
+        assert 0.3 - cfg.T < 0.0
+        np.testing.assert_array_equal(mc_noise_samples(cfg, model, 0.3, 5, RngSeed(1)),
+                                      mc_noise_samples(cfg, model, cfg.T, 5, RngSeed(1)))
+        k = kernel_taps(cfg)
+        assert discrete_moments(k, model, 0.3) == discrete_moments(k, model, cfg.T)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials must be at least 1"):
@@ -461,7 +482,7 @@ class TestMcNoiseSamples:
             assert abs(discrete_moments(k, Wiener(1.0), t0).variance - exact) <= 1e-13 * exact
         for t0 in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="t0 must be finite"):
-                _window_start(cfg, t0)
+                mc_noise_samples(cfg, Wiener(1.0), t0, 20, RngSeed(1))
 
     def test_poisson_anchor_beyond_numpy_limit_names_t0(self):
         # nu * step is in range, nu * t_s is not: the count before the window
