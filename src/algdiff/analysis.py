@@ -9,13 +9,13 @@ parameter-sweep surfaces used to choose exponents.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kernel import DiscreteKernel, EstimatorConfig
 from .specfun import _gauss_rule, _jacobi_values, _least_zero, _log_beta
-from .stochastic import NoiseModel, _check_intensity, _earliest_time, _window_draws
+from .stochastic import NoiseModel, _check_intensity, _earliest_time, _record, _window_draws
 
 __all__ = [
     "BiasBounds",
@@ -180,7 +180,7 @@ def discrete_moments(k: DiscreteKernel, noise: NoiseModel, t0: float) -> NoiseMo
     sums over the window's uncorrelated draws (`stochastic._window_draws`),
     the mean mean_at(w @ l) and the variance eta * sum(l * w**2)."""
     w, l = _window_draws(k, noise, t0)
-    ((_, eta),) = asdict(noise).items()
+    ((_, eta),) = _record(noise).items()
     with np.errstate(over="ignore"):
         terms = l * (w * w) * eta
         window = float(np.sum(terms[1:]))
@@ -198,7 +198,7 @@ def discrete_moments(k: DiscreteKernel, noise: NoiseModel, t0: float) -> NoiseMo
 def _beyond_float_range(noise: NoiseModel, where: str = "") -> ValueError:
     """The error for a noise-error variance past the float range, naming the
     intensity, then ``where``."""
-    ((name, value),) = asdict(noise).items()
+    ((name, value),) = _record(noise).items()
     return ValueError(f"{name} = {value!r}{where} gives a noise-error variance beyond the float range")
 
 
@@ -223,6 +223,9 @@ def discrete_covariance(
     if white is not None:
         # only coincident sample times contribute: tap i of k1 meets tap i - r of k2
         shift = (t02 - t01) / (cfg1.beta * step1)
+        # a shift past the float range puts the windows apart
+        if not math.isfinite(shift):
+            return 0.0
         r = round(shift)
         if abs(shift - r) > 1e-9:
             return 0.0

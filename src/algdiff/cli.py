@@ -16,9 +16,9 @@ import re
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
-from typing import Callable, TextIO, get_type_hints
+from typing import Callable, NamedTuple, TextIO, get_type_hints
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .stochastic import (
     RngSeed,
     WhiteGaussian,
     Wiener,
+    _record,
     _sample_moments,
     calibrate_snr,
     gen_path,
@@ -133,6 +134,33 @@ def _write_csv(out: TextIO, header: list[str], rows) -> None:
         out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+class _Drawn(NamedTuple):
+    """A run's noisy signal: the clean samples and their derivative (None for
+    a CSV signal), the noise model (None for none), the seed, the calibrated
+    noise scale (0 without noise) and the noisy samples."""
+
+    clean: SampledSignal
+    deriv: _Derivative | None
+    noise: NoiseModel | None
+    seed: RngSeed
+    scale: float
+    noisy: SampledSignal
+
+
+def _draw(values: dict, clean: SampledSignal, deriv: _Derivative | None,
+          noise: NoiseModel | None) -> _Drawn:
+    """Key the generator, draw the noise path and scale it to the target SNR."""
+    seed = RngSeed(values["seed"], values["stream"])
+    scale = 0.0
+    noisy = clean
+    if noise is not None:
+        path = gen_path(noise, clean.ts, len(clean.values), seed)
+        target_snr_db = values.get("target_snr_db")
+        scale = 1.0 if target_snr_db is None else calibrate_snr(clean, path, target_snr_db)
+        noisy = SampledSignal(clean.t_start, clean.ts, clean.values + scale * path.values)
+    return _Drawn(clean, deriv, noise, seed, scale, noisy)
+
+
 def run_experiment(values: dict, out_dir: str | None = None) -> dict:
     """Generate signal and noise, estimate, and score on the metrics window.
 
@@ -145,19 +173,15 @@ def run_experiment(values: dict, out_dir: str | None = None) -> dict:
     """
     clean, deriv = _signal(values)
     noise = _noise(values)
-    cfg = _config(values, clean)
-    seed = RngSeed(values["seed"], values["stream"])
+    cfg = _config(values, clean)  # before the seed and the draw, so a bad config is named first
+    return _score(values, cfg, _draw(values, clean, deriv, noise), out_dir)
+
+
+def _score(values: dict, cfg: EstimatorConfig, drawn: _Drawn, out_dir: str | None) -> dict:
+    """`run_experiment`'s report of the estimator ``cfg`` on the noisy signal ``drawn``."""
+    clean, deriv, noise, scale = drawn.clean, drawn.deriv, drawn.noise, drawn.scale
     gamma = values["gamma"]
-
-    scale = 0.0
-    noisy = clean
-    if noise is not None:
-        path = gen_path(noise, clean.ts, len(clean.values), seed)
-        target_snr_db = values.get("target_snr_db")
-        scale = 1.0 if target_snr_db is None else calibrate_snr(clean, path, target_snr_db)
-        noisy = SampledSignal(clean.t_start, clean.ts, clean.values + scale * path.values)
-
-    series_noisy = estimate_series(noisy, cfg)
+    series_noisy = estimate_series(drawn.noisy, cfg)
     series_clean = series_noisy if noise is None else estimate_series(clean, cfg)
 
     times = series_noisy.times
@@ -207,8 +231,8 @@ def run_experiment(values: dict, out_dir: str | None = None) -> dict:
         "band_low": band_low,
         "band_high": band_high,
         "gamma": gamma,
-        "config": asdict(cfg),
-        "seed": asdict(seed),
+        "config": _record(cfg),
+        "seed": _record(drawn.seed),
         "window": window,
         "label": values["label"],
         "series_paths": series_paths,
@@ -254,13 +278,21 @@ def run_preset_pair(name: str, flags: dict, out_dir: str | None = None) -> dict:
     same noise realization and return the paired report.
 
     ``flags`` (spec keys, e.g. ``{"seed": 3}``) override both runs' values.
+    The two runs share every value that defines the noisy signal, so it is
+    drawn and calibrated once, and each report equals `run_experiment`'s.
+    Inputs are checked in the order two `run_experiment` calls check them,
+    so the extended config is checked after the integer run is scored.
     """
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    runs = [
-        run_experiment(_resolve(flags, dict(values, label=f"{name}_{label}")), out_dir)
-        for label, values in PRESETS[name].items()
-    ]
+    integer, extended = (_resolve(flags, dict(values, label=f"{name}_{label}"))
+                         for label, values in PRESETS[name].items())
+    clean, deriv = _signal(integer)
+    noise = _noise(integer)
+    cfg = _config(integer, clean)
+    drawn = _draw(integer, clean, deriv, noise)
+    runs = [_score(integer, cfg, drawn, out_dir)]
+    runs.append(_score(extended, _config(extended, clean), drawn, out_dir))
     ratio = None
     if runs[0]["total_error"] and runs[1]["total_error"]:
         ratio = runs[0]["total_error"] / runs[1]["total_error"]
@@ -337,10 +369,10 @@ def mc_report(
         "gamma": gamma,
         "t0": t0,
         "bands": bands,
-        "config": asdict(cfg),
-        "seed": asdict(seed),
+        "config": _record(cfg),
+        "seed": _record(seed),
         "model": {"kind": next(k for k, c in _NOISE_KINDS.items() if isinstance(model, c)),
-                  **asdict(model)},
+                  **_record(model)},
     }
 
 

@@ -35,6 +35,12 @@ __all__ = [
 _U64 = 1 << 64
 
 
+def _record(obj) -> dict:
+    """A dataclass's fields by name; unlike `dataclasses.asdict`, a shallow
+    copy, for records whose fields are plain values."""
+    return {field.name: getattr(obj, field.name) for field in fields(obj)}
+
+
 def _check_intensity(name: str, value: float) -> None:
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")

@@ -870,6 +870,19 @@ class TestDiscreteCovariance:
         shift = 0.5 / 40
         assert discrete_covariance(k, k, WhiteGaussian(1.0), (2.0, 2.0 + shift)) == 0.0
 
+    @pytest.mark.parametrize("anchors", [(-1e308, 1e308), (1e308, -1e308)],
+                             ids=["low-then-high", "high-then-low"])
+    def test_white_windows_a_float_range_apart_uncorrelated(self, anchors):
+        # the shift in taps is inf, which round() refused with an OverflowError
+        k = kernel_taps(EstimatorConfig(n=1, m=40))
+        assert discrete_covariance(k, k, WhiteGaussian(1.0), anchors) == 0.0
+
+    @pytest.mark.parametrize("anchors", [(0.0, 1e300), (1e300, 0.0)], ids=["later", "earlier"])
+    def test_white_shift_past_the_float_range_over_a_tiny_step_uncorrelated(self, anchors):
+        # 1e300 over a per-tap step of 2.5e-12 is past the float range
+        k = kernel_taps(EstimatorConfig(n=1, m=40, T=1e-10))
+        assert discrete_covariance(k, k, WhiteGaussian(1.0), anchors) == 0.0
+
     def test_white_overlapping_windows_manual_sum(self):
         sigma2 = 0.8
         short = make_kernel(EstimatorConfig(n=1, beta=-1, T=1.0, m=40))

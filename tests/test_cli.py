@@ -233,6 +233,40 @@ class TestExperimentCommand:
             assert (run["config"]["m"], run["config"]["T"]) == (50, 50 * cli.EXPSIN_TS)
         assert run["config"]["kappa"] == -0.79  # the spec values the flags leave alone
 
+    @pytest.mark.parametrize("flags", [{}, {"m": 50}, {"stream": 7}], ids=["preset", "m-50", "stream-7"])
+    @pytest.mark.parametrize("seed", [0, 3, 63])
+    @pytest.mark.parametrize("name", sorted(cli.PRESETS))
+    def test_pair_equals_two_independent_runs(self, tmp_path, name, seed, flags):
+        # the pair draws its noisy signal once; each run's report and series
+        # CSVs are those of a run_experiment call of its own
+        flags = {"seed": seed, **flags}
+        resolved = [cli._resolve(flags, dict(values, label=f"{name}_{label}"))
+                    for label, values in cli.PRESETS[name].items()]
+        pair = cli.run_preset_pair(name, flags, str(tmp_path))
+        written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert len(written) == 6
+        assert pair["runs"] == [cli.run_experiment(values, str(tmp_path)) for values in resolved]
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == written
+
+    def test_pair_draws_and_calibrates_once(self, monkeypatch):
+        calls = {"gen_path": 0, "calibrate_snr": 0}
+        for name in calls:
+            def counted(*args, _original=getattr(cli, name), _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        cli.run_preset_pair("table1-b", {"seed": 3})
+        assert calls == {"gen_path": 1, "calibrate_snr": 1}
+
+    @pytest.mark.parametrize("name", sorted(cli.PRESETS))
+    def test_preset_runs_share_the_noisy_signal(self, name):
+        # every key that defines the noisy signal, so one draw serves both runs
+        keys = ("signal", "ts", "count", "coeffs", "csv_path", "noise", "sigma2", "nu",
+                "seed", "stream", "target_snr_db")
+        integer, extended = (cli._resolve({}, values) for values in cli.PRESETS[name].values())
+        assert {key: integer.get(key) for key in keys} == {key: extended.get(key) for key in keys}
+
     def test_unknown_preset(self, capsys):
         rc = main(["experiment", "table9-z"])
         assert rc == 2
@@ -502,6 +536,18 @@ class TestErrorHandling:
             # T = m * ts is derived from a bad m, so the error names m; a bad T is named as T
             (["experiment", "table1-a", "--m", "0"], "m must be an integer >= n + q + 1 = 2, got 0"),
             (["experiment", "table1-a", "--m", "-5"], "m must be an integer >= n + q + 1 = 2, got -5"),
+            # a preset pair checks each input where two runs made one by one check
+            # it: the config before the seed, and the extended config (here with
+            # m = 32 < n + q + 1) after the integer run is drawn and scored
+            (["experiment", "table1-a", "--seed", "-1", "--m", "0"],
+             "m must be an integer >= n + q + 1 = 2, got 0"),
+            (["experiment", "table1-a", "--stream", "18446744073709551616", "--m", "0"],
+             "m must be an integer >= n + q + 1 = 2, got 0"),
+            (["experiment", "table2-b", "--n", "31", "--seed", "-1"],
+             "seed must fit in an unsigned 64-bit integer"),
+            (["experiment", "table2-b", "--n", "31", "--gamma", "-1"],
+             "gamma must be finite and positive, got -1.0"),
+            (["experiment", "table2-b", "--n", "31"], "m must be an integer >= n + q + 1 = 33, got 32"),
             (["estimate", "--in", "{tmp}/two-samples.csv", "--m", "0"], "m must be an integer"),
             (["experiment", "{tmp}/m-zero.spec"], "m must be an integer >= n + q + 1 = 2, got 0"),
             (["experiment", "table1-a", "--T", "0"], "T must be positive, got 0.0"),
@@ -590,7 +636,10 @@ class TestErrorHandling:
              "mc-f-rule-gain", "csv-columns", "csv-one-sample", "empty-metrics-window",
              "spec-bad-line", "spec-unknown-key", "spec-noise-kind",
              "spec-signal-kind", "spec-csv-without-path", "spec-polynomial-without-coeffs",
-             "experiment-m-zero", "experiment-m-negative", "estimate-m-zero", "spec-m-zero",
+             "experiment-m-zero", "experiment-m-negative", "experiment-m-before-seed",
+             "experiment-m-before-stream", "experiment-seed-before-extended-m",
+             "experiment-gamma-before-extended-m", "experiment-extended-m",
+             "estimate-m-zero", "spec-m-zero",
              "experiment-T-zero", "estimate-T-zero", "kernel-F-minus-inf", "mc-t0-minus-inf",
              "surface-kappa-lo-minus-inf", "mc-wiener-variance-overflow",
              "mc-white-variance-overflow", "mc-poisson-rate-too-large",
