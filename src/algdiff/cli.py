@@ -423,8 +423,15 @@ def _flags(ns: argparse.Namespace) -> dict:
 
 
 def _resolve(flags: dict, spec: dict | None = None) -> dict:
-    """A run's values: flag over spec-file (or preset) value over default."""
-    return {**_DEFAULTS, **(spec or {}), **flags}
+    """A run's values: flag over spec-file (or preset) value over default.
+
+    The window is one value, set by m or T: a window flag replaces the
+    spec's m and T together, so `_config` derives the other from ts.
+    """
+    spec = spec or {}
+    if "m" in flags or "T" in flags:
+        spec = {key: value for key, value in spec.items() if key not in ("m", "T")}
+    return {**_DEFAULTS, **spec, **flags}
 
 
 def _config(values: dict, signal: SampledSignal | None = None) -> EstimatorConfig:

@@ -233,6 +233,14 @@ class TestExperimentCommand:
             assert (run["config"]["m"], run["config"]["T"]) == (50, 50 * cli.EXPSIN_TS)
         assert run["config"]["kappa"] == -0.79  # the spec values the flags leave alone
 
+    def test_T_flag_replaces_the_preset_window(self, capsys):
+        # each run used to keep its preset m, so T/m missed the sampling period
+        argv = ["experiment", "table1-a", "--seed", "3", "--T", "0.3"]
+        pair = run_json(capsys, argv)
+        for run in pair["runs"]:
+            assert (run["config"]["m"], run["config"]["T"]) == (60, 0.3)
+        assert pair == run_json(capsys, [*argv, "--m", "60"])
+
     @pytest.mark.parametrize("flags", [{}, {"m": 50}, {"stream": 7}], ids=["preset", "m-50", "stream-7"])
     @pytest.mark.parametrize("seed", [0, 3, 63])
     @pytest.mark.parametrize("name", sorted(cli.PRESETS))
@@ -770,6 +778,17 @@ class TestConfigResolver:
         default = run_json(capsys, ["experiment", self.write_spec(tmp_path, base)])
         assert spec_stream == flag_stream
         assert spec_stream["total_error"] != default["total_error"]
+
+    @pytest.mark.parametrize("window,flag,want", [
+        ("m = 25\n", ["--T", repr(20 * SIN2T_TS)], (20, 20 * SIN2T_TS)),
+        (f"T = {25 * SIN2T_TS!r}\n", ["--m", "20"], (20, 20 * SIN2T_TS)),
+        (f"m = 25\nT = {25 * SIN2T_TS!r}\n", ["--m", "20"], (20, 20 * SIN2T_TS)),
+    ], ids=["m-then-T", "T-then-m", "both-then-m"])
+    def test_window_flag_replaces_the_spec_window(self, tmp_path, capsys, window, flag, want):
+        # m and T set one window: a flag for either replaces both spec keys
+        spec = self.write_spec(tmp_path, window + "noise = white\ntarget_snr_db = 20\n")
+        config = run_json(capsys, ["experiment", spec, *flag])["config"]
+        assert (config["m"], config["T"]) == want
 
     def test_spec_window_off_the_sample_grid_exits_2(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path, "m = 25\nT = 1.0\nnoise = white\ntarget_snr_db = 20\n")

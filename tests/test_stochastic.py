@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, asdict
 from fractions import Fraction
@@ -25,7 +26,7 @@ from algdiff.stochastic import (
     gen_path,
     mc_noise_samples,
 )
-from algdiff.stochastic import _sample_moments
+from algdiff.stochastic import _BLOCK_FLOATS, _sample_moments, _window_draws
 from oracles import bisection_calibrate_snr, exact_discrete_moments, snr_db, taps_on_gen_path
 
 U64 = 2**64
@@ -72,6 +73,17 @@ def assert_trial_rebuilt_by_hand(value, cfg, model, t0, key: RngSeed):
     want = sum(Fraction(float(w)) * x for w, (x, _) in zip(in_time_order, window))
     bound = sum(abs(float(w)) * size for w, (_, size) in zip(in_time_order, window))
     assert abs(Fraction(float(value)) - want) <= TRIAL_ULPS * EPS * bound, key
+
+
+def trial_by_hand(cfg, model, t0, key: RngSeed) -> float:
+    """One trial as one dot over its m + 1 draws from a fresh generator on ``key``."""
+    weights, lengths = _window_draws(kernel_taps(cfg), model, t0)
+    rng = key.generator()
+    if isinstance(model, Poisson):
+        increments = rng.poisson(model.nu * lengths[1], cfg.m)
+        return float(weights[1:] @ increments + weights[0] * rng.poisson(model.nu * lengths[0]))
+    weights = math.sqrt(model.sigma2) * np.sqrt(lengths) * weights
+    return float(weights @ rng.standard_normal(cfg.m + 1))
 
 
 def snr_slope(x: np.ndarray, w: np.ndarray, c: float) -> float:
@@ -392,6 +404,47 @@ class TestMcNoiseSamples:
             np.testing.assert_array_equal(top[2:], mc_noise_samples(cfg, model, 3.0, 4, RngSeed(7, 0)))
             np.testing.assert_array_equal(top[1:3], mc_noise_samples(cfg, model, 3.0, 2, RngSeed(7, U64 - 1)))
             assert len(set(top)) == 6
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_every_trial_of_a_blocked_run_is_its_own_dot(self, model):
+        # 200 trials at m = 400 span three blocks of draws, and their keys
+        # wrap past 2**64 - 1 at trial 100: each trial is, bit for bit, the
+        # dot of its own draws from a fresh generator on its key
+        stream = U64 - 100
+        got = mc_noise_samples(self.CFG, model, 2.0, 200, RngSeed(9, stream))
+        want = [trial_by_hand(self.CFG, model, 2.0, RngSeed(9, (stream + k) % U64)) for k in range(200)]
+        assert got.tolist() == want
+
+    def test_trials_at_block_edges_are_trials_drawn_alone(self):
+        rows = _BLOCK_FLOATS // (self.CFG.m + 1)
+        stream = U64 - 100
+        for model in MODELS:
+            got = mc_noise_samples(self.CFG, model, 2.0, 200, RngSeed(9, stream))
+            for k in (0, rows - 1, rows, 99, 100, 2 * rows - 1, 2 * rows, 199):
+                alone = mc_noise_samples(self.CFG, model, 2.0, 1, RngSeed(9, (stream + k) % U64))
+                assert got[k] == alone[0], (model, k)
+
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+    def test_a_wide_window_draws_into_one_row(self, monkeypatch, model):
+        # from the generator on, a call holds its weights and draw lengths,
+        # one row of m + 1 draws and at most one more row of temporaries,
+        # whatever the trial count
+        cfg = EstimatorConfig(n=1, beta=-1, T=1.0, m=100_000)
+        mc_noise_samples(cfg, model, 2.0, 1, RngSeed(1))  # builds the kernel
+        generator = RngSeed.generator
+
+        def peak_from_here(self):
+            tracemalloc.reset_peak()
+            return generator(self)
+
+        monkeypatch.setattr(RngSeed, "generator", peak_from_here)
+        tracemalloc.start()
+        try:
+            mc_noise_samples(cfg, model, 2.0, 3, RngSeed(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * (cfg.m + 1)
 
     @given(
         model=st.sampled_from(MODELS),
