@@ -2,8 +2,9 @@
 surface dumps, and Monte-Carlo reports.
 
 Machine-facing output is CSV (series, kernels, grids) or a single JSON
-document on stdout; human-facing comparison tables go to stderr.  All runs
-are deterministic given the seed.
+document on stdout, one line with sorted keys (``python -m json.tool``
+indents it); human-facing comparison tables go to stderr.  All runs are
+deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -46,13 +47,7 @@ from .stochastic import (
     mc_noise_samples,
 )
 
-__all__ = [
-    "run_experiment",
-    "run_preset_pair",
-    "mc_report",
-    "main",
-    "PRESETS",
-]
+__all__ = ["run_experiment", "run_preset_pair", "mc_report", "main", "PRESETS"]
 
 
 # ---------------------------------------------------------------------------
@@ -61,33 +56,28 @@ __all__ = [
 EXPSIN_TS = 1.0 / 200.0
 SIN2T_TS = math.pi / 100.0
 
-# derivative(t, k): a signal's exact k-th derivative at the times t
-_Derivative = Callable[[np.ndarray, int], np.ndarray]
+# truth(k): a signal's exact k-th derivative at its sample times
+_Truth = Callable[[int], np.ndarray]
 
 
-def _exp_signal(s: complex, sign: float) -> _Derivative:
-    def deriv(t: np.ndarray, n: int) -> np.ndarray:
-        return sign * np.imag(s**n * np.exp(s * t))
+def _exp_truth(s: complex, sign: float, grid: np.ndarray) -> _Truth:
+    """The derivatives of sign * Im exp(s t) on the grid, from one exponential."""
+    e = np.exp(s * grid)
+    return lambda k: sign * np.imag(s**k * e)
 
-    return deriv
 
-
-# name -> (derivative, ts, count) of the signal x(t) = sign * Im exp(s t)
+# name -> (grid -> truth, ts, count) of the signal x(t) = sign * Im exp(s t)
 _NAMED_SIGNALS = {
     # exp(-t/1.2) sin(6t + pi)
-    "expsin": (_exp_signal(complex(-1.0 / 1.2, 6.0), -1.0), EXPSIN_TS, 1001),
+    "expsin": (functools.partial(_exp_truth, complex(-1.0 / 1.2, 6.0), -1.0), EXPSIN_TS, 1001),
     # sin(2t)
-    "sin2t": (_exp_signal(complex(0.0, 2.0), 1.0), SIN2T_TS, 446),
+    "sin2t": (functools.partial(_exp_truth, complex(0.0, 2.0), 1.0), SIN2T_TS, 446),
 }
 
 
-def _polynomial_signal(coeffs: tuple[float, ...]) -> _Derivative:
+def _polynomial_truth(coeffs: tuple[float, ...], grid: np.ndarray) -> _Truth:
     poly = np.polynomial.polynomial
-
-    def deriv(t: np.ndarray, n: int) -> np.ndarray:
-        return poly.polyval(t, poly.polyder(np.asarray(coeffs, dtype=float), n))
-
-    return deriv
+    return lambda k: poly.polyval(grid, poly.polyder(np.asarray(coeffs, dtype=float), k))
 
 
 def _csv_signal(path: str) -> SampledSignal:
@@ -135,19 +125,19 @@ def _write_csv(out: TextIO, header: list[str], rows) -> None:
 
 
 class _Drawn(NamedTuple):
-    """A run's noisy signal: the clean samples and their derivative (None for
-    a CSV signal), the noise model (None for none), the seed, the calibrated
-    noise scale (0 without noise) and the noisy samples."""
+    """A run's noisy signal: the clean samples and their derivatives on the
+    sample grid (None for a CSV signal), the noise model (None for none), the
+    seed, the calibrated noise scale (0 without noise) and the noisy samples."""
 
     clean: SampledSignal
-    deriv: _Derivative | None
+    truth: _Truth | None
     noise: NoiseModel | None
     seed: RngSeed
     scale: float
     noisy: SampledSignal
 
 
-def _draw(values: dict, clean: SampledSignal, deriv: _Derivative | None,
+def _draw(values: dict, clean: SampledSignal, truth: _Truth | None,
           noise: NoiseModel | None) -> _Drawn:
     """Key the generator, draw the noise path and scale it to the target SNR."""
     seed = RngSeed(values["seed"], values["stream"])
@@ -158,7 +148,7 @@ def _draw(values: dict, clean: SampledSignal, deriv: _Derivative | None,
         target_snr_db = values.get("target_snr_db")
         scale = 1.0 if target_snr_db is None else calibrate_snr(clean, path, target_snr_db)
         noisy = SampledSignal(clean.t_start, clean.ts, clean.values + scale * path.values)
-    return _Drawn(clean, deriv, noise, seed, scale, noisy)
+    return _Drawn(clean, truth, noise, seed, scale, noisy)
 
 
 def run_experiment(values: dict, out_dir: str | None = None) -> dict:
@@ -171,39 +161,47 @@ def run_experiment(values: dict, out_dir: str | None = None) -> dict:
     from the noiseless run.  With ``out_dir`` the series are written there as
     CSVs named after the run's label.
     """
-    clean, deriv = _signal(values)
+    clean, truth = _signal(values)
     noise = _noise(values)
     cfg = _config(values, clean)  # before the seed and the draw, so a bad config is named first
-    return _score(values, cfg, _draw(values, clean, deriv, noise), out_dir)
+    return _score(values, cfg, _draw(values, clean, truth, noise), out_dir)
 
 
 def _score(values: dict, cfg: EstimatorConfig, drawn: _Drawn, out_dir: str | None) -> dict:
     """`run_experiment`'s report of the estimator ``cfg`` on the noisy signal ``drawn``."""
-    clean, deriv, noise, scale = drawn.clean, drawn.deriv, drawn.noise, drawn.scale
+    clean, noise, scale = drawn.clean, drawn.noise, drawn.scale
     gamma = values["gamma"]
     series_noisy = estimate_series(drawn.noisy, cfg)
     series_clean = series_noisy if noise is None else estimate_series(clean, cfg)
 
+    for key in ("window_lo", "window_hi"):
+        if math.isnan(values[key]):
+            raise ValueError(f"{key} must be a number, got nan")
+    # the estimates within 1e-12 of the window [lo, hi], a slice of the sorted times
     times = series_noisy.times
     lo = max(values["window_lo"], times[0])
     hi = min(values["window_hi"], times[-1])
-    mask = (times >= lo - 1e-12) & (times <= hi + 1e-12)
-    if not np.any(mask):
+    first = int(np.searchsorted(times, lo - 1e-12))
+    stop = int(np.searchsorted(times, hi + 1e-12, "right"))
+    if first >= stop:
         raise ValueError(f"metrics window [{lo}, {hi}] contains no estimates")
-    window = (float(times[mask][0]), float(times[mask][-1]))
+    in_window = slice(first, stop)
+    window = (float(times[first]), float(times[stop - 1]))
 
     total_error = None
     truth = None
-    if deriv is not None:
-        truth = deriv(times, cfg.n)
-        err = series_noisy.estimates[mask] - truth[mask]
+    if drawn.truth is not None:
+        start = cfg.m if cfg.beta == -1 else 0  # the sample of estimate 0
+        truth = drawn.truth(cfg.n)[start : start + len(times)]
+        err = series_noisy.estimates[in_window] - truth[in_window]
         total_error = float(clean.ts * np.sum(err**2))
 
     snr_db = None
     mean = variance = 0.0
     if noise is not None:
-        noise_part = series_noisy.estimates[mask] - series_clean.estimates[mask]
-        signal_part = series_noisy.estimates[mask]
+        # contiguous: a dot over the reversed view of a beta = -1 series sums in another order
+        signal_part = np.ascontiguousarray(series_noisy.estimates[in_window])
+        noise_part = signal_part - series_clean.estimates[in_window]
         denom = float(noise_part @ noise_part)
         if denom > 0.0:
             snr_db = float(10.0 * math.log10(float(signal_part @ signal_part) / denom))
@@ -287,10 +285,10 @@ def run_preset_pair(name: str, flags: dict, out_dir: str | None = None) -> dict:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     integer, extended = (_resolve(flags, dict(values, label=f"{name}_{label}"))
                          for label, values in PRESETS[name].items())
-    clean, deriv = _signal(integer)
+    clean, truth = _signal(integer)
     noise = _noise(integer)
     cfg = _config(integer, clean)
-    drawn = _draw(integer, clean, deriv, noise)
+    drawn = _draw(integer, clean, truth, noise)
     runs = [_score(integer, cfg, drawn, out_dir)]
     runs.append(_score(extended, _config(extended, clean), drawn, out_dir))
     ratio = None
@@ -474,20 +472,20 @@ def _noise(values: dict) -> NoiseModel | None:
     return model(values[fields(model)[0].name])
 
 
-def _signal(values: dict) -> tuple[SampledSignal, _Derivative | None]:
-    """The run's samples and the signal's derivative, None when it is
-    unknown (a CSV signal)."""
+def _signal(values: dict) -> tuple[SampledSignal, _Truth | None]:
+    """The run's samples and the signal's derivatives on the sample grid,
+    None when they are unknown (a CSV signal)."""
     kind = values["signal"]
     if kind == "csv":
         if "csv_path" not in values:
             raise ValueError("csv signal requires a path")
         return _csv_signal(values["csv_path"]), None
     if kind in _NAMED_SIGNALS:
-        derivative, ts, count = _NAMED_SIGNALS[kind]
+        on_grid, ts, count = _NAMED_SIGNALS[kind]
     elif kind == "polynomial":
         if not values.get("coeffs"):
             raise ValueError("polynomial signal requires coefficients")
-        derivative = _polynomial_signal(values["coeffs"])
+        on_grid = functools.partial(_polynomial_truth, values["coeffs"])
         ts, count = values["ts"], values["count"]
         if count < 1:
             raise ValueError(f"polynomial signal requires count >= 1, got count = {count!r}")
@@ -496,13 +494,14 @@ def _signal(values: dict) -> tuple[SampledSignal, _Derivative | None]:
     # SampledSignal names a bad ts, and the check below the inputs behind
     # samples that are not finite, so NumPy's warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = derivative(np.arange(count) * ts, 0)
+        truth = on_grid(np.arange(count) * ts)
+        samples = truth(0)
     if 0 < ts < math.inf and not np.isfinite(samples).all():
         raise ValueError(
             f"coeffs = {values['coeffs']!r} with ts = {ts!r} and count = {count!r} "
             "give samples that are not finite"
         )
-    return SampledSignal(0.0, ts, samples), derivative
+    return SampledSignal(0.0, ts, samples), truth
 
 
 _FLAG_HELP = {
@@ -547,7 +546,7 @@ def _open_out(path: str | None):
 
 
 def _print_json(document: dict) -> None:
-    sys.stdout.write(json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    sys.stdout.write(json.dumps(document, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _cmd_estimate(ns: argparse.Namespace) -> int:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from algdiff import analysis, cli
 from algdiff.cli import SIN2T_TS, main
 from algdiff.analysis import variance_continuous
+from algdiff.estimator import estimate_series
 from algdiff.kernel import EstimatorConfig, discretize, kernel_taps, minimal_kernel
 from algdiff.specfun import _least_zero
 from algdiff.stochastic import Wiener
@@ -42,6 +43,14 @@ def assert_one_line_error(capsys, argv, fragment):
 def run_json(capsys, argv):
     assert main(argv) == 0
     return json.loads(capsys.readouterr().out)
+
+
+def strict_json(text):
+    """The JSON document ``text``, refusing NaN and infinities."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def run_captured(argv):
@@ -241,7 +250,8 @@ class TestExperimentCommand:
             assert (run["config"]["m"], run["config"]["T"]) == (60, 0.3)
         assert pair == run_json(capsys, [*argv, "--m", "60"])
 
-    @pytest.mark.parametrize("flags", [{}, {"m": 50}, {"stream": 7}], ids=["preset", "m-50", "stream-7"])
+    @pytest.mark.parametrize("flags", [{}, {"m": 50}, {"stream": 7}, {"beta": 1}, {"n": 2}],
+                             ids=["preset", "m-50", "stream-7", "beta-1", "n-2"])
     @pytest.mark.parametrize("seed", [0, 3, 63])
     @pytest.mark.parametrize("name", sorted(cli.PRESETS))
     def test_pair_equals_two_independent_runs(self, tmp_path, name, seed, flags):
@@ -342,6 +352,96 @@ class TestExperimentCommand:
             assert len(rows) > 100
             assert rows[0] == ["t", "estimate"]
             assert len(rows[1]) == 2
+
+    @pytest.mark.parametrize("beta,n", [(-1, 1), (1, 2)])
+    def test_polynomial_truth_csv_is_the_polynomial_at_its_times(self, tmp_path, capsys, beta, n):
+        # the truth is evaluated on the sample grid and sliced to the series:
+        # sample j + m (beta = -1) or j (beta = +1) for estimate j
+        coeffs = (1.0, 2.0, 3.0, 0.5)
+        spec = tmp_path / "poly.spec"
+        spec.write_text(f"signal = polynomial\ncoeffs = {', '.join(map(str, coeffs))}\n"
+                        f"ts = 0.01\ncount = 401\nm = 40\nbeta = {beta}\nn = {n}\nlabel = poly\n")
+        report = run_json(capsys, ["experiment", str(spec), "--out-dir", str(tmp_path)])
+        rows = np.array(read_csv(report["series_paths"]["truth"])[1:], dtype=float)
+        times = np.array(read_csv(report["series_paths"]["estimate_noisy"])[1:], dtype=float)[:, 0]
+        assert len(rows) == 401 - 40
+        assert np.array_equal(rows[:, 0], times)
+        assert times[0] == (0.4 if beta == -1 else 0.0)
+        poly = np.polynomial.polynomial
+        want = poly.polyval(rows[:, 0], poly.polyder(coeffs, n))
+        assert np.all(np.abs(rows[:, 1] - want) <= 4 * np.spacing(np.abs(want)))
+
+
+def _mask_window(times, window_lo, window_hi):
+    """The metrics window as a boolean mask over the estimate times: the rule
+    that `_score`'s slice of the sorted times must follow."""
+    lo, hi = max(window_lo, times[0]), min(window_hi, times[-1])
+    return (times >= lo - 1e-12) & (times <= hi + 1e-12)
+
+
+class TestMetricsWindow:
+    """The window is a slice of the sorted times; a boolean mask is the oracle."""
+
+    # name -> the window's (lo, hi) from the estimate times t
+    ENDS = {
+        "on-samples": lambda t: (t[10], t[-10]),
+        "beyond-the-series": lambda t: (-1.0, t[-1] + 5.0),
+        "unbounded": lambda t: (-math.inf, math.inf),
+        "first-and-last": lambda t: (t[0], t[-1]),
+        "between-samples": lambda t: ((t[3] + t[4]) / 2, (t[20] + t[21]) / 2),
+        "one-sample": lambda t: (t[7], t[7]),
+        "reversed": lambda t: (t[20], t[10]),
+        "past-the-end": lambda t: (t[-1] + 1.0, t[-1] + 2.0),
+    }
+
+    def check(self, beta, ends):
+        """Score noisy sin2t at m = 25 on the window ``ends(times)`` of its estimate times."""
+        values = cli._resolve({"beta": beta}, {"signal": "sin2t", "m": 25, "noise": "white",
+                                               "target_snr_db": 20.0})
+        clean, truth = cli._signal(values)
+        cfg = cli._config(values, clean)
+        series = estimate_series(clean, cfg)
+        noisy = estimate_series(cli._draw(values, clean, truth, cli._noise(values)).noisy, cfg)
+        times = series.times
+        lo, hi = ends(times)
+        values.update(window_lo=lo, window_hi=hi)
+        mask = _mask_window(times, lo, hi)
+        if not mask.any():
+            with pytest.raises(ValueError, match=r"\] contains no estimates"):
+                cli.run_experiment(values)
+            return
+        report = cli.run_experiment(values)
+        assert report["window"] == (times[mask][0], times[mask][-1])
+        start = 25 if beta == -1 else 0
+        err = noisy.estimates[mask] - truth(1)[start : start + len(times)][mask]
+        assert report["total_error"] == float(clean.ts * np.sum(err**2))
+        signal_part = noisy.estimates[mask]
+        noise_part = signal_part - series.estimates[mask]
+        ratio = float(signal_part @ signal_part) / float(noise_part @ noise_part)
+        assert report["snr_db"] == float(10.0 * math.log10(ratio))
+
+    @pytest.mark.parametrize("hi_shift", [-2e-12, -1e-12, 0.0, 1e-12, 2e-12])
+    @pytest.mark.parametrize("lo_shift", [-2e-12, -1e-12, 0.0, 1e-12, 2e-12])
+    @pytest.mark.parametrize("beta", [-1, 1])
+    def test_ends_at_and_near_a_sample_time(self, beta, lo_shift, hi_shift):
+        self.check(beta, lambda t: (t[10] + lo_shift, t[-10] + hi_shift))
+
+    @pytest.mark.parametrize("ends", sorted(ENDS))
+    @pytest.mark.parametrize("beta", [-1, 1])
+    def test_window_ends(self, beta, ends):
+        self.check(beta, self.ENDS[ends])
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "table2-b", "--seed", "3", "--beta", "1"],
+    ["experiment", "table1-a", "--seed", "3"],
+    ["mc", "--trials", "100", "--m", "40"],
+], ids=["experiment-table2-b", "experiment-table1-a", "mc"])
+def test_json_report_is_one_line_of_strict_json(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert isinstance(strict_json(out), dict)
 
 
 class TestMcCommand:
@@ -453,6 +553,8 @@ INPUT_FILES = {
     "columns.csv": "time,value\n0,1\n0.1,2\n",
     "one-sample.csv": "t,value\n0,1\n",
     "empty-window.spec": "signal = sin2t\nm = 4\nwindow_lo = 100\n",
+    "nan-window-lo.spec": "signal = sin2t\nm = 4\nwindow_lo = nan\n",
+    "nan-window-hi.spec": "signal = sin2t\nm = 4\nwindow_hi = nan\n",
     "bad-line.spec": "signal = sin2t\nm 4\n",
     "unknown-key.spec": "signal = sin2t\ntaps = 4\n",
     "noise-kind.spec": "signal = sin2t\nm = 4\nnoise = pink\n",
@@ -533,6 +635,9 @@ class TestErrorHandling:
             (["estimate", "--in", "{tmp}/one-sample.csv", "--m", "2"],
              "CSV signal needs at least 2 samples"),
             (["experiment", "{tmp}/empty-window.spec"], "] contains no estimates"),
+            # nan fails every comparison, so it would sort past every time
+            (["experiment", "{tmp}/nan-window-lo.spec"], "window_lo must be a number, got nan"),
+            (["experiment", "{tmp}/nan-window-hi.spec"], "window_hi must be a number, got nan"),
             (["experiment", "{tmp}/bad-line.spec"],
              "bad spec line (expected key = value): 'm 4'"),
             (["experiment", "{tmp}/unknown-key.spec"], "unknown spec key 'taps'"),
@@ -642,6 +747,7 @@ class TestErrorHandling:
              "usage-no-command", "kernel-taps-not-finite-T-not-at-fault",
              "kernel-f-rule-gain", "experiment-f-rule-gain", "experiment-f-rule-gain-table1",
              "mc-f-rule-gain", "csv-columns", "csv-one-sample", "empty-metrics-window",
+             "metrics-window-lo-nan", "metrics-window-hi-nan",
              "spec-bad-line", "spec-unknown-key", "spec-noise-kind",
              "spec-signal-kind", "spec-csv-without-path", "spec-polynomial-without-coeffs",
              "experiment-m-zero", "experiment-m-negative", "experiment-m-before-seed",
