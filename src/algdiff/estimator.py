@@ -4,8 +4,9 @@ The estimate at ``t0`` is the tap-weighted sum of the ``m+1`` samples in the
 window ``[t0 - T, t0]`` (causal) or ``[t0, t0 + T]`` (anti-causal): tap ``i``
 multiplies the sample at ``t0 + beta*T*(i/m)``, which is exactly sample index
 ``t0_index + beta*i`` once the kernel step ``T/m`` matches the sampling
-period.  A whole series is therefore one correlation of the samples with the
-taps (`_apply`).
+period.  A whole series is therefore a correlation of the samples with the
+taps, computed as a few matrix products with the kernel's Toeplitz blocks
+(`_apply`), so that BLAS reuses each sample across the windows it is in.
 """
 
 from __future__ import annotations
@@ -69,22 +70,41 @@ def _check_alignment(signal: SampledSignal, cfg: EstimatorConfig) -> None:
         )
 
 
-def _apply(values: np.ndarray, taps: np.ndarray, beta: int) -> np.ndarray:
+@np.errstate(over="ignore", invalid="ignore")  # huge samples: `estimate_series` refuses
+def _apply(values: np.ndarray, k: DiscreteKernel) -> np.ndarray:
     """Tap-weighted sum over every full window of ``values``, in sample order.
 
     Output ``j`` is ``sum_i taps[i] * values[t0 + beta*i]`` with ``t0 = j``
-    (beta = +1) or ``t0 = j + m`` (beta = -1).  The samples are read in the
-    window's direction, so each window is summed from tap 0 up.
+    (beta = +1) or ``t0 = j + m`` (beta = -1).  The samples are laid out in
+    the window's direction, zero-padded and cut into rows of b = 32; each
+    row of b outputs is a sum over the kernel's Toeplitz blocks of one row
+    of samples times one block (`DiscreteKernel.blocks`), and each block is
+    one matrix product over all rows.  The memory is O(N + b*m).  An
+    output's last bits depend on its position in the series modulo b and on
+    the series length; it is within a few eps * sum|tap * x| of the exact
+    window sum.  Sums that overflow are returned as they are, with no warning.
     """
-    return np.correlate(values[::beta], taps, "valid")[::beta]
+    blocks, m, beta = k.blocks, k.config.m, k.config.beta
+    count, b = blocks.shape[:2]
+    outputs = len(values) - m
+    rows = -(-outputs // b)
+    padded = np.zeros((rows + count - 1) * b)
+    padded[: len(values)] = values[::beta]
+    samples = padded.reshape(-1, b)
+    out = samples[:rows].dot(blocks[0])
+    part = np.empty_like(out)
+    for i in range(1, count):
+        out += samples[i : i + rows].dot(blocks[i], out=part)
+    return out.ravel()[:outputs][::beta]
 
 
 def estimate_at(signal: SampledSignal, k: DiscreteKernel, t0_index: int) -> float:
     """Derivative estimate at sample ``t0_index``.
 
     Requires the whole window ``t0_index + beta*i`` (i = 0..m) in range and the
-    kernel step equal to the sampling period.  This is the one-window case of
-    `estimate_series`, bit for bit.
+    kernel step equal to the sampling period.  It is read from `_apply` over
+    the whole signal, since an output's bits depend on its place in the
+    series: this is `estimate_series` bit for bit, at O(N*m) per point.
     """
     cfg = k.config
     _check_alignment(signal, cfg)
@@ -95,12 +115,16 @@ def estimate_at(signal: SampledSignal, k: DiscreteKernel, t0_index: int) -> floa
             f"window [{min(t0_index, far_end)}, {max(t0_index, far_end)}] out of "
             f"range for a signal of {n_samples} samples"
         )
-    lo = min(t0_index, far_end)
-    return float(_apply(signal.values[lo : lo + cfg.m + 1], k.taps, cfg.beta)[0])
+    return float(_apply(signal.values, k)[min(t0_index, far_end)])
 
 
 def estimate_series(signal: SampledSignal, cfg: EstimatorConfig) -> EstimateSeries:
-    """Estimates at every sample with a full window, as one correlation."""
+    """Estimates at every sample with a full window, by one `_apply`.
+
+    A series with a non-finite estimate (samples large enough to overflow the
+    window sums) is refused, naming the first such estimate's time and the
+    largest sample.
+    """
     _check_alignment(signal, cfg)
     n_samples = len(signal.values)
     if n_samples < cfg.m + 1:
@@ -111,5 +135,13 @@ def estimate_series(signal: SampledSignal, cfg: EstimatorConfig) -> EstimateSeri
         t_first = signal.t_start + cfg.m * signal.ts
     else:
         t_first = signal.t_start
-    estimates = _apply(signal.values, kernel_taps(cfg).taps, cfg.beta)
+    estimates = _apply(signal.values, kernel_taps(cfg))
+    finite = np.isfinite(estimates)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(
+            f"the estimate at t = {t_first + bad * signal.ts!r} is {estimates[bad]}: "
+            f"samples up to |x| = {np.max(np.abs(signal.values)):.6g} overflow the "
+            f"tap-weighted sum"
+        )
     return EstimateSeries(t_first, signal.ts, estimates, cfg)

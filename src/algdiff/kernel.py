@@ -19,9 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .specfun import _jacobi_numerators, beta_fn
 
@@ -36,8 +37,11 @@ __all__ = [
     "kernel_taps",
 ]
 
-# configs whose discrete kernels `kernel_taps` keeps; each holds m+1 floats
+# configs whose discrete kernels `kernel_taps` keeps; each holds m+1 floats,
+# and about 32*(m+64) more for its Toeplitz blocks once it has been applied
 _TAPS_CACHE_SIZE = 32
+# width of the Toeplitz blocks (`DiscreteKernel.blocks`); 16 and 64 ran slower
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -179,6 +183,28 @@ class DiscreteKernel:
     def __post_init__(self) -> None:
         self.taps.setflags(write=False)
 
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """The taps as ``ceil((m+b)/b)`` Toeplitz blocks of width b = 32, read-only.
+
+        ``blocks[k][s, r] = taps[k*b + s - r]``, 0 outside the taps.  With the
+        samples in the window's direction, the ``b`` windows that start at
+        samples ``p*b .. p*b + b-1`` sum to ``sum_k samples[(p+k)*b :
+        (p+k+1)*b] @ blocks[k]`` (`estimator._apply`).  Built on first use and
+        kept with the kernel.
+        """
+        b, m = _BLOCK, len(self.taps) - 1
+        count = (m + 2 * b - 1) // b
+        padded = np.zeros((count + 1) * b)
+        padded[b : b + m + 1] = self.taps
+        # rows[i] = padded[count*b - i :][:b]; cut into count blocks of b rows
+        # and reversed, row r of block k starts at padded[(k+1)*b - r], that
+        # is at tap k*b - r; the transpose makes it column r
+        rows = sliding_window_view(padded, b)[count * b : 0 : -1]
+        out = np.ascontiguousarray(rows.reshape(count, b, b)[::-1].transpose(0, 2, 1))
+        out.setflags(write=False)
+        return out
+
 
 def minimal_kernel(cfg: EstimatorConfig) -> WeightedPoly:
     """Single-term estimator kernel: the q = 0 case of `affine_kernel`.
@@ -288,11 +314,13 @@ def discretize(p: WeightedPoly, cfg: EstimatorConfig) -> DiscreteKernel:
             else:
                 values[i] = 0.0
         taps = weights * values / divisor
-        inner = np.delete(taps, list(f_ends))
-        inner_gain, gain = float(inner @ inner), float(taps @ taps)
+        gain = float(taps @ taps)
     # the noise gain sum(taps**2) scales every noise variance; as F -> 0 the
     # f-rule end taps alone can take it past the float range
     if not math.isfinite(gain):
+        inner = np.delete(taps, list(f_ends))
+        with np.errstate(all="ignore"):
+            inner_gain = float(inner @ inner)
         if f_ends and math.isfinite(inner_gain):
             end = max(f_ends, key=lambda i: abs(taps[i]))
             raise ValueError(f"F = {cfg.F!r} and {f_ends[end]} give an end tap of "

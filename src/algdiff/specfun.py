@@ -55,7 +55,10 @@ def _jacobi_numerators(degree: int, mu: int, kappa: int, den: int) -> list[int]:
     return out
 
 
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
+def _lgamma(x) -> np.ndarray:
+    """`math.lgamma` elementwise, in the shape of ``x``."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _log_beta(a, b) -> np.ndarray:
@@ -90,10 +93,10 @@ def _jacobi_matrix(size: int, mu, kappa) -> np.ndarray:
     bk = k * (k - 1 + m1) * (k - 1 + k1) * (k - 2 + r) / (v**2 * (v + 1) * (v - 1))
     off = np.sqrt(np.concatenate((b1, bk), axis=-1)[..., : size - 1])
     out = np.zeros(diag.shape + (size,))
-    i = np.arange(size)
-    out[..., i, i] = diag
-    out[..., i[1:], i[:-1]] = off
-    out[..., i[:-1], i[1:]] = off
+    flat = out.reshape(diag.shape[:-1] + (size * size,))  # a view: row-major entries
+    flat[..., :: size + 1] = diag
+    flat[..., 1 :: size + 1] = off  # (k, k+1)
+    flat[..., size :: size + 1] = off  # (k+1, k)
     return out
 
 

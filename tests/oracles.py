@@ -309,6 +309,13 @@ def exact_discrete_moments(k: DiscreteKernel, noise: NoiseModel, t0: float) -> t
     return mean, exact_increment_covariance(noise.increment_part(), taps, times, taps, times)
 
 
+def correlate_apply(values: np.ndarray, k: DiscreteKernel) -> np.ndarray:
+    """`estimator._apply` by the route it replaced: one `np.correlate` of the
+    samples, in the window's direction, with the taps (one dot per output)."""
+    beta = k.config.beta
+    return np.correlate(values[::beta], k.taps, "valid")[::beta]
+
+
 def snr_db(x: np.ndarray, scaled_noise: np.ndarray) -> float:
     noisy = x + scaled_noise
     return 10.0 * math.log10(float(noisy @ noisy) / float(scaled_noise @ scaled_noise))

@@ -191,6 +191,17 @@ class TestEstimateCommand:
             warnings.simplefilter("error")
             assert_one_line_error(capsys, ["estimate", "--in", str(src), "--m", "2"], "is empty")
 
+    def test_overflowing_samples_exit_2_without_a_warning(self, tmp_path, capsys):
+        # 200 samples alternating +-1e308: every window sum overflows, and
+        # the estimates used to be printed as nan with exit 0
+        src = tmp_path / "huge.csv"
+        rows = [f"{i / 100!r},{1e308 if i % 2 == 0 else -1e308!r}" for i in range(200)]
+        src.write_text("t,value\n" + "\n".join(rows) + "\n")
+        argv = ["estimate", "--in", str(src), "--m", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_one_line_error(capsys, argv, "samples up to |x| = 1e+308 overflow")
+
     def test_nan_time_exits_2(self, tmp_path, capsys):
         # a nan step used to pass the uniform-sampling check
         src = tmp_path / "nan_t.csv"

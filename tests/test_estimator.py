@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,9 +17,11 @@ from algdiff.kernel import (
     EstimatorConfig,
     affine_kernel,
     discretize,
+    kernel_taps,
     minimal_kernel,
 )
 from algdiff.specfun import _least_zero
+from oracles import correlate_apply
 
 
 def make_kernel(cfg: EstimatorConfig) -> DiscreteKernel:
@@ -252,6 +256,39 @@ class TestEstimateSeries:
         with pytest.raises(ValueError):
             estimate_series(ramp_signal(0.01, 10), cfg)
 
+    @pytest.mark.parametrize("beta", [-1, 1])
+    def test_refuses_overflowing_window_sums_without_a_warning(self, beta):
+        # samples alternating +-1e308 overflow every window sum; the series
+        # used to come back as nan with no error
+        values = np.where(np.arange(200) % 2 == 0, 1e308, -1e308)
+        cfg = EstimatorConfig(n=1, beta=beta, T=0.02, m=2)
+        t_first = 0.02 if beta == -1 else 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=(
+                rf"the estimate at t = {t_first!r} is (inf|-inf|nan): samples up to "
+                r"\|x\| = 1e\+308 overflow the tap-weighted sum"
+            )):
+                estimate_series(SampledSignal(0.0, 0.01, values), cfg)
+
+    def test_memory_is_linear_in_samples_and_taps(self):
+        # the first call builds the kernel and its Toeplitz blocks; a Hankel
+        # matrix of every window would take 8*N*(m+1) bytes, 320 MB here
+        count, m = 20_010, 2000
+        sig = SampledSignal(0.0, 1e-3, np.sin(np.arange(count) * 1e-3))
+        cfg = EstimatorConfig(n=1, mu=0.125, kappa=-0.375, beta=-1, T=m * 1e-3, m=m)
+        # a first short series loads what NumPy imports lazily, which tracemalloc
+        # would count
+        estimate_series(ramp_signal(1e-3, 50), EstimatorConfig(n=1, T=0.01, m=10))
+        kernel_taps.cache_clear()
+        tracemalloc.start()
+        try:
+            estimate_series(sig, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (4 * count + 40 * (m + 1))
+
     @pytest.mark.parametrize(
         "cfg",
         [
@@ -340,23 +377,24 @@ def underflow_term(ops: float) -> float:
 
 @st.composite
 def apply_cases(draw):
-    """A config with fractional exponents, and a noisy signal a few windows long.
+    """A config with fractional exponents, and a noisy signal up to a few
+    blocks of outputs past one window.
 
-    m stays small enough for cheap kernels but covers both NumPy correlation
-    paths (short kernels, m <= 10, take a different one).  ``offset`` moves
-    the samples by one element within their buffer, so both 8-byte
-    alignments of the data occur.
+    m stays small enough for cheap kernels; it often lands on either side of
+    one and two Toeplitz blocks of 32 taps.  ``offset`` moves the samples by
+    one element within their buffer, so both 8-byte alignments of the data
+    occur.
     """
     n = draw(st.integers(1, 3))
     q = draw(st.integers(0, 2))
     exponent = st.floats(-1.0, 2.0, exclude_min=True, exclude_max=True)
-    m = draw(st.integers(n + q + 1, 300))
+    m = draw(st.one_of(st.sampled_from((31, 32, 33, 63, 64, 65)), st.integers(n + q + 1, 300)))
     ts = 0.01
     cfg = EstimatorConfig(
         n=n, q=q, mu=draw(exponent), kappa=draw(exponent), beta=draw(st.sampled_from((-1, 1))),
         T=m * ts, xi=draw(st.floats(0.0, 1.0)) if q else 0.0, m=m,
     )
-    count = m + 1 + draw(st.integers(0, 40))
+    count = m + 1 + draw(st.integers(0, 100))
     offset = draw(st.integers(0, 1))
     buffer = np.empty(count + 1)
     values = buffer[offset : offset + count]
@@ -383,6 +421,19 @@ class TestApplyProperties:
         for j, value in enumerate(est):
             products = window_products(k, sig.values, j)
             bound = APPLY_ULPS * EPS * math.fsum(np.abs(products))
+            assert abs(value - math.fsum(products)) <= bound
+
+    @settings(deadline=None)
+    @given(apply_cases())
+    def test_within_rounding_of_the_correlation_route(self, case):
+        cfg, sig = case
+        est = estimate_series(sig, cfg).estimates
+        k = make_kernel(cfg)
+        reference = correlate_apply(sig.values, k)
+        for j, value in enumerate(est):
+            products = window_products(k, sig.values, j)
+            bound = APPLY_ULPS * EPS * math.fsum(np.abs(products))
+            assert abs(value - reference[j]) <= bound
             assert abs(value - math.fsum(products)) <= bound
 
     @settings(deadline=None)
