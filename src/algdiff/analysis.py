@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -65,6 +66,9 @@ def bias_bounds(cfg: EstimatorConfig, inf_d: float, sup_d: float) -> BiasBounds:
     """
     if cfg.q != 0:
         raise ValueError(f"bias_bounds needs the single-term estimator, q = 0; got q = {cfg.q}")
+    for name, value in (("inf_d", inf_d), ("sup_d", sup_d)):
+        if math.isnan(value):
+            raise ValueError(f"{name} must be a number, got {value!r}")
     if inf_d > sup_d:
         raise ValueError("inf_d must not exceed sup_d")
     c = cfg.beta * delay(cfg)
@@ -149,26 +153,30 @@ def continuous_moments(cfg: EstimatorConfig, noise: NoiseModel) -> NoiseMomentRe
 
 
 def _continuous_out_of_range(cfg: EstimatorConfig, noise: NoiseModel) -> ValueError:
-    """The error for a continuous variance past the float range, naming the inputs at fault.
-
-    The intensity is at fault when the variance at unit intensity is in range.
-    Otherwise T, which enters as 1/T**(2n-1), is at fault when the same
-    config at T = 1 is in range; else the exponents are.
-    """
-
-    def in_range(at_unit_intensity: EstimatorConfig) -> bool:
-        try:
-            variance_continuous(at_unit_intensity, 1.0)
-        except (FloatingPointError, OverflowError):
-            return False
-        return True
-
-    if in_range(cfg):
+    """The error for a continuous variance past the float range, naming the inputs at fault."""
+    at_fault = _variance_at_fault(lambda eta, T: variance_continuous(replace(cfg, T=T), eta), cfg.T)
+    if at_fault == "eta":
         return _beyond_float_range(noise)
     what = "out of the float range for the continuous noise-error variance"
-    if in_range(replace(cfg, T=1.0)):
+    if at_fault == "T":
         return ValueError(f"T = {cfg.T!r} is {what} at n = {cfg.n}")
     return ValueError(f"mu = {cfg.mu!r} and kappa = {cfg.kappa!r} are {what}")
+
+
+def _variance_at_fault(variance: Callable[[float, float], object], T: float) -> str | None:
+    """The input at fault when ``variance(eta, T)`` has raised for leaving the float range.
+
+    "eta", the intensity, when the variance at unit intensity is in range;
+    else "T", which enters as 1/T**(2n-1), when it is in range at unit
+    intensity and T = 1; else None: the exponents are at fault.
+    """
+    for at_fault, at_T in (("eta", T), ("T", 1.0)):
+        try:
+            variance(1.0, at_T)
+        except (FloatingPointError, OverflowError):
+            continue
+        return at_fault
+    return None
 
 
 def _tap_times(k: DiscreteKernel, start: float) -> np.ndarray:

@@ -26,6 +26,7 @@ import numpy as np
 from .analysis import (
     _QUANTITIES,
     _beyond_float_range,
+    _variance_at_fault,
     chebyshev_band,
     continuous_moments,
     delay,
@@ -137,9 +138,13 @@ class _Drawn(NamedTuple):
     noisy: SampledSignal
 
 
-def _draw(values: dict, clean: SampledSignal, truth: _Truth | None,
-          noise: NoiseModel | None) -> _Drawn:
-    """Key the generator, draw the noise path and scale it to the target SNR."""
+def _draw(values: dict) -> tuple[EstimatorConfig, _Drawn]:
+    """A run's estimator and noisy signal: resolve the signal, the noise and
+    the config (so a bad config is named before the seed), then key the
+    generator, draw the noise path and scale it to the target SNR."""
+    clean, truth = _signal(values)
+    noise = _noise(values)
+    cfg = _config(values, clean)
     seed = RngSeed(values["seed"], values["stream"])
     scale = 0.0
     noisy = clean
@@ -148,7 +153,7 @@ def _draw(values: dict, clean: SampledSignal, truth: _Truth | None,
         target_snr_db = values.get("target_snr_db")
         scale = 1.0 if target_snr_db is None else calibrate_snr(clean, path, target_snr_db)
         noisy = SampledSignal(clean.t_start, clean.ts, clean.values + scale * path.values)
-    return _Drawn(clean, truth, noise, seed, scale, noisy)
+    return cfg, _Drawn(clean, truth, noise, seed, scale, noisy)
 
 
 def run_experiment(values: dict, out_dir: str | None = None) -> dict:
@@ -161,10 +166,7 @@ def run_experiment(values: dict, out_dir: str | None = None) -> dict:
     from the noiseless run.  With ``out_dir`` the series are written there as
     CSVs named after the run's label.
     """
-    clean, truth = _signal(values)
-    noise = _noise(values)
-    cfg = _config(values, clean)  # before the seed and the draw, so a bad config is named first
-    return _score(values, cfg, _draw(values, clean, truth, noise), out_dir)
+    return _score(values, *_draw(values), out_dir)
 
 
 def _score(values: dict, cfg: EstimatorConfig, drawn: _Drawn, out_dir: str | None) -> dict:
@@ -278,19 +280,14 @@ def run_preset_pair(name: str, flags: dict, out_dir: str | None = None) -> dict:
     ``flags`` (spec keys, e.g. ``{"seed": 3}``) override both runs' values.
     The two runs share every value that defines the noisy signal, so it is
     drawn and calibrated once, and each report equals `run_experiment`'s.
-    Inputs are checked in the order two `run_experiment` calls check them,
-    so the extended config is checked after the integer run is scored.
     """
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     integer, extended = (_resolve(flags, dict(values, label=f"{name}_{label}"))
                          for label, values in PRESETS[name].items())
-    clean, truth = _signal(integer)
-    noise = _noise(integer)
-    cfg = _config(integer, clean)
-    drawn = _draw(integer, clean, truth, noise)
+    cfg, drawn = _draw(integer)
     runs = [_score(integer, cfg, drawn, out_dir)]
-    runs.append(_score(extended, _config(extended, clean), drawn, out_dir))
+    runs.append(_score(extended, _config(extended, drawn.clean), drawn, out_dir))
     ratio = None
     if runs[0]["total_error"] and runs[1]["total_error"]:
         ratio = runs[0]["total_error"] / runs[1]["total_error"]
@@ -589,21 +586,13 @@ def _cmd_surface(ns: argparse.Namespace) -> int:
     try:
         grid = sweep_surface(ns.quantity, kappa_grid, mu_grid, **design)
     except (FloatingPointError, OverflowError) as exc:
-        # eta when the grid at eta = 1 stays in range, T when it does at T = 1
-        # as well, else each axis's bound of larger magnitude, hi on a tie
-        at_fault = ", ".join(
+        key = _variance_at_fault(lambda eta, T: sweep_surface(
+            ns.quantity, kappa_grid, mu_grid, **{**design, "eta": eta, "T": T}), design.get("T", 1.0))
+        # with neither eta nor T at fault, each axis's bound of larger magnitude, hi on a tie
+        at_fault = f"{key} = {design[key]!r}" if key else ", ".join(
             f"--{axis}-lo {lo!r}" if abs(lo) > abs(hi) else f"--{axis}-hi {hi!r}"
             for axis, lo, hi in (("kappa", ns.kappa_lo, ns.kappa_hi), ("mu", ns.mu_lo, ns.mu_hi))
         )
-        at_one = dict(design)
-        for key in (key for key in ("eta", "T") if key in design):
-            at_one[key] = 1.0
-            try:
-                sweep_surface(ns.quantity, kappa_grid, mu_grid, **at_one)
-            except (FloatingPointError, OverflowError):
-                continue
-            at_fault = f"{key} = {design[key]!r}"
-            break
         raise ValueError(f"{ns.quantity} leaves the float range for {at_fault}: {exc}") from None
     # header row of mu, first column kappa
     with _open_out(ns.out) as out:

@@ -62,14 +62,6 @@ class EstimateSeries:
         return self.t_first + self.ts * np.arange(len(self.estimates))
 
 
-def _check_alignment(signal: SampledSignal, cfg: EstimatorConfig) -> None:
-    if abs(cfg.T - cfg.m * signal.ts) > 1e-9 * max(cfg.T, 1.0):
-        raise ValueError(
-            f"kernel step T/m = {cfg.T / cfg.m!r} does not match the sampling "
-            f"period ts = {signal.ts!r}"
-        )
-
-
 @np.errstate(over="ignore", invalid="ignore")  # huge samples: `estimate_series` refuses
 def _apply(values: np.ndarray, k: DiscreteKernel) -> np.ndarray:
     """Tap-weighted sum over every full window of ``values``, in sample order.
@@ -101,21 +93,17 @@ def _apply(values: np.ndarray, k: DiscreteKernel) -> np.ndarray:
 def estimate_at(signal: SampledSignal, k: DiscreteKernel, t0_index: int) -> float:
     """Derivative estimate at sample ``t0_index``.
 
-    Requires the whole window ``t0_index + beta*i`` (i = 0..m) in range and the
-    kernel step equal to the sampling period.  It is read from `_apply` over
-    the whole signal, since an output's bits depend on its place in the
-    series: this is `estimate_series` bit for bit, at O(N*m) per point.
+    Requires the whole window ``t0_index + beta*i`` (i = 0..m) in range.  It
+    is one entry of the checked series of `estimate_series`, bit for bit and
+    refused like it, at O(N*m) per point: an output's bits depend on its
+    place in the series.
     """
-    cfg = k.config
-    _check_alignment(signal, cfg)
-    far_end = t0_index + cfg.beta * cfg.m
+    m = k.config.m
+    j = t0_index - m if k.config.beta == -1 else t0_index  # the window is [j, j + m]
     n_samples = len(signal.values)
-    if not (0 <= t0_index < n_samples and 0 <= far_end < n_samples):
-        raise IndexError(
-            f"window [{min(t0_index, far_end)}, {max(t0_index, far_end)}] out of "
-            f"range for a signal of {n_samples} samples"
-        )
-    return float(_apply(signal.values, k)[min(t0_index, far_end)])
+    if not 0 <= j < n_samples - m:
+        raise IndexError(f"window [{j}, {j + m}] out of range for a signal of {n_samples} samples")
+    return float(_series(signal, k).estimates[j])
 
 
 def estimate_series(signal: SampledSignal, cfg: EstimatorConfig) -> EstimateSeries:
@@ -125,7 +113,17 @@ def estimate_series(signal: SampledSignal, cfg: EstimatorConfig) -> EstimateSeri
     window sums) is refused, naming the first such estimate's time and the
     largest sample.
     """
-    _check_alignment(signal, cfg)
+    return _series(signal, kernel_taps(cfg))
+
+
+def _series(signal: SampledSignal, k: DiscreteKernel) -> EstimateSeries:
+    """`estimate_series` with the kernel ``k``: every check, then `_apply`."""
+    cfg = k.config
+    if abs(cfg.T - cfg.m * signal.ts) > 1e-9 * max(cfg.T, 1.0):
+        raise ValueError(
+            f"kernel step T/m = {cfg.T / cfg.m!r} does not match the sampling "
+            f"period ts = {signal.ts!r}"
+        )
     n_samples = len(signal.values)
     if n_samples < cfg.m + 1:
         raise ValueError(
@@ -135,7 +133,7 @@ def estimate_series(signal: SampledSignal, cfg: EstimatorConfig) -> EstimateSeri
         t_first = signal.t_start + cfg.m * signal.ts
     else:
         t_first = signal.t_start
-    estimates = _apply(signal.values, kernel_taps(cfg))
+    estimates = _apply(signal.values, k)
     finite = np.isfinite(estimates)
     if not finite.all():
         bad = int(np.argmin(finite))

@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .specfun import _jacobi_numerators, beta_fn
+from .specfun import _jacobi_numerators, _log_beta
 
 __all__ = [
     "WeightedPoly",
@@ -65,7 +65,7 @@ class WeightedPoly:
     def scale_divisor(self) -> float:
         """Float value of the Beta divisor."""
         s = self.shift
-        return beta_fn(float(self.kappa_exp + s + 1), float(self.mu_exp + s + 1))
+        return math.exp(_log_beta(float(self.kappa_exp + s + 1), float(self.mu_exp + s + 1)))
 
 
 def wpoly_moment(p: WeightedPoly, j: int) -> float:

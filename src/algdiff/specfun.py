@@ -19,18 +19,7 @@ import math
 
 import numpy as np
 
-__all__ = ["beta_fn"]
-
-
-def beta_fn(a: float, b: float) -> float:
-    """Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b), a, b > 0.
-
-    Computed in log space so that large arguments underflow gracefully
-    instead of overflowing intermediate Gamma values.
-    """
-    if not (a > 0 and b > 0):
-        raise ValueError(f"beta function requires positive arguments, got {a!r}, {b!r}")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+__all__: list[str] = []
 
 
 def _jacobi_numerators(degree: int, mu: int, kappa: int, den: int) -> list[int]:

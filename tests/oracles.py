@@ -13,8 +13,18 @@ import numpy as np
 
 from algdiff.estimator import SampledSignal
 from algdiff.kernel import DiscreteKernel, EstimatorConfig, WeightedPoly, kernel_taps, wpoly_moment
-from algdiff.specfun import beta_fn
 from algdiff.stochastic import NoiseModel, RngSeed, gen_path
+
+
+def beta_fn(a: float, b: float) -> float:
+    """Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b), a, b > 0.
+
+    Computed in log space so that large arguments underflow gracefully
+    instead of overflowing intermediate Gamma values.
+    """
+    if not (a > 0 and b > 0):
+        raise ValueError(f"beta function requires positive arguments, got {a!r}, {b!r}")
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 def wpoly(mu_exp, kappa_exp, coeffs, shift=0) -> WeightedPoly:

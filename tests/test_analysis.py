@@ -31,9 +31,10 @@ from algdiff.kernel import (
     kernel_taps,
     minimal_kernel,
 )
-from algdiff.specfun import _least_zero, beta_fn
+from algdiff.specfun import _least_zero
 from algdiff.stochastic import Poisson, WhiteGaussian, Wiener
 from oracles import (
+    beta_fn,
     dense_increment_covariance,
     exact_discrete_moments,
     exact_increment_covariance,
@@ -267,6 +268,24 @@ class TestBiasBounds:
     def test_rejects_inverted_extrema(self):
         with pytest.raises(ValueError):
             bias_bounds(EstimatorConfig(n=1, beta=1), 2.0, 1.0)
+
+    @pytest.mark.parametrize("inf_d,sup_d,name", [
+        (math.nan, 1.0, "inf_d"), (1.0, math.nan, "sup_d"), (-math.inf, math.nan, "sup_d"),
+        (math.nan, math.nan, "inf_d"),
+    ])
+    def test_rejects_nan_extrema(self, inf_d, sup_d, name):
+        # a nan extremum used to give a nan bound with no error
+        with pytest.raises(ValueError, match=f"{name} must be a number, got nan"):
+            bias_bounds(EstimatorConfig(n=1, beta=1), inf_d, sup_d)
+
+    @pytest.mark.parametrize("beta", [-1, 1])
+    def test_unbounded_derivative_gives_unbounded_range(self, beta):
+        # an unbounded derivative gives an unbounded bias range, not a refusal
+        cfg = EstimatorConfig(n=1, beta=beta, T=0.2)
+        b = bias_bounds(cfg, -math.inf, math.inf)
+        assert (b.lower, b.upper) == (-math.inf, math.inf)
+        b = bias_bounds(cfg, 0.0, math.inf)
+        assert (b.lower, b.upper) == ((0.0, math.inf) if beta == 1 else (-math.inf, 0.0))
 
     @pytest.mark.parametrize("q", [1, 2])
     def test_rejects_series_estimator(self, q):

@@ -409,10 +409,10 @@ class TestMetricsWindow:
         """Score noisy sin2t at m = 25 on the window ``ends(times)`` of its estimate times."""
         values = cli._resolve({"beta": beta}, {"signal": "sin2t", "m": 25, "noise": "white",
                                                "target_snr_db": 20.0})
-        clean, truth = cli._signal(values)
-        cfg = cli._config(values, clean)
+        cfg, drawn = cli._draw(values)
+        clean, truth = drawn.clean, drawn.truth
         series = estimate_series(clean, cfg)
-        noisy = estimate_series(cli._draw(values, clean, truth, cli._noise(values)).noisy, cfg)
+        noisy = estimate_series(drawn.noisy, cfg)
         times = series.times
         lo, hi = ends(times)
         values.update(window_lo=lo, window_hi=hi)
@@ -1000,6 +1000,39 @@ class TestOneRoute:
         spec_only = run(set(values))
         assert spec_only[0] == 0, spec_only[2]
         assert run(set(values) - moved) == spec_only
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4),
+        *(st.sampled_from(edges) | st.floats(lo, hi) for edges, lo, hi in (
+            ((0.0, 1e-300, 1.0, 1e100, 1e300, 1e308), 0.0, 1e308),  # eta
+            ((1e-300, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e300), 1e-300, 1e300),  # T
+            ((-0.999999, -0.5, 0.0, 1.0, 1e20, 1e60, 1e200, 1e308), -0.999999, 1e308),  # mu
+            ((-0.999999, -0.5, 0.0, 1.0, 1e20, 1e60, 1e200, 1e308), -0.999999, 1e308),  # kappa
+        )),
+    )
+    def test_surface_and_continuous_moments_name_the_same_input(self, n, eta, T, mu, kappa):
+        # one rule names the input at fault for both: the intensity, then T, else the exponents
+        def fault(message):
+            first = re.search(r"\b(sigma2|eta|T|mu) = |--kappa-", message).group()
+            return {"sigma2 = ": "intensity", "eta = ": "intensity", "T = ": "T"}.get(first, "exponents")
+
+        try:
+            report = analysis.continuous_moments(
+                EstimatorConfig(n=n, mu=mu, kappa=kappa, T=T), Wiener(eta))
+            library = ("ok", report.variance)
+        except ValueError as exc:
+            library = ("refused", fault(str(exc)))
+        rc, out, err = run_captured([
+            "surface", "variance_minimal", "--points", "1", "--n", str(n), f"--T={T!r}",
+            f"--eta={eta!r}", f"--kappa-lo={kappa!r}", f"--kappa-hi={kappa!r}",
+            f"--mu-lo={mu!r}", f"--mu-hi={mu!r}",
+        ])
+        if rc == 0:
+            surface = ("ok", float(out.splitlines()[1].split(",")[1]))
+        else:
+            surface = ("refused", fault(json.loads(err)["error"]))
+        assert surface == library, (surface, library)
 
     @settings(max_examples=10, deadline=None)
     @given(st.sampled_from(("white", "wiener", "poisson")), st.integers(10, 60))

@@ -191,11 +191,11 @@ class TestEstimateAt:
         cfg = EstimatorConfig(n=1, beta=-1, T=0.1, m=10)
         sig = ramp_signal(0.01, 30)
         k = make_kernel(cfg)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=r"window \[-1, 9\] out of range for a signal of 30"):
             estimate_at(sig, k, 9)  # causal window would start at -1
         anti = EstimatorConfig(n=1, beta=1, T=0.1, m=10)
         k2 = make_kernel(anti)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=r"window \[25, 35\] out of range for a signal of 30"):
             estimate_at(sig, k2, 25)
 
     def test_misaligned_sampling_rejected(self):
@@ -259,17 +259,19 @@ class TestEstimateSeries:
     @pytest.mark.parametrize("beta", [-1, 1])
     def test_refuses_overflowing_window_sums_without_a_warning(self, beta):
         # samples alternating +-1e308 overflow every window sum; the series
-        # used to come back as nan with no error
-        values = np.where(np.arange(200) % 2 == 0, 1e308, -1e308)
+        # used to come back as nan with no error, and `estimate_at`, one
+        # entry of the same series, as inf
+        sig = SampledSignal(0.0, 0.01, np.where(np.arange(200) % 2 == 0, 1e308, -1e308))
         cfg = EstimatorConfig(n=1, beta=beta, T=0.02, m=2)
         t_first = 0.02 if beta == -1 else 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=(
-                rf"the estimate at t = {t_first!r} is (inf|-inf|nan): samples up to "
-                r"\|x\| = 1e\+308 overflow the tap-weighted sum"
-            )):
-                estimate_series(SampledSignal(0.0, 0.01, values), cfg)
+        for route in (lambda: estimate_series(sig, cfg), lambda: estimate_at(sig, kernel_taps(cfg), 100)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=(
+                    rf"the estimate at t = {t_first!r} is (inf|-inf|nan): samples up to "
+                    r"\|x\| = 1e\+308 overflow the tap-weighted sum"
+                )):
+                    route()
 
     def test_memory_is_linear_in_samples_and_taps(self):
         # the first call builds the kernel and its Toeplitz blocks; a Hankel

@@ -26,8 +26,8 @@ from algdiff.kernel import (
     minimal_kernel,
     wpoly_moment,
 )
-from algdiff.specfun import beta_fn
 from oracles import (
+    beta_fn,
     fraction_series_derivative,
     jacobi_coefficients,
     jacobi_eval,
@@ -156,6 +156,18 @@ class TestWeightedPoly:
         assert wpoly(0, 0, [1]).scale_divisor() == 1.0
         p = wpoly(0, 0, [1], shift=1)
         assert p.scale_divisor() == pytest.approx(beta_fn(2.0, 2.0), rel=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-0.999999, 1e300) | st.floats(-0.999999, 20.0),
+        st.floats(-0.999999, 1e300) | st.floats(-0.999999, 20.0),
+        st.integers(0, 6),
+    )
+    def test_scale_divisor_is_the_beta_oracle_bit_for_bit(self, mu, kappa, shift):
+        # the package's one Beta route, log-Beta then exp, against the float oracle
+        p = wpoly(mu, kappa, [1], shift=shift)
+        expect = beta_fn(float(p.kappa_exp + shift + 1), float(p.mu_exp + shift + 1))
+        assert p.scale_divisor() == expect
 
 
 class TestWpolyEval:

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algdiff.kernel import wpoly_moment
-from algdiff.specfun import _jacobi_numerators, _least_zero, beta_fn
-from oracles import jacobi_coefficients, jacobi_eval, jacobi_norm_sq, scan_root, wpoly
+from algdiff.specfun import _jacobi_numerators, _least_zero
+from oracles import beta_fn, jacobi_coefficients, jacobi_eval, jacobi_norm_sq, scan_root, wpoly
 
 GRID = np.linspace(0.0, 1.0, 21)
 EXPONENT_PAIRS = [(0.0, 0.0), (0.5, -0.25), (-0.78, -0.6), (1.0, 2.0)]
