@@ -252,7 +252,7 @@ def discrete_covariance(
     tails1 = np.cumsum(np.concatenate((k1.taps, pad2))[order][::-1])[::-1]
     tails2 = np.cumsum(np.concatenate((pad1, k2.taps))[order][::-1])[::-1]
     # the tap sums weigh the first step, the whole path before the windows
-    tails1[0], tails2[0] = math.fsum(k1.taps.tolist()), math.fsum(k2.taps.tolist())
+    tails1[0], tails2[0] = math.fsum(memoryview(k1.taps)), math.fsum(memoryview(k2.taps))
     steps = np.diff(times[order], prepend=-start)
     return noise.increment_part() * float(np.dot(steps, tails1 * tails2))
 

@@ -68,25 +68,38 @@ def _apply(values: np.ndarray, k: DiscreteKernel) -> np.ndarray:
 
     Output ``j`` is ``sum_i taps[i] * values[t0 + beta*i]`` with ``t0 = j``
     (beta = +1) or ``t0 = j + m`` (beta = -1).  The samples are laid out in
-    the window's direction, zero-padded and cut into rows of b = 32; each
-    row of b outputs is a sum over the kernel's Toeplitz blocks of one row
-    of samples times one block (`DiscreteKernel.blocks`), and each block is
-    one matrix product over all rows.  The memory is O(N + b*m).  An
-    output's last bits depend on its position in the series modulo b and on
-    the series length; it is within a few eps * sum|tap * x| of the exact
-    window sum.  Sums that overflow are returned as they are, with no warning.
+    the window's direction and zero-padded.  The outputs, in rows of b = 32,
+    are split into g phases, g = 4 or the kernel's block count if that is
+    less: phase f holds rows f, f + g, f + 2g, ..., and its samples are the
+    padded samples from ``f*b`` on, cut into rows of g*b (a view).  A phase
+    is a sum over the kernel's groups of g stacked Toeplitz blocks
+    (`DiscreteKernel.blocks`) of one row of samples times one group, and
+    each group is one matrix product, g*b deep, over every row of every
+    phase; the last group stops at the last tap.  The memory is O(N + b*m).
+    An output's last bits depend on its position in the series modulo g*b
+    and on the series length; it is within a few eps * sum|tap * x| of the
+    exact window sum.  Sums that overflow are returned as they are, with no
+    warning.
     """
     blocks, m, beta = k.blocks, k.config.m, k.config.beta
-    count, b = blocks.shape[:2]
+    groups, depth, b = blocks.shape
+    g = depth // b
     outputs = len(values) - m
-    rows = -(-outputs // b)
-    padded = np.zeros((rows + count - 1) * b)
+    rows = -(-outputs // depth)  # rows of each phase
+    padded = np.zeros((rows + groups) * depth)
     padded[: len(values)] = values[::beta]
-    samples = padded.reshape(-1, b)
-    out = samples[:rows].dot(blocks[0])
-    part = np.empty_like(out)
-    for i in range(1, count):
-        out += samples[i : i + rows].dot(blocks[i], out=part)
+    # samples[f, i] = padded[f*b + i*depth :][:depth], row i of phase f
+    samples = np.ndarray((g, rows + groups - 1, depth), buffer=padded, strides=(8 * b, 8 * depth, 8))
+    # out[i, f] is output row i*g + f.  The last sum overwrites the samples,
+    # which every product has read by then; a single product still reads them
+    out = np.empty((rows, g, b)) if groups == 1 else padded[: rows * depth].reshape(rows, g, b)
+    phases = out.transpose(1, 0, 2)
+    acc = np.matmul(samples[:, :rows, : m + b], blocks[0, : m + b], out=phases if groups == 1 else None)
+    part = None
+    for j in range(1, groups):
+        last = m + b - j * depth  # rows of group j from here on hold no taps
+        part = np.matmul(samples[:, j : j + rows, :last], blocks[j, :last], out=part)
+        np.add(acc, part, out=phases if j == groups - 1 else acc)
     return out.ravel()[:outputs][::beta]
 
 

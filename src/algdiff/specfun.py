@@ -45,7 +45,13 @@ def _jacobi_numerators(degree: int, mu: int, kappa: int, den: int) -> list[int]:
 
 
 def _lgamma(x) -> np.ndarray:
-    """`math.lgamma` elementwise, in the shape of ``x``."""
+    """`math.lgamma` elementwise, in the shape of ``x``.
+
+    A float gives a NumPy float, so that sums of such values still raise
+    under `np.errstate` (a Python float's ``inf - inf`` is a silent nan).
+    """
+    if isinstance(x, float):
+        return np.float64(math.lgamma(x))
     x = np.asarray(x, dtype=float)
     return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
 

@@ -235,7 +235,7 @@ def _window_draws(k: DiscreteKernel, model: NoiseModel, t0: float) -> tuple[np.n
     if model.white_part() is not None:
         return k.taps[:: cfg.beta], np.ones(cfg.m + 1)
     w = np.cumsum(k.taps[:: -cfg.beta])[::-1]
-    w[0] = math.fsum(k.taps.tolist())
+    w[0] = math.fsum(memoryview(k.taps))
     return w, np.concatenate(([start], np.full(cfg.m, cfg.T / cfg.m)))
 
 

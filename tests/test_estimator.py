@@ -379,24 +379,27 @@ def underflow_term(ops: float) -> float:
 
 @st.composite
 def apply_cases(draw):
-    """A config with fractional exponents, and a noisy signal up to a few
-    blocks of outputs past one window.
+    """A config with fractional exponents, and a noisy signal up to several
+    phase rows of outputs past one window.
 
     m stays small enough for cheap kernels; it often lands on either side of
-    one and two Toeplitz blocks of 32 taps.  ``offset`` moves the samples by
-    one element within their buffer, so both 8-byte alignments of the data
-    occur.
+    one and two Toeplitz blocks of 32 taps, of four blocks (the group) and of
+    eight, so one group, a group cut short and several groups occur.  Up to
+    600 outputs fill several rows of 32 outputs in each of the four phases,
+    the last row partly.  ``offset`` moves the samples by one element within
+    their buffer, so both 8-byte alignments of the data occur.
     """
     n = draw(st.integers(1, 3))
     q = draw(st.integers(0, 2))
     exponent = st.floats(-1.0, 2.0, exclude_min=True, exclude_max=True)
-    m = draw(st.one_of(st.sampled_from((31, 32, 33, 63, 64, 65)), st.integers(n + q + 1, 300)))
+    edges = (31, 32, 33, 63, 64, 65, 66, 96, 97, 192, 193, 194, 224, 225)
+    m = draw(st.one_of(st.sampled_from(edges), st.integers(n + q + 1, 300)))
     ts = 0.01
     cfg = EstimatorConfig(
         n=n, q=q, mu=draw(exponent), kappa=draw(exponent), beta=draw(st.sampled_from((-1, 1))),
         T=m * ts, xi=draw(st.floats(0.0, 1.0)) if q else 0.0, m=m,
     )
-    count = m + 1 + draw(st.integers(0, 100))
+    count = m + 1 + draw(st.integers(0, 600))
     offset = draw(st.integers(0, 1))
     buffer = np.empty(count + 1)
     values = buffer[offset : offset + count]
