@@ -189,10 +189,17 @@ def discrete_moments(k: DiscreteKernel, noise: NoiseModel, t0: float) -> NoiseMo
     the mean mean_at(w @ l) and the variance eta * sum(l * w**2)."""
     w, l = _window_draws(k, noise, t0)
     ((_, eta),) = _record(noise).items()
+    tail = w[1:]
     with np.errstate(over="ignore"):
-        terms = l * (w * w) * eta
-        window = float(np.sum(terms[1:]))
-    variance = float(terms[0]) + window
+        # each term as l * (w*w) * eta, and the draws after the first share
+        # one l: their terms are one dot, unless the sum of squares alone
+        # leaves the float range (tiny T), when they are summed term by term
+        squares = float(tail @ tail)
+        if squares < math.inf:
+            window = float(l[1]) * squares * eta
+        else:
+            window = float(np.sum(l[1:] * (tail * tail) * eta))
+        variance = float(l[0] * (w[0] * w[0]) * eta) + window
     if variance == math.inf:
         # under increment noise the j = 0 term, eta*t_s*(sum taps)**2, grows
         # with t0, so t0 is named too when the other terms stay in range
@@ -315,7 +322,10 @@ def sweep_surface(
         raise ValueError(f"unknown quantity {quantity!r}; choose from {list(_QUANTITIES)}")
     kappa_grid = _exponent_grid("kappa_grid", kappa_grid)
     mu_grid = _exponent_grid("mu_grid", mu_grid)
-    kappa, mu = np.meshgrid(kappa_grid, mu_grid, indexing="ij")
+    # each exponent over the whole grid, copied in by broadcasting (np.meshgrid
+    # builds the same two arrays at ten times the cost)
+    kappa, mu = np.empty((2, kappa_grid.size, mu_grid.size))
+    kappa[...], mu[...] = kappa_grid[:, None], mu_grid
     if quantity == "delay":
         return _single_term_delay(n, mu, kappa, T)
     if quantity == "variance_minimal":

@@ -517,6 +517,10 @@ def _add_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
                             choices=_FLAG_CHOICES.get(key), help=_FLAG_HELP.get(key))
 
 
+# the default (lo, hi] of each exponent axis of `surface`
+_AXIS_BOUNDS = (-1.0, 1.0)
+
+
 def _surface_axis(name: str, lo: float, hi: float, points: int) -> np.ndarray:
     """The half-open grid (lo, hi] of one exponent, checked against its flags."""
     for end, value in (("lo", lo), ("hi", hi)):
@@ -583,16 +587,34 @@ def _cmd_surface(ns: argparse.Namespace) -> int:
     mu_grid = _surface_axis("mu", ns.mu_lo, ns.mu_hi, ns.points)
     # unset flags fall back to sweep_surface's own defaults (q = 1 there)
     design = {k: getattr(ns, k) for k in ("n", "q", "T", "eta") if getattr(ns, k) is not None}
+
+    def sweep(kappa=kappa_grid, mu=mu_grid, **args) -> np.ndarray:
+        return sweep_surface(ns.quantity, kappa, mu, **{**design, **args})
+
+    def in_range(**grid) -> bool:
+        try:
+            sweep(**grid, eta=1.0, T=1.0)
+        except (FloatingPointError, OverflowError):
+            return False
+        return True
+
     try:
-        grid = sweep_surface(ns.quantity, kappa_grid, mu_grid, **design)
+        grid = sweep()
     except (FloatingPointError, OverflowError) as exc:
-        key = _variance_at_fault(lambda eta, T: sweep_surface(
-            ns.quantity, kappa_grid, mu_grid, **{**design, "eta": eta, "T": T}), design.get("T", 1.0))
-        # with neither eta nor T at fault, each axis's bound of larger magnitude, hi on a tie
-        at_fault = f"{key} = {design[key]!r}" if key else ", ".join(
-            f"--{axis}-lo {lo!r}" if abs(lo) > abs(hi) else f"--{axis}-hi {hi!r}"
-            for axis, lo, hi in (("kappa", ns.kappa_lo, ns.kappa_hi), ("mu", ns.mu_lo, ns.mu_hi))
-        )
+        key = _variance_at_fault(lambda eta, T: sweep(eta=eta, T=T), design.get("T", 1.0))
+        if key:
+            at_fault = f"{key} = {design[key]!r}"
+        else:
+            # the axis whose bounds, set back to their defaults, bring the grid
+            # back in range, or both when neither alone does; of each, the
+            # bound of larger magnitude, hi on a tie
+            bounds = {"kappa": (ns.kappa_lo, ns.kappa_hi), "mu": (ns.mu_lo, ns.mu_hi)}
+            axes = [axis for axis in bounds
+                    if in_range(**{axis: _surface_axis(axis, *_AXIS_BOUNDS, ns.points)})] or bounds
+            at_fault = ", ".join(
+                f"--{axis}-lo {lo!r}" if abs(lo) > abs(hi) else f"--{axis}-hi {hi!r}"
+                for axis, (lo, hi) in bounds.items() if axis in axes
+            )
         raise ValueError(f"{ns.quantity} leaves the float range for {at_fault}: {exc}") from None
     # header row of mu, first column kappa
     with _open_out(ns.out) as out:
@@ -646,8 +668,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sur = sub.add_parser("surface", help="dump a design-quantity grid as CSV")
     p_sur.add_argument("quantity", choices=_QUANTITIES)
     p_sur.add_argument("--points", type=int, default=41)
-    for bound in ("kappa-lo", "kappa-hi", "mu-lo", "mu-hi"):
-        p_sur.add_argument(f"--{bound}", type=float, default=1.0 if bound.endswith("hi") else -1.0)
+    for axis in ("kappa", "mu"):
+        for end, default in zip(("lo", "hi"), _AXIS_BOUNDS):
+            p_sur.add_argument(f"--{axis}-{end}", type=float, default=default)
     _add_flags(p_sur, "n", "q", "T")
     p_sur.add_argument("--eta", type=float)
     p_sur.set_defaults(func=_cmd_surface)

@@ -69,7 +69,9 @@ class WeightedPoly:
     def scale_divisor(self) -> float:
         """Float value of the Beta divisor."""
         s = self.shift
-        return math.exp(_log_beta(float(self.kappa_exp + s + 1), float(self.mu_exp + s + 1)))
+        # each argument as an integer ratio, rounded once, as float() rounds it
+        (kn, kd), (mn, md) = self.kappa_exp.as_integer_ratio(), self.mu_exp.as_integer_ratio()
+        return math.exp(_log_beta((kn + (s + 1) * kd) / kd, (mn + (s + 1) * md) / md))
 
 
 def wpoly_moment(p: WeightedPoly, j: int) -> float:
@@ -293,11 +295,16 @@ def discretize(p: WeightedPoly, cfg: EstimatorConfig) -> DiscreteKernel:
     m = cfg.m
     a, b = float(p.mu_exp), float(p.kappa_exp)
     t = np.arange(m + 1) / m
-    try:
-        coeffs = np.array([float(c) for c in p.coeffs])
+    try:  # each as an integer ratio, rounded once, as float() rounds it
+        coeffs = [c.numerator / c.denominator for c in p.coeffs]
     except OverflowError:
         raise _out_of_range(p, cfg, "kernel coefficients beyond the float range") from None
-    poly = np.polynomial.polynomial.polyval(t, coeffs)
+    # Horner in place, the operations of NumPy's polyval; its first, c + t*0,
+    # is c + 0.0 for these t (a -0.0 coefficient becomes +0.0)
+    poly = np.full(m + 1, coeffs[-1] + 0.0)
+    for c in coeffs[-2::-1]:
+        poly *= t
+        poly += c
     try:
         divisor = p.scale_divisor()
     except OverflowError:  # log-Gamma of a huge exponent
@@ -333,7 +340,7 @@ def discretize(p: WeightedPoly, cfg: EstimatorConfig) -> DiscreteKernel:
     # zero taps are exact only where the polynomial is 0 at every interior
     # sample (say, its root at the one interior sample of m = 2); otherwise
     # they underflowed, and every moment, the normalizing one too, reads 0
-    if not taps.any() and (poly[1:-1].any() or (any(p.coeffs) and not coeffs.any())):
+    if not taps.any() and (poly[1:-1].any() or (any(p.coeffs) and not any(coeffs))):
         raise _out_of_range(p, cfg, "taps that are all zero")
     return DiscreteKernel(taps, cfg)
 

@@ -72,25 +72,31 @@ def _jacobi_matrix(size: int, mu, kappa) -> np.ndarray:
     the ``size``-point Gauss rule (Golub and Welsch, Math. Comp. 23, 1969).
     ``mu`` and ``kappa`` broadcast; the result has shape ``(..., size, size)``.
     """
-    mu, kappa = np.broadcast_arrays(np.asarray(mu, dtype=float), np.asarray(kappa, dtype=float))
-    mu, kappa = mu[..., None], kappa[..., None]
+    mu, kappa = np.asarray(mu, dtype=float)[..., None], np.asarray(kappa, dtype=float)[..., None]
     # in terms of mu + 1, kappa + 1 and r = mu + kappa + 2, which keep their
     # relative precision as the exponents approach -1; a_0 and b_1 have their
     # common factors cancelled, as the textbook forms are 0/0 at mu + kappa = 0
     # and at mu + kappa = -1
     m1, k1 = mu + 1, kappa + 1
     r = m1 + k1
-    u = 2 * np.arange(size - 1) + r  # 2k + mu + kappa for k >= 1
-    diag = np.concatenate((k1 / r, 0.5 + (kappa - mu) * (r - 2) / (2 * u * (u + 2))), axis=-1)
-    k = np.arange(2, size)
-    v = 2 * (k - 1) + r
-    b1 = m1 * k1 / (r**2 * (r + 1))
-    bk = k * (k - 1 + m1) * (k - 1 + k1) * (k - 2 + r) / (v**2 * (v + 1) * (v - 1))
-    off = np.sqrt(np.concatenate((b1, bk), axis=-1)[..., : size - 1])
-    out = np.zeros(diag.shape + (size,))
-    flat = out.reshape(diag.shape[:-1] + (size * size,))  # a view: row-major entries
-    flat[..., :: size + 1] = diag
-    flat[..., 1 :: size + 1] = off  # (k, k+1)
+    out = np.zeros(r.shape[:-1] + (size, size))
+    flat = out.reshape(r.shape[:-1] + (size * size,))  # a view: row-major entries
+    diag, off = flat[..., :: size + 1], flat[..., 1 :: size + 1]  # (k, k) and (k, k+1)
+    # the entries in the order a_0, a_k, b_1, b_k, as the first to overflow
+    # names the error; the a_k (k >= 1) exist from size 2 and the b_k (k >= 2)
+    # from size 3, but the a_k's numerator and b_1 are evaluated at size 1
+    # too, so that exponents past the float range raise at every size
+    diag[..., :1] = k1 / r
+    skew = (kappa - mu) * (r - 2)
+    if size > 1:
+        u = 2 * np.arange(size - 1) + r  # 2k + mu + kappa for k >= 1
+        diag[..., 1:] = 0.5 + skew / (2 * u * (u + 2))
+    off[..., :1] = m1 * k1 / (r**2 * (r + 1))
+    if size > 2:
+        k = np.arange(2, size)
+        v = 2 * (k - 1) + r
+        off[..., 1:] = k * (k - 1 + m1) * (k - 1 + k1) * (k - 2 + r) / (v**2 * (v + 1) * (v - 1))
+    np.sqrt(off, out=off)
     flat[..., size :: size + 1] = off  # (k+1, k)
     return out
 

@@ -172,6 +172,29 @@ def jacobi_norm_sq(degree: int, mu: float, kappa: float) -> float:
     return math.exp(log_value)
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
+def jacobi_matrix(size: int, mu, kappa) -> np.ndarray:
+    """`specfun._jacobi_matrix` as it was built before its in-place fill: the
+    entries of full broadcast copies of mu and kappa, joined by concatenation."""
+    mu, kappa = np.broadcast_arrays(np.asarray(mu, dtype=float), np.asarray(kappa, dtype=float))
+    mu, kappa = mu[..., None], kappa[..., None]
+    m1, k1 = mu + 1, kappa + 1
+    r = m1 + k1
+    u = 2 * np.arange(size - 1) + r  # 2k + mu + kappa for k >= 1
+    diag = np.concatenate((k1 / r, 0.5 + (kappa - mu) * (r - 2) / (2 * u * (u + 2))), axis=-1)
+    k = np.arange(2, size)
+    v = 2 * (k - 1) + r
+    b1 = m1 * k1 / (r**2 * (r + 1))
+    bk = k * (k - 1 + m1) * (k - 1 + k1) * (k - 2 + r) / (v**2 * (v + 1) * (v - 1))
+    off = np.sqrt(np.concatenate((b1, bk), axis=-1)[..., : size - 1])
+    out = np.zeros(diag.shape + (size,))
+    flat = out.reshape(diag.shape[:-1] + (size * size,))  # a view: row-major entries
+    flat[..., :: size + 1] = diag
+    flat[..., 1 :: size + 1] = off  # (k, k+1)
+    flat[..., size :: size + 1] = off  # (k+1, k)
+    return out
+
+
 def scan_root(degree: int, mu: float, kappa: float) -> float:
     """The least zero in (0, 1), as `specfun._least_zero` gives it, by a
     sign-change scan and bisection.
@@ -277,6 +300,28 @@ def wpoly_eval(p: WeightedPoly, t: float) -> float:
         raise ValueError("singular at t=1 for a negative (1-t)-exponent; use the endpoint rule")
     value = (1.0 - t) ** float(p.mu_exp) * t ** float(p.kappa_exp) * poly_at(p, t)
     return value / p.scale_divisor()
+
+
+def polyval_taps(p: WeightedPoly, cfg: EstimatorConfig) -> np.ndarray:
+    """The taps of `discretize`, with the polynomial by NumPy's ``polyval`` of
+    the coefficients' ``float()`` and the divisor by `beta_fn`; no range checks."""
+    m, s = cfg.m, p.shift
+    a, b = float(p.mu_exp), float(p.kappa_exp)
+    t = np.arange(m + 1) / m
+    poly = np.polynomial.polynomial.polyval(t, np.array([float(c) for c in p.coeffs]))
+    values = np.empty(m + 1)
+    values[1:-1] = (1.0 - t[1:-1]) ** a * t[1:-1] ** b * poly[1:-1]
+    weights = np.full(m + 1, 1.0 / m)
+    weights[0] = weights[-1] = 0.5 / m
+    with np.errstate(all="ignore"):
+        for i, e in ((0, b), (m, a)):
+            if e >= 0:
+                values[i] = 0.0**e * poly[i]
+            elif cfg.endpoint == "f-rule":
+                values[i] = np.float64(cfg.F / m) ** e * poly[i]
+            else:
+                values[i] = 0.0
+        return weights * values / beta_fn(float(p.kappa_exp + s + 1), float(p.mu_exp + s + 1))
 
 
 def dense_increment_covariance(

@@ -608,6 +608,16 @@ class TestDiscreteMoments:
         with pytest.raises(ValueError, match=re.escape("sigma2 = 1e+308 gives")):
             discrete_moments(short, Wiener(1e308), 1e10)
 
+    def test_tail_squares_past_the_float_range_alone_are_summed_term_by_term(self):
+        # at T = 1e-76 the m = 2000 tail weights square to more than the float
+        # range in sum, yet each variance term, times T/m, is far inside it
+        k = make_kernel(EstimatorConfig(n=2, T=1e-76, m=2000))
+        tail = np.cumsum(k.taps)[::-1][1:]
+        with np.errstate(over="ignore"):
+            assert tail @ tail == math.inf
+        _, exact = exact_discrete_moments(k, Wiener(1.0), 2.0)
+        assert abs(discrete_moments(k, Wiener(1.0), 2.0).variance - exact) <= VARIANCE_RTOL * exact
+
     @given(
         st.builds(
             EstimatorConfig,
@@ -988,6 +998,9 @@ class TestChebyshevBand:
         assert fragment in str(exc.value)
 
 
+SWEEP_EXPONENTS = st.floats(min_value=-1.0, max_value=3.0, exclude_min=True, exclude_max=True)
+
+
 class TestSweepSurface:
     KGRID = np.linspace(-0.95, 1.0, 14)
     MGRID = np.linspace(-0.95, 1.0, 14)
@@ -1070,18 +1083,30 @@ class TestSweepSurface:
             sweep_surface(quantity, args.pop("kappa_grid"), args.pop("mu_grid"), **args)
         assert fragment in str(exc.value)
 
-    @pytest.mark.parametrize("quantity", ["delay", "xi", "variance_minimal"])
-    def test_cells_equal_scalar_calls(self, quantity):
-        # the batched sweep and the scalar functions share one route
-        # (variance_affine: test_variance_affine_any_order_evaluates_at_each_cell_root)
-        n, q, T, eta = 2, 2, 1.5, 0.7
-        kappas, mus = np.array([-0.9, -0.3, 0.4, 1.7]), np.array([-0.6, 0.0, 1.1])
-        out = sweep_surface(quantity, kappas, mus, n=n, q=q, T=T, eta=eta)
+    @pytest.mark.parametrize("quantity", ["delay", "xi", "variance_minimal", "variance_affine"])
+    @given(
+        st.lists(SWEEP_EXPONENTS, min_size=1, max_size=6),
+        st.lists(SWEEP_EXPONENTS, min_size=1, max_size=6),
+        st.integers(1, 5),
+        st.integers(0, 4),
+        st.floats(min_value=0.1, max_value=10.0),
+        st.floats(min_value=0.0, max_value=3.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_cells_equal_scalar_calls(self, quantity, kappas, mus, n, q, T, eta):
+        # the batched sweep, over every grid shape (1 x M and K x 1 included),
+        # and the scalar functions share one route, bit for bit
+        out = sweep_surface(quantity, np.array(kappas), np.array(mus), n=n, q=q, T=T, eta=eta)
+        assert out.shape == (len(kappas), len(mus))
         for i, kappa in enumerate(kappas):
             for j, mu in enumerate(mus):
+                xi = float(_least_zero(q + 1, mu + n, kappa + n))
                 want = {
-                    "delay": single_term_delay(n, kappa, mu, T),
-                    "xi": _least_zero(q + 1, mu + n, kappa + n),
-                    "variance_minimal": variance_minimal(n, kappa, mu, T, eta),
-                }[quantity]
+                    "delay": lambda: single_term_delay(n, kappa, mu, T),
+                    "xi": lambda: xi,
+                    "variance_minimal": lambda: variance_minimal(n, kappa, mu, T, eta),
+                    "variance_affine": lambda: variance_continuous(
+                        EstimatorConfig(n=n, q=q, mu=mu, kappa=kappa, T=T, xi=xi), eta
+                    ),
+                }[quantity]()
                 assert out[i, j] == want

@@ -728,10 +728,20 @@ class TestErrorHandling:
              "t0 = 2.0 puts the window before t = 0, where the noise process starts; "
              "need t0 >= T = 1e+300"),
             # a surface overflow names eta when the same grid at eta = 1 stays in
-            # range, T when it does at T = 1 as well, else each axis's bound of
-            # larger magnitude
+            # range, T when it does at T = 1 as well, else the bound of larger
+            # magnitude of the axis whose default bounds bring the grid back in
+            # range, or of both axes when neither alone does
             (["surface", "variance_minimal", "--points", "3", "--mu-lo", "1e308"],
-             "variance_minimal leaves the float range for --kappa-hi 1.0, --mu-lo 1e+308"),
+             "variance_minimal leaves the float range for --mu-lo 1e+308:"),
+            (["surface", "xi", "--points", "2", "--mu-hi", "1e308", "--eta", "1e308",
+              "--T", "1e300"],
+             "xi leaves the float range for --mu-hi 1e+308:"),
+            # the one-point Gauss rule of n = 1 has no off-diagonal entry, yet overflows
+            (["surface", "variance_minimal", "--points", "2", "--n", "1", "--mu-hi", "1e300"],
+             "variance_minimal leaves the float range for --mu-hi 1e+300:"),
+            (["surface", "variance_minimal", "--points", "2", "--kappa-hi", "1e300",
+              "--mu-hi", "1e300"],
+             "variance_minimal leaves the float range for --kappa-hi 1e+300, --mu-hi 1e+300:"),
             (["surface", "variance_minimal", "--points", "2", "--T", "1e-300", "--n", "2"],
              "variance_minimal leaves the float range for T = 1e-300"),
             (["surface", "variance_minimal", "--points", "2", "--T", "1e300"],
@@ -775,7 +785,9 @@ class TestErrorHandling:
              "mc-continuous-variance-names-mu", "mc-continuous-variance-names-T",
              "estimate-T-beyond-the-signal", "estimate-m-beyond-the-signal",
              "estimate-T-below-one-tap", "mc-off-grid-names-T-and-m",
-             "surface-overflow-names-the-larger-bound", "surface-overflow-names-small-T",
+             "surface-overflow-names-the-larger-bound", "surface-overflow-names-one-axis",
+             "surface-size-one-gauss-rule-overflow", "surface-overflow-names-both-axes",
+             "surface-overflow-names-small-T",
              "surface-overflow-names-large-T", "surface-overflow-names-eta",
              "surface-eta-times-T-overflows", "surface-eta-and-T-overflow-names-T"],
     )
@@ -1014,7 +1026,7 @@ class TestOneRoute:
     def test_surface_and_continuous_moments_name_the_same_input(self, n, eta, T, mu, kappa):
         # one rule names the input at fault for both: the intensity, then T, else the exponents
         def fault(message):
-            first = re.search(r"\b(sigma2|eta|T|mu) = |--kappa-", message).group()
+            first = re.search(r"\b(sigma2|eta|T|mu) = |--(kappa|mu)-", message).group()
             return {"sigma2 = ": "intensity", "eta = ": "intensity", "T = ": "T"}.get(first, "exponents")
 
         try:

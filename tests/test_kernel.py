@@ -33,6 +33,7 @@ from oracles import (
     jacobi_eval,
     pochhammer,
     poly_at,
+    polyval_taps,
     two_step_moment,
     wpoly,
     wpoly_derivative,
@@ -401,7 +402,29 @@ class TestMomentIdentities:
             wpoly_moment(p, 1)
 
 
+@st.composite
+def tap_configs(draw):
+    """Configs for the taps oracle: every m from n + q + 1 to 2 000, both
+    directions and both endpoint rules."""
+    n, q = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    exponents = st.floats(min_value=-1.0, max_value=3.0, exclude_min=True, exclude_max=True)
+    return EstimatorConfig(
+        n=n, q=q, mu=draw(exponents), kappa=draw(exponents), beta=draw(st.sampled_from((-1, 1))),
+        T=draw(st.floats(min_value=1e-3, max_value=1e3)), xi=draw(st.floats(0.0, 1.0)),
+        F=draw(st.floats(min_value=1e-3, max_value=1.0)), m=draw(st.integers(n + q + 1, 2000)),
+        endpoint=draw(st.sampled_from(("f-rule", "suppress"))),
+    )
+
+
 class TestDiscretize:
+    @given(tap_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_taps_equal_the_polyval_route_bit_for_bit(self, cfg):
+        p = affine_kernel(cfg)
+        taps, want = discretize(p, cfg).taps, polyval_taps(p, cfg)
+        assert taps.shape == want.shape
+        assert np.array_equal(taps.view(np.int64), want.view(np.int64))
+
     def test_three_tap_kernel(self):
         cfg = EstimatorConfig(n=1, beta=1, T=1.0, m=2)
         k = discretize(minimal_kernel(cfg), cfg)

@@ -12,8 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algdiff.kernel import wpoly_moment
-from algdiff.specfun import _jacobi_numerators, _least_zero
-from oracles import beta_fn, jacobi_coefficients, jacobi_eval, jacobi_norm_sq, scan_root, wpoly
+from algdiff.specfun import _jacobi_matrix, _jacobi_numerators, _least_zero
+from oracles import (
+    beta_fn,
+    jacobi_coefficients,
+    jacobi_eval,
+    jacobi_matrix,
+    jacobi_norm_sq,
+    scan_root,
+    wpoly,
+)
 
 GRID = np.linspace(0.0, 1.0, 21)
 EXPONENT_PAIRS = [(0.0, 0.0), (0.5, -0.25), (-0.78, -0.6), (1.0, 2.0)]
@@ -263,3 +271,45 @@ class TestSmallestRoot:
         except ValueError:
             return
         assert _least_zero(*idx) == pytest.approx(want, rel=0, abs=2e-13)
+
+
+# exponents near -1, in the unit range, and near the edge of the float range,
+# where the entries overflow
+EXPONENTS = (
+    st.floats(min_value=-1.0, max_value=-0.999, exclude_min=True)
+    | st.floats(min_value=-1.0, max_value=3.0, exclude_min=True)
+    | st.floats(min_value=1e100, max_value=1.7976931348623157e308)
+)
+
+
+@st.composite
+def exponent_arrays(draw):
+    """(mu, kappa) as scalars, as a (1, M) row against a (K, 1) column, or as
+    two (K, M) grids."""
+    shape = draw(st.sampled_from(("scalar", "row-column", "grid")))
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shapes = {"scalar": ((), ()), "row-column": ((1, m), (k, 1)), "grid": ((k, m), (k, m))}[shape]
+    return tuple(
+        np.array(draw(st.lists(EXPONENTS, min_size=math.prod(s), max_size=math.prod(s)))).reshape(s)
+        for s in shapes
+    )
+
+
+class TestJacobiMatrix:
+    @given(st.integers(1, 8), exponent_arrays())
+    @settings(max_examples=300, deadline=None)
+    def test_in_place_fill_equals_the_concatenated_reference(self, size, exponents):
+        # the same entries bit for bit, and the same overflow, named alike
+        def built(route):
+            try:
+                return route(size, *exponents)
+            except FloatingPointError as exc:
+                return str(exc)
+
+        got, want = built(_jacobi_matrix), built(jacobi_matrix)
+        assert type(got) is type(want)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
