@@ -171,12 +171,18 @@ def _variance_at_fault(variance: Callable[[float, float], object], T: float) -> 
     intensity and T = 1; else None: the exponents are at fault.
     """
     for at_fault, at_T in (("eta", T), ("T", 1.0)):
-        try:
-            variance(1.0, at_T)
-        except (FloatingPointError, OverflowError):
-            continue
-        return at_fault
+        if _in_float_range(variance, 1.0, at_T):
+            return at_fault
     return None
+
+
+def _in_float_range(compute: Callable[..., object], *args, **kwargs) -> bool:
+    """Whether ``compute(*args, **kwargs)`` returns without leaving the float range."""
+    try:
+        compute(*args, **kwargs)
+    except (FloatingPointError, OverflowError):
+        return False
+    return True
 
 
 def _tap_times(k: DiscreteKernel, start: float) -> np.ndarray:
@@ -191,14 +197,9 @@ def discrete_moments(k: DiscreteKernel, noise: NoiseModel, t0: float) -> NoiseMo
     ((_, eta),) = _record(noise).items()
     tail = w[1:]
     with np.errstate(over="ignore"):
-        # each term as l * (w*w) * eta, and the draws after the first share
-        # one l: their terms are one dot, unless the sum of squares alone
-        # leaves the float range (tiny T), when they are summed term by term
-        squares = float(tail @ tail)
-        if squares < math.inf:
-            window = float(l[1]) * squares * eta
-        else:
-            window = float(np.sum(l[1:] * (tail * tail) * eta))
+        # the draws after the first are one dot, l applied before w is squared
+        # again, so it overflows only where a term l * w**2 does (tiny T)
+        window = float((l[1:] * tail) @ tail) * eta
         variance = float(l[0] * (w[0] * w[0]) * eta) + window
     if variance == math.inf:
         # under increment noise the j = 0 term, eta*t_s*(sum taps)**2, grows

@@ -26,6 +26,7 @@ import numpy as np
 from .analysis import (
     _QUANTITIES,
     _beyond_float_range,
+    _in_float_range,
     _variance_at_fault,
     chebyshev_band,
     continuous_moments,
@@ -591,13 +592,6 @@ def _cmd_surface(ns: argparse.Namespace) -> int:
     def sweep(kappa=kappa_grid, mu=mu_grid, **args) -> np.ndarray:
         return sweep_surface(ns.quantity, kappa, mu, **{**design, **args})
 
-    def in_range(**grid) -> bool:
-        try:
-            sweep(**grid, eta=1.0, T=1.0)
-        except (FloatingPointError, OverflowError):
-            return False
-        return True
-
     try:
         grid = sweep()
     except (FloatingPointError, OverflowError) as exc:
@@ -609,8 +603,9 @@ def _cmd_surface(ns: argparse.Namespace) -> int:
             # back in range, or both when neither alone does; of each, the
             # bound of larger magnitude, hi on a tie
             bounds = {"kappa": (ns.kappa_lo, ns.kappa_hi), "mu": (ns.mu_lo, ns.mu_hi)}
-            axes = [axis for axis in bounds
-                    if in_range(**{axis: _surface_axis(axis, *_AXIS_BOUNDS, ns.points)})] or bounds
+            axes = [axis for axis in bounds if _in_float_range(
+                sweep, eta=1.0, T=1.0, **{axis: _surface_axis(axis, *_AXIS_BOUNDS, ns.points)}
+            )] or list(bounds)
             at_fault = ", ".join(
                 f"--{axis}-lo {lo!r}" if abs(lo) > abs(hi) else f"--{axis}-hi {hi!r}"
                 for axis, (lo, hi) in bounds.items() if axis in axes

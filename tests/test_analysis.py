@@ -608,7 +608,7 @@ class TestDiscreteMoments:
         with pytest.raises(ValueError, match=re.escape("sigma2 = 1e+308 gives")):
             discrete_moments(short, Wiener(1e308), 1e10)
 
-    def test_tail_squares_past_the_float_range_alone_are_summed_term_by_term(self):
+    def test_tail_weights_squared_past_the_float_range_stay_in_range(self):
         # at T = 1e-76 the m = 2000 tail weights square to more than the float
         # range in sum, yet each variance term, times T/m, is far inside it
         k = make_kernel(EstimatorConfig(n=2, T=1e-76, m=2000))
