@@ -259,8 +259,8 @@ def discrete_covariance(
     pad1, pad2 = np.zeros(cfg1.m + 1), np.zeros(cfg2.m + 1)
     tails1 = np.cumsum(np.concatenate((k1.taps, pad2))[order][::-1])[::-1]
     tails2 = np.cumsum(np.concatenate((pad1, k2.taps))[order][::-1])[::-1]
-    # the tap sums weigh the first step, the whole path before the windows
-    tails1[0], tails2[0] = math.fsum(memoryview(k1.taps)), math.fsum(memoryview(k2.taps))
+    # the exact tap sums weigh the first step, the whole path before the windows
+    tails1[0], tails2[0] = k1.tail_sums[0], k2.tail_sums[0]
     steps = np.diff(times[order], prepend=-start)
     return noise.increment_part() * float(np.dot(steps, tails1 * tails2))
 

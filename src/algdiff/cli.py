@@ -65,6 +65,7 @@ _Truth = Callable[[int], np.ndarray]
 def _exp_truth(s: complex, sign: float, grid: np.ndarray) -> _Truth:
     """The derivatives of sign * Im exp(s t) on the grid, from one exponential."""
     e = np.exp(s * grid)
+    e.setflags(write=False)
     return lambda k: sign * np.imag(s**k * e)
 
 
@@ -479,26 +480,35 @@ def _signal(values: dict) -> tuple[SampledSignal, _Truth | None]:
             raise ValueError("csv signal requires a path")
         return _csv_signal(values["csv_path"]), None
     if kind in _NAMED_SIGNALS:
-        on_grid, ts, count = _NAMED_SIGNALS[kind]
-    elif kind == "polynomial":
-        if not values.get("coeffs"):
-            raise ValueError("polynomial signal requires coefficients")
-        on_grid = functools.partial(_polynomial_truth, values["coeffs"])
-        ts, count = values["ts"], values["count"]
-        if count < 1:
-            raise ValueError(f"polynomial signal requires count >= 1, got count = {count!r}")
-    else:
+        return _named_signal(kind)
+    if kind != "polynomial":
         raise ValueError(f"unknown signal kind {kind!r}")
+    if not values.get("coeffs"):
+        raise ValueError("polynomial signal requires coefficients")
+    ts, count = values["ts"], values["count"]
+    if count < 1:
+        raise ValueError(f"polynomial signal requires count >= 1, got count = {count!r}")
     # SampledSignal names a bad ts, and the check below the inputs behind
     # samples that are not finite, so NumPy's warnings add nothing
     with np.errstate(over="ignore", invalid="ignore"):
-        truth = on_grid(np.arange(count) * ts)
+        truth = _polynomial_truth(values["coeffs"], np.arange(count) * ts)
         samples = truth(0)
     if 0 < ts < math.inf and not np.isfinite(samples).all():
         raise ValueError(
             f"coeffs = {values['coeffs']!r} with ts = {ts!r} and count = {count!r} "
             "give samples that are not finite"
         )
+    return SampledSignal(0.0, ts, samples), truth
+
+
+@functools.cache
+def _named_signal(kind: str) -> tuple[SampledSignal, _Truth]:
+    """`_signal` of a named signal, built once per process: its samples, and
+    the exponential that its ``truth(k)`` reads, are read-only."""
+    on_grid, ts, count = _NAMED_SIGNALS[kind]
+    truth = on_grid(np.arange(count) * ts)
+    samples = truth(0)
+    samples.setflags(write=False)
     return SampledSignal(0.0, ts, samples), truth
 
 
@@ -547,8 +557,12 @@ def _open_out(path: str | None):
             yield fh
 
 
+# json.dumps builds an encoder per call when given options
+_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
 def _print_json(document: dict) -> None:
-    sys.stdout.write(json.dumps(document, sort_keys=True, allow_nan=False) + "\n")
+    sys.stdout.write(_JSON.encode(document) + "\n")
 
 
 def _cmd_estimate(ns: argparse.Namespace) -> int:

@@ -38,7 +38,8 @@ __all__ = [
 ]
 
 # configs whose discrete kernels `kernel_taps` keeps; each holds m+1 floats,
-# and at most 32*(m+160) more for its Toeplitz blocks once it has been applied
+# at most 32*(m+160) more for its Toeplitz blocks once it has been applied,
+# and m+1 more for its tail sums once it has been used under increment noise
 _TAPS_CACHE_SIZE = 32
 # width of the Toeplitz blocks (`DiscreteKernel.blocks`); 16 and 64 ran slower
 _BLOCK = 32
@@ -210,6 +211,18 @@ class DiscreteKernel:
         out = np.ascontiguousarray(sliding_window_view(padded, b)[:, ::-1]).reshape(groups, depth, b)
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def tail_sums(self) -> np.ndarray:
+        """The taps' sums from each tap on in time order, read-only, built on
+        first use: w_j = sum_{i>=j} of the taps in time order, and w_0 the
+        tap sum, summed exactly (`math.fsum`), since under increment noise it
+        weighs the whole path before the window.  They are the draws' weights
+        of `stochastic._window_draws` under increment noise."""
+        w = np.cumsum(self.taps[:: -self.config.beta])[::-1]
+        w[0] = math.fsum(memoryview(self.taps))
+        w.setflags(write=False)
+        return w
 
 
 def minimal_kernel(cfg: EstimatorConfig) -> WeightedPoly:

@@ -13,6 +13,7 @@ A noise model states its second-order structure as one intensity eta:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -39,7 +40,12 @@ _BLOCK_FLOATS = 1 << 15  # the Monte-Carlo draw block, 256 KB
 def _record(obj) -> dict:
     """A dataclass's fields by name; unlike `dataclasses.asdict`, a shallow
     copy, for records whose fields are plain values."""
-    return {field.name: getattr(obj, field.name) for field in fields(obj)}
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(field.name for field in fields(cls))
 
 
 def _check_intensity(name: str, value: float) -> None:
@@ -226,17 +232,16 @@ def _window_draws(k: DiscreteKernel, model: NoiseModel, t0: float) -> tuple[np.n
     With X_0..X_m the window's samples in time order from t_s = `_earliest_time`,
     white noise draws them: w is the taps in time order, l = 1.  A process
     with independent increments draws d_0 = X_0 and d_j = X_j - X_{j-1}:
-    l_0 = t_s, l_j = T/m, and w_j = sum_{i>=j} of the taps in time order,
-    w_0 the tap sum, summed exactly as it weighs the whole path before the
-    window (Mboup, Join & Fliess, Numer. Algorithms 50, 2009).
+    l_0 = t_s, l_j = T/m, and w the kernel's `tail_sums`: w_j = sum_{i>=j}
+    of the taps in time order, w_0 the exact tap sum, as it weighs the whole
+    path before the window (Mboup, Join & Fliess, Numer. Algorithms 50,
+    2009).  w is read-only.
     """
     cfg = k.config
     start = _earliest_time(k, model, t0)
     if model.white_part() is not None:
         return k.taps[:: cfg.beta], np.ones(cfg.m + 1)
-    w = np.cumsum(k.taps[:: -cfg.beta])[::-1]
-    w[0] = math.fsum(memoryview(k.taps))
-    return w, np.concatenate(([start], np.full(cfg.m, cfg.T / cfg.m)))
+    return k.tail_sums, np.concatenate(([start], np.full(cfg.m, cfg.T / cfg.m)))
 
 
 def mc_noise_samples(

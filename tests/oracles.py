@@ -11,9 +11,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from algdiff.analysis import NoiseMomentReport, _tap_times
 from algdiff.estimator import SampledSignal
 from algdiff.kernel import DiscreteKernel, EstimatorConfig, WeightedPoly, kernel_taps, wpoly_moment
-from algdiff.stochastic import NoiseModel, RngSeed, gen_path
+from algdiff.stochastic import NoiseModel, Poisson, RngSeed, _earliest_time, gen_path
 
 
 def beta_fn(a: float, b: float) -> float:
@@ -362,6 +363,60 @@ def exact_discrete_moments(k: DiscreteKernel, noise: NoiseModel, t0: float) -> t
     if white is not None:
         return mean, Fraction(white) * sum(a * a for a in taps)
     return mean, exact_increment_covariance(noise.increment_part(), taps, times, taps, times)
+
+
+def window_draws(k: DiscreteKernel, model: NoiseModel, t0: float) -> tuple[np.ndarray, np.ndarray]:
+    """`stochastic._window_draws` by the route that sums the taps afresh on
+    every call: the tail sums in time order, and the exact tap sum at 0."""
+    cfg = k.config
+    start = _earliest_time(k, model, t0)
+    if model.white_part() is not None:
+        return k.taps[:: cfg.beta], np.ones(cfg.m + 1)
+    w = np.cumsum(k.taps[:: -cfg.beta])[::-1]
+    w[0] = math.fsum(memoryview(k.taps))
+    return w, np.concatenate(([start], np.full(cfg.m, cfg.T / cfg.m)))
+
+
+def moments_by_window_draws(k: DiscreteKernel, noise: NoiseModel, t0: float) -> NoiseMomentReport:
+    """`analysis.discrete_moments` summed afresh over `window_draws` on every
+    call, for moments in the float range: the mean mean_at(w @ l) and the
+    variance l_0*w_0**2*eta plus one dot of the rest."""
+    w, l = window_draws(k, noise, t0)
+    eta = noise.white_part() if noise.white_part() is not None else noise.increment_part()
+    tail = w[1:]
+    with np.errstate(over="ignore"):
+        window = float((l[1:] * tail) @ tail) * eta
+        variance = float(l[0] * (w[0] * w[0]) * eta) + window
+    return NoiseMomentReport(float(noise.mean_at(w @ l)), variance)
+
+
+def covariance_by_fresh_tap_sums(
+    k1: DiscreteKernel, k2: DiscreteKernel, noise: NoiseModel, t0: tuple[float, float]
+) -> float:
+    """`analysis.discrete_covariance` under increment noise with each kernel's
+    exact tap sum taken afresh, for two aligned kernels."""
+    starts = _earliest_time(k1, noise, t0[0]), _earliest_time(k2, noise, t0[1])
+    start = min(starts)
+    times = np.concatenate((_tap_times(k1, starts[0] - start), _tap_times(k2, starts[1] - start)))
+    order = np.argsort(times, kind="stable")
+    pad1, pad2 = np.zeros(k1.config.m + 1), np.zeros(k2.config.m + 1)
+    tails1 = np.cumsum(np.concatenate((k1.taps, pad2))[order][::-1])[::-1]
+    tails2 = np.cumsum(np.concatenate((pad1, k2.taps))[order][::-1])[::-1]
+    tails1[0], tails2[0] = math.fsum(memoryview(k1.taps)), math.fsum(memoryview(k2.taps))
+    steps = np.diff(times[order], prepend=-start)
+    return noise.increment_part() * float(np.dot(steps, tails1 * tails2))
+
+
+def trial_by_hand(cfg: EstimatorConfig, model: NoiseModel, t0: float, key: RngSeed) -> float:
+    """One Monte-Carlo trial as one dot over its m + 1 draws (`window_draws`)
+    from a fresh generator on ``key``."""
+    weights, lengths = window_draws(kernel_taps(cfg), model, t0)
+    rng = key.generator()
+    if isinstance(model, Poisson):
+        increments = rng.poisson(model.nu * lengths[1], cfg.m)
+        return float(weights[1:] @ increments + weights[0] * rng.poisson(model.nu * lengths[0]))
+    weights = math.sqrt(model.sigma2) * np.sqrt(lengths) * weights
+    return float(weights @ rng.standard_normal(cfg.m + 1))
 
 
 def correlate_apply(values: np.ndarray, k: DiscreteKernel) -> np.ndarray:

@@ -32,9 +32,17 @@ from algdiff.kernel import (
     minimal_kernel,
 )
 from algdiff.specfun import _least_zero
-from algdiff.stochastic import Poisson, WhiteGaussian, Wiener
+from algdiff.stochastic import (
+    Poisson,
+    RngSeed,
+    WhiteGaussian,
+    Wiener,
+    _window_draws,
+    mc_noise_samples,
+)
 from oracles import (
     beta_fn,
+    covariance_by_fresh_tap_sums,
     dense_increment_covariance,
     exact_discrete_moments,
     exact_increment_covariance,
@@ -43,6 +51,8 @@ from oracles import (
     fraction_series_derivative,
     jacobi_coefficients,
     moment_rational_sum,
+    moments_by_window_draws,
+    trial_by_hand,
     wpoly,
     wpoly_derivative,
 )
@@ -787,6 +797,87 @@ def assert_matches_dense(got: float, eta: float, kernel1, kernel2) -> None:
     want = dense_increment_covariance(eta, k1.taps, s, k2.taps, t)
     scale = dense_increment_covariance(eta, np.abs(k1.taps), s, np.abs(k2.taps), t)
     assert abs(got - want) <= 4 * (cfg1.m + cfg2.m + 2) * EPS * scale, (got, want)
+
+
+def bits(*values) -> list[str]:
+    """Each float's exact bits, the sign of a zero included."""
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def summary_cases(draw):
+    """A config (n <= 3, q <= 2, mu, kappa in (-1, 2), m <= 400), a model of
+    each kind, and an anchor on the sample grid or off it, at or after the
+    earliest one that increment noise allows."""
+    n, q = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    exponent = st.floats(-1.0, 2.0, exclude_min=True, exclude_max=True)
+    cfg = EstimatorConfig(
+        n=n, q=q, mu=draw(exponent), kappa=draw(exponent), beta=draw(st.sampled_from((-1, 1))),
+        T=draw(st.floats(0.1, 3.0)), xi=draw(st.floats(0.0, 1.0)), m=draw(st.integers(n + q + 1, 400)),
+    )
+    intensity = st.floats(0.01, 5.0)
+    model = draw(st.one_of(st.builds(WhiteGaussian, intensity), st.builds(Wiener, intensity),
+                           st.builds(Poisson, intensity)))
+    steps = draw(st.integers(0, 1000) | st.floats(0.0, 1000.0))
+    return cfg, model, cfg.T + steps * cfg.T / cfg.m
+
+
+class TestMomentSummary:
+    """The tap sums kept with a kernel against the route that sums them afresh."""
+
+    @given(summary_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_every_moment_reads_the_fresh_route_bit_for_bit(self, case):
+        cfg, model, t0 = case
+        try:
+            k = make_kernel(cfg)
+        except ValueError:  # taps out of the float range at an exponent near -1
+            assume(False)
+        # a shorter kernel of the same step and direction, for the covariance
+        other = make_kernel(EstimatorConfig(n=1, beta=cfg.beta, T=cfg.T / cfg.m * 3, m=3))
+        want = bits(*vars(moments_by_window_draws(k, model, t0)).values())
+        anchors = (t0, t0 + 2 * cfg.T / cfg.m)
+        if model.white_part() is None:
+            cov = bits(covariance_by_fresh_tap_sums(k, other, model, anchors))
+        else:
+            cov = bits(discrete_covariance(make_kernel(cfg), other, model, anchors))
+        for _ in range(2):  # a fresh kernel, then the same kernel with its sums kept
+            assert bits(*vars(discrete_moments(k, model, t0)).values()) == want
+            assert bits(discrete_covariance(k, other, model, anchors)) == cov
+        kernel_taps.cache_clear()
+        for _ in range(2):
+            got = mc_noise_samples(cfg, model, t0, 3, RngSeed(5))
+            assert got.tolist() == [trial_by_hand(cfg, model, t0, RngSeed(5, s)) for s in range(3)]
+
+    @pytest.mark.parametrize("model", ANCHOR_MODELS, ids=ANCHOR_MODEL_IDS)
+    def test_the_kept_arrays_are_read_only(self, model):
+        k = make_kernel(EstimatorConfig(n=2, q=1, xi=0.3, kappa=-0.5, m=40))
+        discrete_moments(k, model, 2.0)
+        w, _ = _window_draws(k, model, 2.0)
+        for array in (k.taps, k.tail_sums, w):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    @pytest.mark.parametrize("model", ANCHOR_MODELS, ids=ANCHOR_MODEL_IDS)
+    def test_refusals_on_a_kernel_with_its_sums_kept(self, model):
+        k = make_kernel(EstimatorConfig(n=1, kappa=-0.7, T=1.0, m=40))
+        discrete_moments(k, model, 2.0)
+        for t0 in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=re.escape(f"t0 must be finite, got {t0!r}")):
+                discrete_moments(k, model, t0)
+        if model.increment_part() is None:
+            assert discrete_moments(k, model, 0.5).variance > 0
+            return
+        with pytest.raises(ValueError, match=re.escape(
+                "t0 = 0.5 puts the window before t = 0, where the noise process starts; need t0 >= T = 1.0")):
+            discrete_moments(k, model, 0.5)
+        big = type(model)(1e300)
+        discrete_moments(k, big, 1.0)
+        name = "sigma2" if isinstance(model, Wiener) else "nu"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} = 1e+300 at t0 = 10000000000.0 (in range at t0 = 1.0) gives a noise-error "
+                "variance beyond the float range")):
+            discrete_moments(k, big, 1e10)
 
 
 class TestDiscreteCovariance:

@@ -296,6 +296,29 @@ class TestExperimentCommand:
         integer, extended = (cli._resolve({}, values) for values in cli.PRESETS[name].values())
         assert {key: integer.get(key) for key in keys} == {key: extended.get(key) for key in keys}
 
+    @pytest.mark.parametrize("name", sorted(cli.PRESETS))
+    def test_named_signal_cache_leaks_nothing_between_runs(self, tmp_path, name):
+        # a named signal is sampled once per process; the report of a run is
+        # the same whether it runs first or after any other run
+        argv = ["experiment", name, "--seed", "11"]
+        cli._named_signal.cache_clear()
+        first = run_captured(argv)
+        assert first[0] == 0 and first[1].count("\n") == 1
+        others = [["experiment", other, "--seed", "11"] for other in sorted(cli.PRESETS) if other != name]
+        for before in (*others, [*argv, "--beta", "1"], [*argv, "--m", "50"],
+                       [*argv, "--out-dir", str(tmp_path)]):
+            assert run_captured(before)[0] == 0
+            assert run_captured(argv) == first, before
+
+    @pytest.mark.parametrize("signal", sorted(cli._NAMED_SIGNALS))
+    def test_cached_samples_are_read_only(self, signal):
+        clean, truth = cli._signal(dict(signal=signal))
+        assert cli._signal(dict(signal=signal))[0] is clean
+        with pytest.raises(ValueError, match="read-only"):
+            clean.values[0] = 1.0
+        # each derivative is a new array, so a caller that writes to one changes no other run
+        assert truth(1) is not truth(1)
+
     def test_unknown_preset(self, capsys):
         rc = main(["experiment", "table9-z"])
         assert rc == 2

@@ -26,8 +26,14 @@ from algdiff.stochastic import (
     gen_path,
     mc_noise_samples,
 )
-from algdiff.stochastic import _BLOCK_FLOATS, _sample_moments, _window_draws
-from oracles import bisection_calibrate_snr, exact_discrete_moments, snr_db, taps_on_gen_path
+from algdiff.stochastic import _BLOCK_FLOATS, _sample_moments
+from oracles import (
+    bisection_calibrate_snr,
+    exact_discrete_moments,
+    snr_db,
+    taps_on_gen_path,
+    trial_by_hand,
+)
 
 U64 = 2**64
 MODELS = [Wiener(1.0), WhiteGaussian(2.0), Poisson(20.0)]
@@ -73,17 +79,6 @@ def assert_trial_rebuilt_by_hand(value, cfg, model, t0, key: RngSeed):
     want = sum(Fraction(float(w)) * x for w, (x, _) in zip(in_time_order, window))
     bound = sum(abs(float(w)) * size for w, (_, size) in zip(in_time_order, window))
     assert abs(Fraction(float(value)) - want) <= TRIAL_ULPS * EPS * bound, key
-
-
-def trial_by_hand(cfg, model, t0, key: RngSeed) -> float:
-    """One trial as one dot over its m + 1 draws from a fresh generator on ``key``."""
-    weights, lengths = _window_draws(kernel_taps(cfg), model, t0)
-    rng = key.generator()
-    if isinstance(model, Poisson):
-        increments = rng.poisson(model.nu * lengths[1], cfg.m)
-        return float(weights[1:] @ increments + weights[0] * rng.poisson(model.nu * lengths[0]))
-    weights = math.sqrt(model.sigma2) * np.sqrt(lengths) * weights
-    return float(weights @ rng.standard_normal(cfg.m + 1))
 
 
 def snr_slope(x: np.ndarray, w: np.ndarray, c: float) -> float:
