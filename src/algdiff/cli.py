@@ -453,8 +453,8 @@ def _config(values: dict, signal: SampledSignal | None = None) -> EstimatorConfi
             raise ValueError(f"T = {T!r} over the sampling period {ts!r} gives {what}; "
                              f"a signal of {count} samples allows {least} to {count - 1} taps")
         given["m"] = round(taps)
-    elif "T" not in given:  # check m at the default T, so a bad m is named as m
-        given["T"] = EstimatorConfig(**given).m * ts
+    elif "T" not in given:  # m is checked right after n and q, so a bad m is named as m
+        given["T"] = given["m"] * ts
     cfg = EstimatorConfig(**given)
     if cfg.m >= count:
         raise ValueError(f"m = {cfg.m} needs a window of {cfg.m + 1} samples; the signal has {count}")

@@ -132,6 +132,9 @@ class EstimatorConfig:
     m      tap count; the window spans m+1 samples, T = m * sample period
     endpoint  "f-rule" replaces a singular endpoint power by (F/m)**exponent;
               "suppress" zeroes the singular endpoint tap instead
+
+    m is checked right after n and q, before every other field, so a window
+    set by m (T = m * sample period) is named as m when m is bad.
     """
 
     n: int
@@ -146,14 +149,18 @@ class EstimatorConfig:
     endpoint: str = "f-rule"
 
     def __post_init__(self) -> None:
-        for name in ("mu", "kappa", "T", "xi", "F"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         # abs(x) < inf fails for nan and +-inf, where int() raises, and is exact for a huge int
         if not abs(self.n) < math.inf or int(self.n) != self.n or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not abs(self.q) < math.inf or int(self.q) != self.q or self.q < 0:
             raise ValueError(f"q must be a nonnegative integer, got {self.q!r}")
+        if not abs(self.m) < math.inf or int(self.m) != self.m or self.m < self.n + self.q + 1:
+            raise ValueError(
+                f"m must be an integer >= n + q + 1 = {self.n + self.q + 1}, got {self.m!r}"
+            )
+        for name in ("mu", "kappa", "T", "xi", "F"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.mu > -1:
             raise ValueError(f"mu must exceed -1, got {self.mu!r}")
         if not self.kappa > -1:
@@ -168,10 +175,6 @@ class EstimatorConfig:
             raise ValueError(f"xi must lie in [0, 1], got {self.xi!r}")
         if not 0.0 < self.F <= 1.0:
             raise ValueError(f"F must lie in (0, 1], got {self.F!r}")
-        if not abs(self.m) < math.inf or int(self.m) != self.m or self.m < self.n + self.q + 1:
-            raise ValueError(
-                f"m must be an integer >= n + q + 1 = {self.n + self.q + 1}, got {self.m!r}"
-            )
         if self.endpoint not in ("f-rule", "suppress"):
             raise ValueError(f"endpoint must be 'f-rule' or 'suppress', got {self.endpoint!r}")
         # integral floats such as m=10.0 compare and hash equal to the int, so

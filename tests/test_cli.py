@@ -141,6 +141,15 @@ class TestSurfaceCommand:
                 cfg = EstimatorConfig(n=2, q=1, mu=mu, kappa=kappa, xi=xi)
                 assert float(cell) == variance_continuous(cfg, 1.0)
 
+    def test_variance_affine_fine_grid_is_finite(self):
+        # 41 x 41 cells at q = 3 reach within 0.05 of the singular kappa, mu = -1 edges
+        rc, out, err = run_captured(["surface", "variance_affine", "--n", "2", "--q", "3",
+                                     "--points", "41"])
+        assert (rc, err) == (0, "")
+        cells = np.array([line.split(",")[1:] for line in out.splitlines()[1:]], dtype=float)
+        assert cells.shape == (41, 41)
+        assert np.all(np.isfinite(cells)) and np.all(cells > 0)
+
     @pytest.mark.parametrize(
         "flags", [["--mu", "0.5"], ["--m", "7"], ["--beta", "1"], ["--xi", "0.3"]]
     )
@@ -287,6 +296,34 @@ class TestExperimentCommand:
             monkeypatch.setattr(cli, name, counted)
         cli.run_preset_pair("table1-b", {"seed": 3})
         assert calls == {"gen_path": 1, "calibrate_snr": 1}
+
+    def test_pair_writes_six_series_csvs(self, tmp_path, capsys):
+        pair = run_json(capsys, ["experiment", "table1-b", "--seed", "3", "--out-dir", str(tmp_path)])
+        paths = sorted(path for run in pair["runs"] for path in run["series_paths"].values())
+        assert len(paths) == 6
+        assert sorted(str(path) for path in tmp_path.iterdir()) == paths
+
+    def test_pair_builds_one_config_per_run(self, monkeypatch):
+        built = []
+        post_init = EstimatorConfig.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(EstimatorConfig, "__post_init__", counted)
+        assert run_captured(["experiment", "table1-a", "--seed", "3"])[0] == 0
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("m", [0, -3, 2.5, math.nan])
+    def test_bad_m_is_named_as_m(self, capsys, m):
+        # the run's T is m * ts, and EstimatorConfig checks m before T
+        message = f"m must be an integer >= n + q + 1 = 2, got {m!r}"
+        values = cli._resolve({"m": m}, cli.PRESETS["table1-a"]["integer"])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cli.run_experiment(values)
+        if isinstance(m, int):  # the command line reads m as an integer
+            assert_one_line_error(capsys, ["experiment", "table1-a", "--m", str(m)], message)
 
     @pytest.mark.parametrize("name", sorted(cli.PRESETS))
     def test_preset_runs_share_the_noisy_signal(self, name):
@@ -470,12 +507,16 @@ class TestMetricsWindow:
     ["experiment", "table2-b", "--seed", "3", "--beta", "1"],
     ["experiment", "table1-a", "--seed", "3"],
     ["mc", "--trials", "100", "--m", "40"],
-], ids=["experiment-table2-b", "experiment-table1-a", "mc"])
+    # a window of 100 001 draws per trial, and an anchor half a step off the sample grid
+    ["mc", "--trials", "100", "--m", "100000", "--T", "1.0", "--t0", "2.0"],
+    ["mc", "--trials", "100", "--m", "40", "--t0", "2.0125"],
+], ids=["experiment-table2-b", "experiment-table1-a", "mc", "mc-wide-window", "mc-t0-off-grid"])
 def test_json_report_is_one_line_of_strict_json(capsys, argv):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out.endswith("\n") and out.count("\n") == 1
     assert isinstance(strict_json(out), dict)
+    assert run_captured(argv)[1] == out  # a rerun prints the same bytes
 
 
 class TestMcCommand:
@@ -546,6 +587,17 @@ class TestMcCommand:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert first == capsys.readouterr().out
+
+    @pytest.mark.parametrize("trials,m", [(100, 40), (300, 400)], ids=["one-block", "blocks"])
+    def test_rerun_across_the_stream_wrap_is_byte_identical(self, trials, m):
+        # trial k draws on stream + k mod 2**64: from 2**64 - 56 the keys wrap,
+        # and 300 trials at m = 400 fill several blocks of draws
+        argv = ["mc", "--trials", str(trials), "--m", str(m), "--stream", str(2**64 - 56),
+                "--seed", "5"]
+        first = run_captured(argv)
+        assert first[0] == 0 and first[2] == ""
+        assert json.loads(first[1])["trials"] == trials
+        assert run_captured(argv) == first
 
     def test_calls_share_one_parser_and_no_state(self):
         assert cli._build_parser() is cli._build_parser()
@@ -731,6 +783,7 @@ class TestErrorHandling:
             (["kernel", "--mu", "1e308"], "mu = 1e+308 and kappa = 0.0 give a Beta divisor"),
             (["kernel", "--kappa", "1e308"], "mu = 0.0 and kappa = 1e+308 give a Beta divisor"),
             (["estimate", "--in", "{tmp}/two-samples.csv", "--T", "nan"], "T must be finite, got nan"),
+            (["estimate", "--in", "{tmp}/ramp.csv", "--T", "inf"], "T must be finite, got inf"),
             (["estimate", "--in", "{tmp}/two-samples.csv", "--T", "-inf"], "T must be finite, got -inf"),
             (["estimate", "--in", "{tmp}/two-samples.csv", "--T", "1e308"],
              "T = 1e+308 over the sampling period 0.1 gives a tap count beyond the float range"),
@@ -804,7 +857,7 @@ class TestErrorHandling:
              "mc-empirical-variance-overflow", "mc-continuous-variance-overflow",
              "mc-variance-overflow-names-t0", "mc-poisson-anchor-names-t0",
              "kernel-mu-beta-divisor", "kernel-kappa-beta-divisor", "estimate-T-nan",
-             "estimate-T-minus-inf", "estimate-T-tap-count-overflow",
+             "estimate-T-inf", "estimate-T-minus-inf", "estimate-T-tap-count-overflow",
              "mc-continuous-variance-names-mu", "mc-continuous-variance-names-T",
              "estimate-T-beyond-the-signal", "estimate-m-beyond-the-signal",
              "estimate-T-below-one-tap", "mc-off-grid-names-T-and-m",
