@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -35,7 +36,7 @@ from .analysis import (
     sweep_surface,
 )
 from .estimator import SampledSignal, estimate_series
-from .kernel import EstimatorConfig, kernel_taps
+from .kernel import _ENDPOINTS, EstimatorConfig, kernel_taps
 from .stochastic import (
     NoiseModel,
     Poisson,
@@ -62,25 +63,11 @@ SIN2T_TS = math.pi / 100.0
 _Truth = Callable[[int], np.ndarray]
 
 
-def _exp_truth(s: complex, sign: float, grid: np.ndarray) -> _Truth:
-    """The derivatives of sign * Im exp(s t) on the grid, from one exponential."""
-    e = np.exp(s * grid)
-    e.setflags(write=False)
-    return lambda k: sign * np.imag(s**k * e)
-
-
-# name -> (grid -> truth, ts, count) of the signal x(t) = sign * Im exp(s t)
+# name -> (s, sign, ts, count) of the signal x(t) = sign * Im exp(s t), t = ts * arange(count)
 _NAMED_SIGNALS = {
-    # exp(-t/1.2) sin(6t + pi)
-    "expsin": (functools.partial(_exp_truth, complex(-1.0 / 1.2, 6.0), -1.0), EXPSIN_TS, 1001),
-    # sin(2t)
-    "sin2t": (functools.partial(_exp_truth, complex(0.0, 2.0), 1.0), SIN2T_TS, 446),
+    "expsin": (complex(-1.0 / 1.2, 6.0), -1.0, EXPSIN_TS, 1001),  # exp(-t/1.2) sin(6t + pi)
+    "sin2t": (complex(0.0, 2.0), 1.0, SIN2T_TS, 446),  # sin(2t)
 }
-
-
-def _polynomial_truth(coeffs: tuple[float, ...], grid: np.ndarray) -> _Truth:
-    poly = np.polynomial.polynomial
-    return lambda k: poly.polyval(grid, poly.polyder(np.asarray(coeffs, dtype=float), k))
 
 
 def _csv_signal(path: str) -> SampledSignal:
@@ -273,6 +260,8 @@ PRESETS = {
 
 # noise kind -> model class; each class's one field is its intensity parameter
 _NOISE_KINDS = {"white": WhiteGaussian, "wiener": Wiener, "poisson": Poisson}
+# noise kind -> the spec key of its intensity, the one such key its model reads
+_INTENSITY = {kind: fields(model)[0].name for kind, model in _NOISE_KINDS.items()}
 
 
 def run_preset_pair(name: str, flags: dict, out_dir: str | None = None) -> dict:
@@ -423,12 +412,18 @@ def _resolve(flags: dict, spec: dict | None = None) -> dict:
     """A run's values: flag over spec-file (or preset) value over default.
 
     The window is one value, set by m or T: a window flag replaces the
-    spec's m and T together, so `_config` derives the other from ts.
+    spec's m and T together, so `_config` derives the other from ts.  A
+    noise model reads one intensity key; the other, given, is refused.
     """
     spec = spec or {}
     if "m" in flags or "T" in flags:
         spec = {key: value for key, value in spec.items() if key not in ("m", "T")}
-    return {**_DEFAULTS, **spec, **flags}
+    values = {**_DEFAULTS, **spec, **flags}
+    read = _INTENSITY.get(values["noise"])
+    for key in _INTENSITY.values():
+        if read and key != read and (key in flags or key in spec):
+            raise ValueError(f"{key} does not apply to noise {values['noise']!r}, which reads {read}")
+    return values
 
 
 def _config(values: dict, signal: SampledSignal | None = None) -> EstimatorConfig:
@@ -467,8 +462,7 @@ def _noise(values: dict) -> NoiseModel | None:
         return None
     if kind not in _NOISE_KINDS:
         raise ValueError(f"unknown noise kind {kind!r}")
-    model = _NOISE_KINDS[kind]
-    return model(values[fields(model)[0].name])
+    return _NOISE_KINDS[kind](values[_INTENSITY[kind]])
 
 
 def _signal(values: dict) -> tuple[SampledSignal, _Truth | None]:
@@ -490,8 +484,11 @@ def _signal(values: dict) -> tuple[SampledSignal, _Truth | None]:
         raise ValueError(f"polynomial signal requires count >= 1, got count = {count!r}")
     # SampledSignal names a bad ts, and the check below the inputs behind
     # samples that are not finite, so NumPy's warnings add nothing
+    poly = np.polynomial.polynomial
+    coeffs = np.asarray(values["coeffs"], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        truth = _polynomial_truth(values["coeffs"], np.arange(count) * ts)
+        grid = np.arange(count) * ts
+        truth = lambda k: poly.polyval(grid, poly.polyder(coeffs, k))
         samples = truth(0)
     if 0 < ts < math.inf and not np.isfinite(samples).all():
         raise ValueError(
@@ -505,8 +502,10 @@ def _signal(values: dict) -> tuple[SampledSignal, _Truth | None]:
 def _named_signal(kind: str) -> tuple[SampledSignal, _Truth]:
     """`_signal` of a named signal, built once per process: its samples, and
     the exponential that its ``truth(k)`` reads, are read-only."""
-    on_grid, ts, count = _NAMED_SIGNALS[kind]
-    truth = on_grid(np.arange(count) * ts)
+    s, sign, ts, count = _NAMED_SIGNALS[kind]
+    e = np.exp(s * (np.arange(count) * ts))
+    e.setflags(write=False)
+    truth = lambda k: sign * np.imag(s**k * e)
     samples = truth(0)
     samples.setflags(write=False)
     return SampledSignal(0.0, ts, samples), truth
@@ -518,7 +517,7 @@ _FLAG_HELP = {
     "T": "window length, seconds", "xi": "evaluation abscissa (q >= 1)",
     "F": "endpoint regularization fraction", "m": "tap count (window = m+1 samples)",
 }
-_FLAG_CHOICES = {"beta": (-1, 1), "endpoint": ("f-rule", "suppress")}
+_FLAG_CHOICES = {"beta": (-1, 1), "endpoint": _ENDPOINTS}
 
 
 def _add_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
@@ -557,12 +556,8 @@ def _open_out(path: str | None):
             yield fh
 
 
-# json.dumps builds an encoder per call when given options
-_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
-
-
 def _print_json(document: dict) -> None:
-    sys.stdout.write(_JSON.encode(document) + "\n")
+    sys.stdout.write(json.dumps(document, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _cmd_estimate(ns: argparse.Namespace) -> int:
@@ -703,7 +698,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
-        return ns.func(ns)
+        status = ns.func(ns)
+        sys.stdout.flush()  # a reader that closed stdout early is met here, not at exit
+        return status
+    except BrokenPipeError:
+        # not an input error: exit 1 as Python does on EPIPE, with stdout on
+        # os.devnull so the flush at exit writes nowhere (`signal` docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (
         ValueError, IndexError, OSError, TypeError, ArithmeticError, MemoryError
     ) as exc:

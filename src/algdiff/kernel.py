@@ -47,6 +47,8 @@ _BLOCK = 32
 # fewer; of 2, 3, 4, 6 and 8, 4 ran fastest over the six `stream` configs (3
 # took 3 % longer, 2 took 12 %, 6 and 8 over 20 %)
 _GROUP = 4
+# the values of `EstimatorConfig.endpoint`
+_ENDPOINTS = ("f-rule", "suppress")
 
 
 @dataclass(frozen=True)
@@ -175,8 +177,10 @@ class EstimatorConfig:
             raise ValueError(f"xi must lie in [0, 1], got {self.xi!r}")
         if not 0.0 < self.F <= 1.0:
             raise ValueError(f"F must lie in (0, 1], got {self.F!r}")
-        if self.endpoint not in ("f-rule", "suppress"):
-            raise ValueError(f"endpoint must be 'f-rule' or 'suppress', got {self.endpoint!r}")
+        if self.endpoint not in _ENDPOINTS:
+            raise ValueError(
+                f"endpoint must be {' or '.join(map(repr, _ENDPOINTS))}, got {self.endpoint!r}"
+            )
         # integral floats such as m=10.0 compare and hash equal to the int, so
         # they must also build the same kernel (`kernel_taps` shares it)
         for name in ("n", "q", "beta", "m"):

@@ -7,8 +7,12 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,6 +360,28 @@ class TestExperimentCommand:
         # each derivative is a new array, so a caller that writes to one changes no other run
         assert truth(1) is not truth(1)
 
+    @pytest.mark.parametrize("signal", sorted(cli._NAMED_SIGNALS))
+    def test_named_signal_truth_is_its_closed_form_derivative(self, signal):
+        clean, truth = cli._signal(dict(signal=signal))
+        t = np.arange(len(clean.values)) * clean.ts
+        if signal == "sin2t":
+            # 2**k sin(2t + k pi/2)
+            closed = [np.sin(2 * t), 2 * np.cos(2 * t), -4 * np.sin(2 * t)]
+            s, sign, ts, count = complex(0.0, 2.0), 1.0, math.pi / 100.0, 446
+        else:
+            # exp(a t) sin(6t + pi), a = -1/1.2, differentiated by hand
+            a, env, sin, cos = -1.0 / 1.2, np.exp(-t / 1.2), -np.sin(6 * t), -np.cos(6 * t)
+            closed = [env * sin, env * (a * sin + 6 * cos), env * ((a * a - 36) * sin + 12 * a * cos)]
+            s, sign, ts, count = complex(-1.0 / 1.2, 6.0), -1.0, 1.0 / 200.0, 1001
+        for k, want in enumerate(closed):
+            # within 4 ulps of the scale |s|**k of the k-th derivative
+            assert np.max(np.abs(truth(k) - want)) <= 4 * np.finfo(float).eps * abs(s) ** k, k
+        # bit for bit the expression the signal has always been sampled with
+        e = np.exp(s * (np.arange(count) * ts))
+        assert clean.ts == ts and np.array_equal(clean.values, sign * np.imag(e))
+        for k in range(4):
+            assert np.array_equal(truth(k), sign * np.imag(s**k * e)), k
+
     def test_unknown_preset(self, capsys):
         rc = main(["experiment", "table9-z"])
         assert rc == 2
@@ -648,6 +674,7 @@ INPUT_FILES = {
     "csv-no-path.spec": "signal = csv\nm = 4\n",
     "polynomial-no-coeffs.spec": "signal = polynomial\nm = 4\n",
     "m-zero.spec": "signal = sin2t\nm = 0\n",
+    "poisson-sigma2.spec": "signal = sin2t\nm = 4\nnoise = poisson\nsigma2 = 5\n",
     "two-samples.csv": "t,value\n0,1\n0.1,2\n",
     "ramp.csv": "t,value\n" + "".join(f"{i * 0.01!r},{i * i * 1e-4!r}\n" for i in range(60)),
 }
@@ -732,6 +759,16 @@ class TestErrorHandling:
             (["experiment", "{tmp}/csv-no-path.spec"], "csv signal requires a path"),
             (["experiment", "{tmp}/polynomial-no-coeffs.spec"],
              "polynomial signal requires coefficients"),
+            # an output path that cannot be written, unlike a closed stdout, is an input error
+            (["kernel", "--m", "4", "--out", "{tmp}"], "Is a directory: '"),
+            # a noise model reads one intensity key and refuses the other
+            (["experiment", "{tmp}/poisson-sigma2.spec"],
+             "sigma2 does not apply to noise 'poisson', which reads nu"),
+            (["mc", "--model", "poisson", "--sigma2", "5"],
+             "sigma2 does not apply to noise 'poisson', which reads nu"),
+            (["mc", "--model", "white", "--nu", "3"],
+             "nu does not apply to noise 'white', which reads sigma2"),
+            (["mc", "--nu", "3"], "nu does not apply to noise 'wiener', which reads sigma2"),
             # T = m * ts is derived from a bad m, so the error names m; a bad T is named as T
             (["experiment", "table1-a", "--m", "0"], "m must be an integer >= n + q + 1 = 2, got 0"),
             (["experiment", "table1-a", "--m", "-5"], "m must be an integer >= n + q + 1 = 2, got -5"),
@@ -847,6 +884,8 @@ class TestErrorHandling:
              "metrics-window-lo-nan", "metrics-window-hi-nan",
              "spec-bad-line", "spec-unknown-key", "spec-noise-kind",
              "spec-signal-kind", "spec-csv-without-path", "spec-polynomial-without-coeffs",
+             "kernel-out-is-a-directory",
+             "spec-poisson-sigma2", "mc-poisson-sigma2", "mc-white-nu", "mc-wiener-nu",
              "experiment-m-zero", "experiment-m-negative", "experiment-m-before-seed",
              "experiment-m-before-stream", "experiment-seed-before-extended-m",
              "experiment-gamma-before-extended-m", "experiment-extended-m",
@@ -927,6 +966,18 @@ class TestErrorHandling:
         report = json.loads(out)
         assert 0.0 < report["stderr_var"] < report["emp_var"] < math.inf
 
+    def test_closed_stdout_exits_1_quietly(self):
+        # a reader that stops early is no input error: exit 1, nothing on stderr,
+        # not even an "Exception ignored" line from the flush at exit
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.Popen([sys.executable, "-m", "algdiff.cli", "kernel", "--m", "100000"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"i,abscissa,tap\n"
+        proc.stdout.close()
+        err = proc.communicate(timeout=60)[1]
+        assert (proc.returncode, err) == (1, b"")
+
     def test_arithmetic_error_exits_2(self, capsys, monkeypatch):
         def overflow(cfg):
             raise OverflowError("too large")
@@ -970,11 +1021,13 @@ class TestConfigResolver:
 
     def test_poisson_reads_nu_not_sigma2(self, tmp_path, capsys):
         base = "m = 25\nnoise = poisson\n"
-        both = run_json(capsys, ["experiment", self.write_spec(tmp_path, base + "nu = 3\nsigma2 = 7\n")])
         nu = run_json(capsys, ["experiment", self.write_spec(tmp_path, base + "nu = 3\n")])
-        sigma2 = run_json(capsys, ["experiment", self.write_spec(tmp_path, base + "sigma2 = 3\n")])
-        assert both == nu
-        assert sigma2["band_high"] != nu["band_high"]
+        default = run_json(capsys, ["experiment", self.write_spec(tmp_path, base)])
+        assert nu["band_high"] != default["band_high"]
+        # with nu given too, sigma2 is still refused, not ignored
+        both = self.write_spec(tmp_path, base + "nu = 3\nsigma2 = 7\n")
+        assert_one_line_error(capsys, ["experiment", both],
+                              "sigma2 does not apply to noise 'poisson', which reads nu")
 
     def test_spec_stream_applies_without_flag(self, tmp_path, capsys):
         base = "m = 25\nnoise = white\ntarget_snr_db = 20\n"
@@ -1127,7 +1180,7 @@ class TestOneRoute:
     def test_mc_defaults_written_out_keep_the_output(self, model, m):
         argv = ["mc", "--model", model, "--trials", "100", "--m", str(m)]
         defaults = [f"--{key}={cli._DEFAULTS[key]}"
-                    for key in ("seed", "stream", "gamma", "sigma2", "nu")]
+                    for key in ("seed", "stream", "gamma", cli._INTENSITY[model])]
         implicit = run_captured(argv)
         assert implicit[0] == 0, implicit[2]
         assert run_captured(argv + defaults) == implicit
