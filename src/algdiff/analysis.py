@@ -136,17 +136,16 @@ class NoiseMomentReport:
 
 def continuous_moments(cfg: EstimatorConfig, noise: NoiseModel) -> NoiseMomentReport | None:
     """Continuous-limit mean and variance of the noise error under a Wiener or
-    Poisson process; None for a model with no increment part.
+    Poisson process; None for a model without independent increments.
 
     The variance is `variance_continuous` at the process intensity; the mean
     is the slope of the model's linear mean at n = 1, and 0 for n >= 2.
     """
-    eta = noise.increment_part()
-    if eta is None:
+    if not noise.increments:
         return None
     mean = float(noise.mean_at(1.0)) if cfg.n == 1 else 0.0
     try:
-        variance = variance_continuous(cfg, eta)
+        variance = variance_continuous(cfg, noise.eta)
     except (FloatingPointError, OverflowError):
         raise _continuous_out_of_range(cfg, noise) from None
     return NoiseMomentReport(mean, variance)
@@ -194,18 +193,17 @@ def discrete_moments(k: DiscreteKernel, noise: NoiseModel, t0: float) -> NoiseMo
     sums over the window's uncorrelated draws (`stochastic._window_draws`),
     the mean mean_at(w @ l) and the variance eta * sum(l * w**2)."""
     w, l = _window_draws(k, noise, t0)
-    ((_, eta),) = _record(noise).items()
     tail = w[1:]
     with np.errstate(over="ignore"):
         # the draws after the first are one dot, l applied before w is squared
         # again, so it overflows only where a term l * w**2 does (tiny T)
-        window = float((l[1:] * tail) @ tail) * eta
-        variance = float(l[0] * (w[0] * w[0]) * eta) + window
+        window = float((l[1:] * tail) @ tail) * noise.eta
+        variance = float(l[0] * (w[0] * w[0]) * noise.eta) + window
     if variance == math.inf:
         # under increment noise the j = 0 term, eta*t_s*(sum taps)**2, grows
         # with t0, so t0 is named too when the other terms stay in range
         first = k.config.T if k.config.beta == -1 else 0.0
-        grows = noise.increment_part() is not None and window < math.inf
+        grows = noise.increments and window < math.inf
         raise _beyond_float_range(noise, f" at t0 = {t0!r} (in range at t0 = {first!r})" if grows else "")
     # every mean is linear in t: sum_j w_j*mean_at(l_j) = mean_at(w @ l), no nu*t_s to overflow
     return NoiseMomentReport(float(noise.mean_at(w @ l)), variance)
@@ -235,8 +233,7 @@ def discrete_covariance(
         raise ValueError("misaligned kernels: per-tap steps differ")
     t01, t02 = t0 if isinstance(t0, tuple) else (t0, t0)
     start1, start2 = _earliest_time(k1, noise, t01), _earliest_time(k2, noise, t02)
-    white = noise.white_part()
-    if white is not None:
+    if not noise.increments:
         # only coincident sample times contribute: tap i of k1 meets tap i - r of k2
         shift = (t02 - t01) / (cfg1.beta * step1)
         # a shift past the float range puts the windows apart
@@ -248,7 +245,7 @@ def discrete_covariance(
         lo, hi = max(0, r), min(cfg1.m, cfg2.m + r) + 1
         if lo >= hi:
             return 0.0
-        return white * float(np.dot(k1.taps[lo:hi], k2.taps[lo - r : hi - r]))
+        return noise.eta * float(np.dot(k1.taps[lo:hi], k2.taps[lo - r : hi - r]))
     # times from the earlier window start (the first step), not from t = 0
     start = min(start1, start2)
     times = np.concatenate((_tap_times(k1, start1 - start), _tap_times(k2, start2 - start)))
@@ -262,7 +259,7 @@ def discrete_covariance(
     # the exact tap sums weigh the first step, the whole path before the windows
     tails1[0], tails2[0] = k1.tail_sums[0], k2.tail_sums[0]
     steps = np.diff(times[order], prepend=-start)
-    return noise.increment_part() * float(np.dot(steps, tails1 * tails2))
+    return noise.eta * float(np.dot(steps, tails1 * tails2))
 
 
 def chebyshev_band(mean: float, variance: float, gamma: float) -> tuple[float, float]:

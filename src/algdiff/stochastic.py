@@ -5,10 +5,10 @@ Every random draw is produced by a counter-based generator keyed on
 streams are independent by construction — trials simply use consecutive
 stream indices.
 
-A noise model states its second-order structure as one intensity eta:
-``white_part()`` for iid samples (Cov = eta at equal times, else 0), or
-``increment_part()`` for a process with independent increments from t = 0
-(Cov = eta*min(s, t)); the other one returns None.
+A noise model states its second-order structure as two facts: ``eta``, its
+one field, the intensity, and ``increments``, False for iid samples (Cov =
+eta at equal times, else 0) and True for a process with independent
+increments from t = 0 (Cov = eta*min(s, t)).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -61,10 +62,15 @@ class RngSeed:
     stream: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < _U64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if not 0 <= self.stream < _U64:
-            raise ValueError("stream must fit in an unsigned 64-bit integer")
+        for name, value in _record(self).items():
+            # abs(x) < inf fails for nan and +-inf, where int() raises
+            if not abs(value) < math.inf or int(value) != value:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if not 0 <= value < _U64:
+                raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value!r}")
+            # an integral float such as 7.0 compares and hashes equal to the
+            # int, so it must also key the same generator and record the int
+            object.__setattr__(self, name, int(value))
 
     def generator(self) -> np.random.Generator:
         # an explicit uint64 array: a list mixing words on both sides of 2**63
@@ -75,20 +81,20 @@ class RngSeed:
 
 @dataclass(frozen=True)
 class _Noise:
-    """Base of the noise models: checks the one field, the intensity; mean 0; no covariance part."""
+    """Base of the noise models: checks the one field, the intensity; mean 0; iid samples."""
+
+    increments: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
-        (field,) = fields(self)
-        _check_intensity(field.name, getattr(self, field.name))
+        _check_intensity(_field_names(type(self))[0], self.eta)
+
+    @property
+    def eta(self) -> float:
+        """The intensity, the model's one field."""
+        return getattr(self, _field_names(type(self))[0])
 
     def mean_at(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
-
-    def white_part(self) -> float | None:
-        return None
-
-    def increment_part(self) -> float | None:
-        return None
 
 
 @dataclass(frozen=True)
@@ -97,18 +103,13 @@ class WhiteGaussian(_Noise):
 
     sigma2: float
 
-    def white_part(self) -> float:
-        return self.sigma2
-
 
 @dataclass(frozen=True)
 class Wiener(_Noise):
     """Standard Wiener process scaled so Cov[W(s), W(t)] = sigma2*min(s,t)."""
 
     sigma2: float
-
-    def increment_part(self) -> float:
-        return self.sigma2
+    increments = True
 
 
 @dataclass(frozen=True)
@@ -116,12 +117,10 @@ class Poisson(_Noise):
     """Counting process with rate nu: E[N(t)] = nu*t, Cov = nu*min(s,t)."""
 
     nu: float
+    increments = True
 
     def mean_at(self, t):
         return self.nu * np.asarray(t, dtype=float)
-
-    def increment_part(self) -> float:
-        return self.nu
 
 
 NoiseModel = WhiteGaussian | Wiener | Poisson
@@ -216,7 +215,7 @@ def _earliest_time(k: DiscreteKernel, model: NoiseModel, t0: float) -> float:
     if not math.isfinite(t0):
         raise ValueError(f"t0 must be finite, got {t0!r}")
     start = t0 - k.config.T if k.config.beta == -1 else t0
-    if model.increment_part() is None:
+    if not model.increments:
         return start
     if start < -1e-12:
         bound = f"T = {k.config.T!r}" if k.config.beta == -1 else "0"
@@ -239,7 +238,7 @@ def _window_draws(k: DiscreteKernel, model: NoiseModel, t0: float) -> tuple[np.n
     """
     cfg = k.config
     start = _earliest_time(k, model, t0)
-    if model.white_part() is not None:
+    if not model.increments:
         return k.taps[:: cfg.beta], np.ones(cfg.m + 1)
     return k.tail_sums, np.concatenate(([start], np.full(cfg.m, cfg.T / cfg.m)))
 
@@ -252,8 +251,8 @@ def mc_noise_samples(
     Trial k draws the m + 1 d_j of `_window_draws`, whatever t0, from Philox
     key ``[seed.seed, (seed.stream + k) mod 2**64]`` at counter 0 alone:
     Gaussian ones as one ``standard_normal(m + 1)``, Poisson ones as
-    ``poisson(nu*step, m)``, then d_0; one generator is re-keyed per trial.
-    Trials are drawn into the rows of one reused block of at most
+    ``poisson(nu*step, m)`` for d_1..d_m, then d_0; one generator is re-keyed
+    per trial.  Trials are drawn into the rows of one reused block of at most
     ``_BLOCK_FLOATS`` floats (one row when m + 1 is more), and a block is
     summed at once, each row with the dot that ``w @ row`` calls: memory
     stays O(m), and a trial's value does not depend on the block around it.
@@ -271,21 +270,15 @@ def mc_noise_samples(
             row[1:] = _poisson(rng, model.nu * step, cfg.m, at_step)
             row[0] = _poisson(rng, model.nu * start, None, at_start)
 
-        def reduce(rows: np.ndarray) -> np.ndarray:
-            return _row_dots(rows[:, 1:], weights[1:]) + weights[0] * rows[:, 0]
-
     else:
         # white or Wiener: each draw's deviation as a product of square roots,
-        # so that sigma2*l cannot overflow; a weight past the float range means
+        # so that eta*l cannot overflow; a weight past the float range means
         # a variance past it too, which `discrete_moments` refuses by name
         with np.errstate(over="ignore"):
-            weights = math.sqrt(model.sigma2) * np.sqrt(lengths) * weights
+            weights = math.sqrt(model.eta) * np.sqrt(lengths) * weights
 
         def draw(row: np.ndarray) -> None:
             rng.standard_normal(out=row)
-
-        def reduce(rows: np.ndarray) -> np.ndarray:
-            return _row_dots(rows, weights)
 
     # a fresh state: counter 0, empty buffer; the setter copies it, so this
     # one dict rewinds the generator onto each trial's key.  It reads lists
@@ -302,7 +295,7 @@ def mc_noise_samples(
             key[1] = (seed.stream + k) % _U64
             rng.bit_generator.state = state
             draw(row)
-        out[first : first + len(rows)] = reduce(rows)
+        out[first : first + len(rows)] = _row_dots(rows, weights)
     return out
 
 

@@ -355,14 +355,13 @@ def exact_tap_times(k: DiscreteKernel, t0: float) -> list[Fraction]:
 def exact_discrete_moments(k: DiscreteKernel, noise: NoiseModel, t0: float) -> tuple[Fraction, Fraction]:
     """`discrete_moments` in exact rational arithmetic: the float taps and the
     exact tap times, the mean sum_i a_i*E[X(t_i)] (E[X(t)] linear in t for
-    every model) and the variance sigma2*sum a_i**2 for white noise, else
+    every model) and the variance eta*sum a_i**2 for iid samples, else
     `exact_increment_covariance` of the kernel with itself."""
     taps, times = [Fraction(float(a)) for a in k.taps], exact_tap_times(k, t0)
     mean = Fraction(float(noise.mean_at(1.0))) * sum(a * t for a, t in zip(taps, times))
-    white = noise.white_part()
-    if white is not None:
-        return mean, Fraction(white) * sum(a * a for a in taps)
-    return mean, exact_increment_covariance(noise.increment_part(), taps, times, taps, times)
+    if not noise.increments:
+        return mean, Fraction(noise.eta) * sum(a * a for a in taps)
+    return mean, exact_increment_covariance(noise.eta, taps, times, taps, times)
 
 
 def window_draws(k: DiscreteKernel, model: NoiseModel, t0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -370,7 +369,7 @@ def window_draws(k: DiscreteKernel, model: NoiseModel, t0: float) -> tuple[np.nd
     every call: the tail sums in time order, and the exact tap sum at 0."""
     cfg = k.config
     start = _earliest_time(k, model, t0)
-    if model.white_part() is not None:
+    if not model.increments:
         return k.taps[:: cfg.beta], np.ones(cfg.m + 1)
     w = np.cumsum(k.taps[:: -cfg.beta])[::-1]
     w[0] = math.fsum(memoryview(k.taps))
@@ -382,11 +381,10 @@ def moments_by_window_draws(k: DiscreteKernel, noise: NoiseModel, t0: float) -> 
     call, for moments in the float range: the mean mean_at(w @ l) and the
     variance l_0*w_0**2*eta plus one dot of the rest."""
     w, l = window_draws(k, noise, t0)
-    eta = noise.white_part() if noise.white_part() is not None else noise.increment_part()
     tail = w[1:]
     with np.errstate(over="ignore"):
-        window = float((l[1:] * tail) @ tail) * eta
-        variance = float(l[0] * (w[0] * w[0]) * eta) + window
+        window = float((l[1:] * tail) @ tail) * noise.eta
+        variance = float(l[0] * (w[0] * w[0]) * noise.eta) + window
     return NoiseMomentReport(float(noise.mean_at(w @ l)), variance)
 
 
@@ -404,19 +402,22 @@ def covariance_by_fresh_tap_sums(
     tails2 = np.cumsum(np.concatenate((pad1, k2.taps))[order][::-1])[::-1]
     tails1[0], tails2[0] = math.fsum(memoryview(k1.taps)), math.fsum(memoryview(k2.taps))
     steps = np.diff(times[order], prepend=-start)
-    return noise.increment_part() * float(np.dot(steps, tails1 * tails2))
+    return noise.eta * float(np.dot(steps, tails1 * tails2))
 
 
 def trial_by_hand(cfg: EstimatorConfig, model: NoiseModel, t0: float, key: RngSeed) -> float:
-    """One Monte-Carlo trial as one dot over its m + 1 draws (`window_draws`)
-    from a fresh generator on ``key``."""
+    """One Monte-Carlo trial as one dot ``weights @ draws`` over its m + 1
+    draws (`window_draws`) from a fresh generator on ``key``: Poisson ones
+    drawn as the m increments, then d_0, and laid out as [d_0, increments]."""
     weights, lengths = window_draws(kernel_taps(cfg), model, t0)
     rng = key.generator()
     if isinstance(model, Poisson):
-        increments = rng.poisson(model.nu * lengths[1], cfg.m)
-        return float(weights[1:] @ increments + weights[0] * rng.poisson(model.nu * lengths[0]))
-    weights = math.sqrt(model.sigma2) * np.sqrt(lengths) * weights
-    return float(weights @ rng.standard_normal(cfg.m + 1))
+        increments = rng.poisson(model.eta * lengths[1], cfg.m)
+        draws = np.concatenate(([rng.poisson(model.eta * lengths[0])], increments)).astype(float)
+    else:
+        weights = math.sqrt(model.eta) * np.sqrt(lengths) * weights
+        draws = rng.standard_normal(cfg.m + 1)
+    return float(weights @ draws)
 
 
 def correlate_apply(values: np.ndarray, k: DiscreteKernel) -> np.ndarray:
@@ -491,11 +492,10 @@ def taps_on_gen_path(
     count = int(idx.max()) + 1
     weights = np.zeros(count)
     weights[idx] = taps
-    cumulative = model.increment_part() is not None
-    if cumulative:  # sum_i w_i*X(t_i) = sum_j dX_j*sum_{i>j} w_i
+    if model.increments:  # sum_i w_i*X(t_i) = sum_j dX_j*sum_{i>j} w_i
         weights = np.cumsum(weights[::-1])[::-1][1:]
     out = np.empty(trials)
     for k in range(trials):
         path = gen_path(model, step, count, RngSeed(seed.seed, (seed.stream + k) % 2**64)).values
-        out[k] = weights @ (np.diff(path) if cumulative else path)
+        out[k] = weights @ (np.diff(path) if model.increments else path)
     return out

@@ -837,7 +837,7 @@ class TestMomentSummary:
         other = make_kernel(EstimatorConfig(n=1, beta=cfg.beta, T=cfg.T / cfg.m * 3, m=3))
         want = bits(*vars(moments_by_window_draws(k, model, t0)).values())
         anchors = (t0, t0 + 2 * cfg.T / cfg.m)
-        if model.white_part() is None:
+        if model.increments:
             cov = bits(covariance_by_fresh_tap_sums(k, other, model, anchors))
         else:
             cov = bits(discrete_covariance(make_kernel(cfg), other, model, anchors))
@@ -865,7 +865,7 @@ class TestMomentSummary:
         for t0 in (math.nan, math.inf):
             with pytest.raises(ValueError, match=re.escape(f"t0 must be finite, got {t0!r}")):
                 discrete_moments(k, model, t0)
-        if model.increment_part() is None:
+        if not model.increments:
             assert discrete_moments(k, model, 0.5).variance > 0
             return
         with pytest.raises(ValueError, match=re.escape(
@@ -910,11 +910,10 @@ class TestDiscreteCovariance:
         got = discrete_covariance(k, k, model, t0)
         exact = float(exact_discrete_moments(k, model, t0)[1])
         assert abs(discrete_moments(k, model, t0).variance - exact) <= VARIANCE_RTOL * exact + TINY
-        white = model.white_part()
-        if white is not None:
-            assert got == white * float(np.dot(k.taps, k.taps))
+        if not model.increments:
+            assert got == model.eta * float(np.dot(k.taps, k.taps))
         else:
-            assert_matches_dense(got, model.increment_part(), (k, t0), (k, t0))
+            assert_matches_dense(got, model.eta, (k, t0), (k, t0))
 
     @given(
         st.tuples(st.integers(1, 3), st.integers(0, 2), exponents, exponents, st.integers(6, 120)),
@@ -944,7 +943,7 @@ class TestDiscreteCovariance:
         t02 = t01 + (shift + off_grid) * step
         k1, k2 = make_kernel(cfg1), make_kernel(cfg2)
         got = discrete_covariance(k1, k2, model, (t01, t02))
-        assert_matches_dense(got, model.increment_part(), (k1, t01), (k2, t02))
+        assert_matches_dense(got, model.eta, (k1, t01), (k2, t02))
 
     @pytest.mark.parametrize("beta", [-1, 1])
     @pytest.mark.parametrize("t0", [1e6, 1e9, 1e12])

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import tracemalloc
 import warnings
-from dataclasses import FrozenInstanceError, asdict
+from dataclasses import FrozenInstanceError, asdict, fields
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from algdiff.estimator import SampledSignal
 from algdiff.analysis import discrete_moments
+from algdiff.cli import main
 from algdiff.kernel import EstimatorConfig, discretize, kernel_taps, minimal_kernel
 from algdiff.stochastic import (
     Poisson,
@@ -54,13 +56,13 @@ def window_by_hand(cfg, model, t0, rng) -> list[tuple[Fraction, float]]:
     step = cfg.T / cfg.m
     t_s = t0 - cfg.T if cfg.beta == -1 else t0
     if isinstance(model, Poisson):
-        increments = rng.poisson(model.nu * step, cfg.m)
-        draws = [float(rng.poisson(model.nu * t_s)), *map(float, increments)]
+        increments = rng.poisson(model.eta * step, cfg.m)
+        draws = [float(rng.poisson(model.eta * t_s)), *map(float, increments)]
     else:
         z = rng.standard_normal(cfg.m + 1)
-        if isinstance(model, WhiteGaussian):
-            return [(Fraction(x), abs(x)) for x in math.sqrt(model.sigma2) * z]
-        scales = [math.sqrt(model.sigma2 * t_s)] + [math.sqrt(model.sigma2 * step)] * cfg.m
+        if not model.increments:
+            return [(Fraction(x), abs(x)) for x in math.sqrt(model.eta) * z]
+        scales = [math.sqrt(model.eta * t_s)] + [math.sqrt(model.eta * step)] * cfg.m
         draws = [scale * float(x) for scale, x in zip(scales, z)]
     samples, exact, size = [], Fraction(0), 0.0
     for d in draws:
@@ -110,6 +112,28 @@ class TestRngSeed:
             RngSeed(2**64)
         with pytest.raises(ValueError):
             RngSeed(0, stream=-5)
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [((7.9,), "seed must be an integer, got 7.9"),
+         ((1, 2.5), "stream must be an integer, got 2.5"),
+         ((math.nan,), "seed must be an integer, got nan"),
+         ((1, -math.inf), "stream must be an integer, got -inf"),
+         ((-1,), "seed must fit in an unsigned 64-bit integer, got -1"),
+         ((1, 2**64), f"stream must fit in an unsigned 64-bit integer, got {2**64}")],
+    )
+    def test_a_bad_word_is_refused_by_name(self, args, message):
+        # int() would truncate a fraction to another key: 7.9 drew the paths of seed 7
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RngSeed(*args)
+
+    def test_an_integral_float_is_the_int(self):
+        seed = RngSeed(7.0, 2.0)
+        assert seed == RngSeed(7, 2) and hash(seed) == hash(RngSeed(7, 2))
+        assert repr(seed) == "RngSeed(seed=7, stream=2)"
+        cfg = EstimatorConfig(n=1, m=40)
+        assert mc_noise_samples(cfg, Wiener(1.0), 2.0, 3, seed).tolist() == \
+            mc_noise_samples(cfg, Wiener(1.0), 2.0, 3, RngSeed(7, 2)).tolist()
 
     def test_generator_reproducible(self):
         a = RngSeed(42, 3).generator().normal(size=8)
@@ -680,11 +704,18 @@ class TestModelValidation:
         assert Wiener(1.0) != WhiteGaussian(1.0)
         assert len({Wiener(1.0), WhiteGaussian(1.0), Poisson(1.0)}) == 3
 
-    def test_white_part_dispatch(self):
-        # each model states exactly one intensity: white or independent-increment
-        assert WhiteGaussian(0.9).white_part() == 0.9
-        assert Wiener(1.0).white_part() is None
-        assert Poisson(1.0).white_part() is None
-        assert WhiteGaussian(0.9).increment_part() is None
-        assert Wiener(1.3).increment_part() == 1.3
-        assert Poisson(2.5).increment_part() == 2.5
+    @pytest.mark.parametrize(
+        "model,kind,name,increments",
+        [(WhiteGaussian(0.9), "white", "sigma2", False),
+         (Wiener(1.3), "wiener", "sigma2", True),
+         (Poisson(2.5), "poisson", "nu", True)],
+        ids=["white", "wiener", "poisson"],
+    )
+    def test_each_model_states_its_law_once(self, capsys, model, kind, name, increments):
+        # the intensity eta is the one field; `increments` is a ClassVar, so it
+        # is no field and stays out of every record, the mc JSON's included
+        assert model.increments is increments
+        assert model.eta == getattr(model, name)
+        assert [field.name for field in fields(model)] == [name]
+        assert main(["mc", "--trials", "100", "--m", "40", "--model", kind, f"--{name}", str(model.eta)]) == 0
+        assert json.loads(capsys.readouterr().out)["model"] == {"kind": kind, name: model.eta}
